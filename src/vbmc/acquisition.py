@@ -7,20 +7,16 @@ to avoid points whose predictive variance is already tiny, which would
 ill-condition the Gram matrix, and all scoring happens in log space.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cmaes import cma_maximize
-from .gp import DUPLICATE_TOL_SQ, marginal_predict
+from .gp import marginal_predict
 
 __all__ = [
     "AcquisitionError",
     "AcquisitionContext",
-    "a_us",
-    "a_pro",
-    "regularize",
     "log_acquisition",
     "optimize_acquisition",
 ]
@@ -61,7 +57,13 @@ def search_box(train, scale=3.0):
 
 
 def log_acquisition(ctx, X):
-    """Log of the regularized acquisition at rows of ``X``."""
+    """Log of the regularized acquisition at rows of ``X``.
+
+    ``us`` scores V(x) q(x)^2 and ``pro`` scores V(x) q(x) e^{fbar(x)}.
+    Below the variance threshold ``V_REG`` the value is damped by the
+    factor exp{-(V_REG/V - 1)}, which is continuous at the threshold and
+    sends the score to zero (log -inf) as V goes to zero.
+    """
     X = np.atleast_2d(X)
     fbar, var = marginal_predict(ctx.samples, X)
     logq = ctx.vp.logpdf(X)
@@ -78,33 +80,6 @@ def log_acquisition(ctx, X):
             penalty = np.where(var > 0, V_REG / np.maximum(var, 1e-300) - 1.0, np.inf)
         out = np.where(small, out - penalty, out)
     return out
-
-
-def a_us(ctx, x):
-    """Plain uncertainty sampling: V(x) q(x)^2 (regularized)."""
-    ctx = _with_kind(ctx, "us")
-    return float(np.exp(log_acquisition(ctx, np.atleast_2d(x))[0]))
-
-
-def a_pro(ctx, x):
-    """Prospective uncertainty sampling: V(x) q(x) e^{fbar(x)} (regularized)."""
-    ctx = _with_kind(ctx, "pro")
-    return float(np.exp(log_acquisition(ctx, np.atleast_2d(x))[0]))
-
-
-def _with_kind(ctx, kind):
-    if ctx.kind == kind:
-        return ctx
-    return AcquisitionContext(ctx.samples, ctx.vp, ctx.search_lb, ctx.search_ub, kind)
-
-
-def regularize(a_value, v_at_x):
-    """Damp an acquisition value where the predictive variance is tiny."""
-    if v_at_x <= 0.0:
-        return 0.0
-    if v_at_x >= V_REG:
-        return a_value
-    return a_value * math.exp(-(V_REG / v_at_x - 1.0))
 
 
 def optimize_acquisition(ctx, rng, n_probes=1000, max_gen=200, patience=20):

@@ -275,10 +275,7 @@ def metric_gskl(result, problem):
 
 
 def _gskl_from_internal(moments, transform, problem):
-    mean_i, cov_i = moments
-    scale = transform._width
-    mean = transform.to_original(mean_i)
-    cov = cov_i * np.outer(scale, scale)
+    mean, cov = transform.moments_to_original(*moments)
     try:
         return float(gaussian_skl(mean, cov, problem.post_mean, problem.post_cov))
     except np.linalg.LinAlgError:
@@ -349,13 +346,6 @@ class RunConfig:
     problem_seed: int = 0
     meta_seed: int = 0
     out: str = "records.jsonl"
-    workers: int | None = None
-
-    def resolve_workers(self):
-        if self.workers is not None:
-            return self.workers
-        env = os.environ.get("VBMC_WORKERS")
-        return int(env) if env else 1
 
 
 @dataclass
@@ -449,8 +439,9 @@ def _execute_run_tuple(args):
 def run_benchmark(config, progress=None):
     """Execute the sweep and append records to ``config.out`` (JSON lines).
 
-    Ground truth is cross-checked once per problem before any run. Records
-    are written in deterministic task order regardless of worker count.
+    Ground truth is cross-checked once per problem before any run. Runs
+    use ``VBMC_WORKERS`` processes (default 1). Records are written in
+    deterministic task order regardless of worker count.
     """
     tasks = []
     for family in config.families:
@@ -469,7 +460,7 @@ def run_benchmark(config, progress=None):
                      config.budget_multiplier, config.meta_seed)
                 )
 
-    workers = config.resolve_workers()
+    workers = int(os.environ.get("VBMC_WORKERS") or 1)
     records = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

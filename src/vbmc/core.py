@@ -186,13 +186,8 @@ class InferenceResult:
         Exact affine inversion when every dimension is unbounded;
         otherwise estimated from mapped samples.
         """
-        tr = self.transform
-        if not np.any(tr.bounded):
-            mean_i, cov_i = self.vp.moments()
-            scale = tr._width
-            mean = tr.to_original(mean_i)
-            cov = cov_i * np.outer(scale, scale)
-            return mean, cov
+        if not np.any(self.transform.bounded):
+            return self.transform.moments_to_original(*self.vp.moments())
         rng = np.random.default_rng(0) if rng is None else rng
         xs = self.sample_original(n_samples, rng)
         return xs.mean(axis=0), np.cov(xs.T).reshape(self.vp.D, self.vp.D)
@@ -274,17 +269,26 @@ class VBMC:
         self.fevals = 0
         self.archive = []  # dicts: u, y (internal), ok
         self._consecutive_failures = 0
+        self._history = []
 
     # -- evaluation ----------------------------------------------------
 
     def _evaluate(self, u):
         """Evaluate the log joint at internal coordinates ``u``.
 
-        Returns (y_internal, ok); failures are archived and excluded from
-        the GP training data.
+        Returns (y_internal, ok); non-finite values are archived and
+        excluded from the GP training data. An exception raised by the log
+        joint ends the run with a :class:`VBMCError` carrying the history.
         """
         x = self.transform.to_original(u)
-        y_orig = float(self.problem.log_joint(x))
+        try:
+            y_orig = float(self.problem.log_joint(x))
+        except Exception as err:
+            raise VBMCError(
+                f"log joint raised at {np.array_str(np.asarray(x), precision=4)}: "
+                f"{err!r}",
+                history=self._history,
+            ) from err
         self.fevals += 1
         if np.isfinite(y_orig):
             y = y_orig - float(self.transform.log_jacobian(x))
@@ -413,10 +417,19 @@ class VBMC:
     # -- main loop -------------------------------------------------------
 
     def run(self, seed=0, diagnostics=None):
-        """Run inference to termination; deterministic for a fixed seed."""
+        """Run inference to termination; deterministic for a fixed seed.
+
+        An owned diagnostics file is closed however the run ends.
+        """
+        diag = _DiagnosticsWriter(diagnostics, include_gp=self.options.diag_gp_samples)
+        try:
+            return self._iterate(np.random.default_rng(seed), diag)
+        finally:
+            diag.close()
+
+    def _iterate(self, rng, diag):
+        """The main loop of :meth:`run`; returns the assembled result."""
         opts = self.options
-        rng = np.random.default_rng(seed)
-        diag = _DiagnosticsWriter(diagnostics, include_gp=opts.diag_gp_samples)
         self._history = []
 
         train = self._initial_design(rng)
@@ -513,7 +526,7 @@ class VBMC:
             if done:
                 break
 
-        return self._assemble_result(stable_done, diag)
+        return self._assemble_result(stable_done)
 
     def _trim(self, train):
         cutoff = train.y.max() - self.options.trim_multiplier * self.D
@@ -525,7 +538,7 @@ class VBMC:
             keep[order] = True
         return train.subset(keep)
 
-    def _assemble_result(self, stable, diag):
+    def _assemble_result(self, stable):
         opts = self.options
         if stable:
             final = self._history[-1]
@@ -539,7 +552,7 @@ class VBMC:
                 for r in self._history
             ]
             final = self._history[int(np.argmax(scores))]
-        result = InferenceResult(
+        return InferenceResult(
             vp=final.vp,
             transform=self.transform,
             elbo_mean=final.elbo_mean,
@@ -550,8 +563,6 @@ class VBMC:
             reliability_trace=[r.rho for r in self._history],
             history=self._history,
         )
-        diag.close()
-        return result
 
 
 class _DiagnosticsWriter:

@@ -28,6 +28,7 @@ __all__ = [
     "sample_hyperparameters",
     "optimize_hyperparameters",
     "marginal_predict",
+    "sq_dist",
 ]
 
 DUPLICATE_TOL_SQ = 1e-12
@@ -151,18 +152,23 @@ class TrainingSet:
         return self.subset(np.sort(order))
 
 
-def se_kernel_matrix(X1, X2, hyp):
-    """Squared-exponential kernel; ``sf2`` on the diagonal."""
-    a = np.atleast_2d(X1) / hyp.ell
-    b = np.atleast_2d(X2) / hyp.ell
+def sq_dist(a, b):
+    """Squared Euclidean distances between the rows of ``a`` and ``b``.
+
+    Uses the Gram expansion |a|^2 - 2 a.b + |b|^2, so callers pass rows
+    already divided by their shared length scales; rounding can make the
+    expansion slightly negative, so it is clamped at zero.
+    """
     d2 = np.sum(a * a, 1)[:, None] - 2.0 * (a @ b.T) + np.sum(b * b, 1)[None, :]
     np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def se_kernel_matrix(X1, X2, hyp):
+    """Squared-exponential kernel; ``sf2`` on the diagonal."""
+    ell = hyp.ell
+    d2 = sq_dist(np.atleast_2d(X1) / ell, np.atleast_2d(X2) / ell)
     return hyp.sf2 * np.exp(-0.5 * d2)
-
-
-def se_kernel(x, x2, hyp):
-    """Kernel between two single points."""
-    return float(se_kernel_matrix(np.atleast_2d(x), np.atleast_2d(x2), hyp)[0, 0])
 
 
 def nq_mean(X, hyp):
@@ -175,46 +181,32 @@ class GPPosterior:
     """Factored GP posterior for a fixed hyperparameter value.
 
     Holds the lower Cholesky factor of ``K + sobs^2 I`` (plus any jitter
-    that was required) and the weight vector ``alpha``; immutable after
-    construction.
+    that was required), the weight vector ``alpha`` and the log marginal
+    likelihood ``lml`` of the training data; immutable after construction.
     """
 
-    def __init__(self, train, hyp, L, jitter, lml=None):
+    def __init__(self, train, hyp, L, jitter):
         self.train = train
         self.hyp = hyp
         self.L = L
         self.jitter = jitter
         resid = train.y - nq_mean(train.X, hyp)
         self.alpha = (
-            cho_solve((L, True), resid) if train.n > 0 else np.empty(0)
+            cho_solve((L, True), resid, check_finite=False)
+            if train.n > 0
+            else np.empty(0)
         )
-        self.lml = self._log_marginal(resid) if lml is None else lml
-        # cached scaled inputs for fast kernel evaluation against batches
-        self._a = train.X / hyp.ell if train.n > 0 else None
-        self._a2 = np.sum(self._a * self._a, axis=1) if train.n > 0 else None
-
-    def _kernel_to(self, X):
-        """Kernel matrix between the training inputs and rows of ``X``."""
-        b = np.atleast_2d(X) / self.hyp.ell
-        d2 = self._a2[:, None] - 2.0 * (self._a @ b.T) + np.sum(b * b, axis=1)[None, :]
-        np.maximum(d2, 0.0, out=d2)
-        return self.hyp.sf2 * np.exp(-0.5 * d2)
-
-    def _log_marginal(self, resid):
-        n = self.train.n
-        if n == 0:
-            return 0.0
-        return float(
+        self.lml = float(
             -0.5 * resid @ self.alpha
-            - np.sum(np.log(np.diag(self.L)))
-            - 0.5 * n * math.log(2.0 * math.pi)
+            - np.sum(np.log(np.diag(L)))
+            - 0.5 * train.n * math.log(2.0 * math.pi)
         )
 
     @classmethod
     def prior(cls, hyp, D):
         """Posterior conditioned on no data (prior predictive)."""
         empty = TrainingSet(np.empty((0, D)), np.empty(0))
-        return cls(empty, hyp, np.empty((0, 0)), 0.0, lml=0.0)
+        return cls(empty, hyp, np.empty((0, 0)), 0.0)
 
     @property
     def n(self):
@@ -231,7 +223,7 @@ class GPPosterior:
         mean = nq_mean(X, self.hyp)
         var = np.full(X.shape[0], self.hyp.sf2)
         if self.n > 0:
-            Ks = self._kernel_to(X)
+            Ks = se_kernel_matrix(self.train.X, X, self.hyp)
             mean = mean + Ks.T @ self.alpha
             U = solve_triangular(
                 self.L, Ks, lower=True, check_finite=False, overwrite_b=True
@@ -273,14 +265,15 @@ def _factor_gram(train, hyp):
     diag = np.diag_indices_from(K)
     K[diag] += hyp.sobs**2
     diag0 = K[diag].copy()
-    jitter = 0.0
-    step = 1e-10 * np.trace(K) / train.n
-    for attempt in range(6):
+    jitters = [0.0, 1e-10 * np.trace(K) / train.n]
+    while len(jitters) < 6:
+        jitters.append(jitters[-1] * 10.0)
+    for jitter in jitters:
         try:
             K[diag] = diag0 + jitter
             return cholesky(K, lower=True, check_finite=False), jitter
         except np.linalg.LinAlgError:
-            jitter = step if jitter == 0.0 else jitter * 10.0
+            pass
     raise GPTrainingError(
         f"Gram matrix not positive definite after jitter {jitter:g}"
     )
@@ -289,8 +282,9 @@ def _factor_gram(train, hyp):
 def gp_fit(train, hyp):
     """Factor the Gram matrix and build a :class:`GPPosterior`.
 
-    Escalating jitter (five decades starting at ``1e-10 tr(K)/n``) is added
-    before giving up with :class:`GPTrainingError`.
+    The factorization is tried without jitter, then with five jitters from
+    ``1e-10`` to ``1e-6`` times ``tr(K)/n``, before giving up with
+    :class:`GPTrainingError`.
     """
     if train.n == 0:
         return GPPosterior.prior(hyp, hyp.D)
@@ -300,16 +294,7 @@ def gp_fit(train, hyp):
 
 def log_marginal_likelihood(train, hyp):
     """GP log marginal likelihood of the training data under ``hyp``."""
-    if train.n == 0:
-        return 0.0
-    L, _ = _factor_gram(train, hyp)
-    resid = train.y - nq_mean(train.X, hyp)
-    alpha = cho_solve((L, True), resid, check_finite=False)
-    return float(
-        -0.5 * resid @ alpha
-        - np.sum(np.log(np.diag(L)))
-        - 0.5 * train.n * math.log(2.0 * math.pi)
-    )
+    return gp_fit(train, hyp).lml
 
 
 def log_marginal_likelihood_grad(train, hyp):
@@ -454,11 +439,6 @@ class GPHyperprior:
         return np.clip(theta, finite_lo, finite_hi)
 
 
-def hyperprior_logpdf(hyp, train):
-    """Convenience wrapper: log prior of ``hyp`` given the training set."""
-    return GPHyperprior(train).logpdf(hyp.to_vector())
-
-
 class HyperparamSampleSet:
     """Hyperparameter draws with one fitted posterior each."""
 
@@ -471,10 +451,6 @@ class HyperparamSampleSet:
         return iter(self.posteriors)
 
     def __len__(self):
-        return len(self.posteriors)
-
-    @property
-    def n_gp(self):
         return len(self.posteriors)
 
     @property
@@ -516,9 +492,7 @@ def default_hyperparams(train):
 
 
 def _clip_to(theta, prior):
-    lo = np.where(np.isfinite(prior.lower), prior.lower, -np.inf)
-    hi = np.where(np.isfinite(prior.upper), prior.upper, np.inf)
-    return np.clip(theta, lo, hi)
+    return np.clip(theta, prior.lower, prior.upper)
 
 
 def sample_hyperparameters(train, n_gp, init, rng, burn_sweeps=10, thin_sweeps=3):

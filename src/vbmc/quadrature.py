@@ -24,7 +24,6 @@ __all__ = [
     "expected_log_joint_variance",
     "quadrature",
     "elbo",
-    "elcbo",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -55,7 +54,10 @@ def z_matrix(vp, post):
 
     Returns a (K, n) matrix whose (k, p) entry is the integral of
     component k's density times the kernel at training point p; equals
-    ``sf2 N(mu_k; x_p, sigma_k^2 Sigma + Sigma_ell)``.
+    ``sf2 N(mu_k; x_p, sigma_k^2 Sigma + Sigma_ell)``. The squared
+    distances are expanded here rather than by ``gp.sq_dist`` because
+    the metric ``tau_k^2`` differs per component, so no shared rescaling
+    of the rows exists.
     """
     hyp = post.hyp
     X = post.train.X
@@ -138,12 +140,11 @@ def expected_log_joint(vp, post, grad=False):
     return mean, grad_vec, i_k
 
 
-def expected_log_joint_variance(vp, post, z=None):
+def expected_log_joint_variance(vp, post):
     """Posterior variance of E_q[f] for one GP posterior (clamped at 0)."""
     global VARIANCE_CLAMP_COUNT
     hyp = post.hyp
-    if z is None:
-        z, _ = z_matrix(vp, post)
+    z, _ = z_matrix(vp, post)
     lam_k = _kernel_normalizer(hyp)
     # cross-component Gaussian overlap term
     s2sum = vp.sigma[:, None] ** 2 + vp.sigma[None, :] ** 2  # (K, K)
@@ -173,9 +174,6 @@ class QuadratureResult:
     g_mean: float
     g_var: float
     grad: np.ndarray | None
-    per_sample_means: np.ndarray
-    per_sample_vars: np.ndarray
-    i_k: np.ndarray
     between_sample_var: float
 
 
@@ -185,13 +183,12 @@ def quadrature(vp, samples, grad=False, variance=True):
     ``variance=False`` skips the per-sample variance terms; the optimizer
     only follows the mean.
     """
-    means, variances, grads, iks = [], [], [], []
+    means, variances, grads = [], [], []
     for post in samples:
-        m, g, ik = expected_log_joint(vp, post, grad=grad)
+        m, g, _ = expected_log_joint(vp, post, grad=grad)
         if variance:
             variances.append(expected_log_joint_variance(vp, post))
         means.append(m)
-        iks.append(ik)
         if grad:
             grads.append(g)
     means = np.asarray(means)
@@ -201,9 +198,6 @@ def quadrature(vp, samples, grad=False, variance=True):
         g_mean=float(means.mean()),
         g_var=float(variances.mean() + between),
         grad=np.mean(grads, axis=0) if grad else None,
-        per_sample_means=means,
-        per_sample_vars=variances,
-        i_k=np.mean(iks, axis=0),
         between_sample_var=between,
     )
 
@@ -220,6 +214,7 @@ class ELBOEstimate:
     between_sample_var: float = 0.0
 
     def elcbo(self, beta_lcb):
+        """Evidence lower confidence bound at risk sensitivity ``beta_lcb``."""
         return self.elbo_mean - beta_lcb * self.elbo_sd
 
 
@@ -239,8 +234,3 @@ def elbo(vp, samples, n_entropy, rng):
         g_var=quad.g_var,
         between_sample_var=quad.between_sample_var,
     )
-
-
-def elcbo(est, beta_lcb):
-    """Evidence lower confidence bound at risk sensitivity ``beta_lcb``."""
-    return est.elcbo(beta_lcb)

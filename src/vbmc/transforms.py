@@ -131,6 +131,21 @@ class ParameterTransform:
                 x_bnd = np.clip(x_bnd, lo, hi)
         return np.where(self.bounded, x_bnd, t)
 
+    def moments_to_original(self, mean, cov):
+        """Map an internal-space mean and covariance to original space.
+
+        Exact for the affine map of unbounded dimensions; raises
+        ``ValueError`` if any dimension is bounded, where the logit makes
+        the original-space moments depend on more than these two.
+        """
+        if np.any(self.bounded):
+            raise ValueError(
+                "moments map exactly only when every dimension is unbounded"
+            )
+        mean = np.asarray(mean, dtype=float) * self._width + self._center
+        cov = np.asarray(cov, dtype=float) * np.outer(self._width, self._width)
+        return mean, cov
+
     def log_jacobian_terms(self, x_orig):
         """Per-dimension ``log g_i'(x_orig)`` of the forward map."""
         x = np.asarray(x_orig, dtype=float)
@@ -171,15 +186,7 @@ class ParameterTransform:
         """
 
         def dec(values, sign):
-            out = []
-            for v in values:
-                if v is None:
-                    out.append(sign * np.inf)
-                elif isinstance(v, str):
-                    out.append(float(v))
-                else:
-                    out.append(float(v))
-            return out
+            return [sign * np.inf if v is None else float(v) for v in values]
 
         return cls(
             dec(config["lb"], -1.0),

@@ -12,12 +12,13 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from .gp import sq_dist
+
 __all__ = [
     "VariationalPosterior",
     "entropy_mc",
     "entropy_exact_single",
     "gaussian_skl",
-    "gaussianized_skl",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -54,14 +55,7 @@ class VariationalPosterior:
     def component_logpdf(self, X):
         """Log density of each component at rows of ``X``; shape (m, K)."""
         X = np.atleast_2d(X)
-        a = X / self.lam
-        b = self.mu / self.lam
-        d2 = (
-            np.sum(a * a, axis=1)[:, None]
-            - 2.0 * (a @ b.T)
-            + np.sum(b * b, axis=1)[None, :]
-        )
-        np.maximum(d2, 0.0, out=d2)
+        d2 = sq_dist(X / self.lam, self.mu / self.lam)
         base = -0.5 * self.D * _LOG_2PI - np.sum(np.log(self.lam))
         return base - self.D * np.log(self.sigma)[None, :] - 0.5 * d2 / (
             self.sigma**2
@@ -191,13 +185,8 @@ def entropy_mc(vp, n_samples, rng, grad=True, eps=None):
     xif = xi.reshape(P, D)
     epsf = eps.reshape(P, D)
 
-    # component log densities via the Gram expansion in lambda units
-    a = xif / lam
-    b = mu / lam
-    M0 = (
-        np.sum(a * a, 1)[:, None] - 2.0 * (a @ b.T) + np.sum(b * b, 1)[None, :]
-    )  # (P, K): squared distance before sigma scaling
-    np.maximum(M0, 0.0, out=M0)
+    # component log densities: squared distances in lambda units, (P, K)
+    M0 = sq_dist(xif / lam, mu / lam)
     base = -0.5 * D * _LOG_2PI - np.sum(np.log(lam))
     logG = base - D * np.log(sigma)[None, :] - 0.5 * M0 / (sigma**2)[None, :]
     logwG = logG + np.log(w)
@@ -292,10 +281,3 @@ def gaussian_skl(mean_a, cov_a, mean_b, cov_b):
         directed(mean_a, La, logdet_a, mean_b, Lb, logdet_b)
         + directed(mean_b, Lb, logdet_b, mean_a, La, logdet_a)
     )
-
-
-def gaussianized_skl(vp_a, vp_b):
-    """Symmetrized KL between Gaussians moment-matched to two posteriors."""
-    ma, ca = vp_a.moments()
-    mb, cb = vp_b.moments()
-    return gaussian_skl(ma, ca, mb, cb)

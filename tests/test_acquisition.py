@@ -7,11 +7,8 @@ from vbmc.acquisition import (
     AcquisitionContext,
     AcquisitionError,
     V_REG,
-    a_pro,
-    a_us,
     log_acquisition,
     optimize_acquisition,
-    regularize,
     search_box,
 )
 from vbmc.cmaes import cma_maximize
@@ -35,6 +32,32 @@ def fitted_context(kind="pro", gap=True):
     vp = VariationalPosterior([1.0], [[0.0]], [1.0], [1.0])
     lo, hi = search_box(post.train)
     return AcquisitionContext(samples, vp, lo, hi, kind=kind)
+
+
+class FixedVariance:
+    """One-draw sample set whose predictive variance is ``var`` everywhere."""
+
+    train = TrainingSet([[0.0]], [0.0])
+
+    def __init__(self, var):
+        self.var = var
+
+    def __iter__(self):
+        return iter([self])
+
+    def __len__(self):
+        return 1
+
+    def predict(self, X):
+        n = np.atleast_2d(X).shape[0]
+        return np.zeros(n), np.full(n, self.var)
+
+
+def fixed_variance_context(var, kind="us"):
+    vp = VariationalPosterior([1.0], [[0.0]], [1.0], [1.0])
+    return AcquisitionContext(
+        FixedVariance(var), vp, np.array([-2.0]), np.array([2.0]), kind
+    )
 
 
 class TestCMA:
@@ -79,22 +102,22 @@ class TestAcquisitionValues:
     def test_nonnegative_and_zero_where_q_zero(self):
         ctx = fitted_context("us")
         # far outside the mixture support the density underflows to zero
-        val = a_us(ctx, np.array([40.0]))
+        val = np.exp(log_acquisition(ctx, np.array([40.0])[None])[0])
         assert val == 0.0
-        assert a_us(ctx, np.array([0.2])) >= 0.0
+        assert np.exp(log_acquisition(ctx, np.array([0.2])[None])[0]) >= 0.0
 
     def test_dense_data_scores_near_zero(self):
         ctx = fitted_context("us", gap=False)
-        at_data = a_us(ctx, np.array([0.0]))
+        at_data = np.exp(log_acquisition(ctx, np.array([0.0])[None])[0])
         ctx_gap = fitted_context("us", gap=True)
-        in_gap = a_us(ctx_gap, np.array([0.0]))
+        in_gap = np.exp(log_acquisition(ctx_gap, np.array([0.0])[None])[0])
         assert at_data < 1e-4 * in_gap
 
     def test_log_monotone_transform_preserves_argmax(self):
         ctx = fitted_context("us")
         xs = np.linspace(-2.5, 2.5, 301)[:, None]
         logs = log_acquisition(ctx, xs)
-        lins = np.array([a_us(ctx, x) for x in xs])
+        lins = np.array([np.exp(log_acquisition(ctx, x[None])[0]) for x in xs])
         assert np.argmax(logs) == np.argmax(lins)
 
     def test_pro_rewards_high_mean_regions(self):
@@ -108,38 +131,56 @@ class TestAcquisitionValues:
         vp = VariationalPosterior([1.0], [[0.0]], [1.5], [1.0])
         lo, hi = search_box(post.train)
         ctx = AcquisitionContext(HyperparamSampleSet([post]), vp, lo, hi, "pro")
-        left = a_pro(ctx, np.array([-0.5]))
-        right = a_pro(ctx, np.array([0.5]))
+        left = np.exp(log_acquisition(ctx, np.array([-0.5])[None])[0])
+        right = np.exp(log_acquisition(ctx, np.array([0.5])[None])[0])
         assert left > right
 
     def test_log_and_linear_paths_agree(self):
         ctx = fitted_context("pro")
         for x in [np.array([0.0]), np.array([0.7]), np.array([-1.2])]:
             log_val = log_acquisition(ctx, x[None, :])[0]
-            lin_val = a_pro(ctx, x)
+            lin_val = np.exp(log_acquisition(ctx, x[None])[0])
             if np.isfinite(log_val):
                 assert math.log(lin_val) == pytest.approx(log_val, abs=1e-10)
 
 
 class TestRegularize:
+    """The damping below ``V_REG``, read through ``log_acquisition``.
+
+    With ``kind="us"`` the undamped value is V q(x)^2; the fake sample set
+    fixes V, so each case compares against that value at one point.
+    """
+
+    X = np.array([[0.3]])
+
+    def log_values(self, var):
+        """(damped, undamped) log acquisition at ``X`` for variance ``var``."""
+        ctx = fixed_variance_context(var)
+        undamped = np.log(np.full(1, var)) + 2.0 * ctx.vp.logpdf(self.X)
+        return log_acquisition(ctx, self.X)[0], undamped[0]
+
     def test_boundary_continuous(self):
-        assert regularize(2.0, V_REG) == pytest.approx(2.0)
+        damped, undamped = self.log_values(V_REG)
+        assert np.exp(damped) == pytest.approx(np.exp(undamped))
 
     def test_half_threshold(self):
-        assert regularize(2.0, V_REG / 2) == pytest.approx(2.0 * math.exp(-1.0))
+        damped, undamped = self.log_values(V_REG / 2)
+        assert np.exp(damped) == pytest.approx(np.exp(undamped) * math.exp(-1.0))
 
     def test_above_threshold_unchanged(self):
-        assert regularize(3.0, 10 * V_REG) == 3.0
+        damped, undamped = self.log_values(10 * V_REG)
+        assert damped == undamped
 
     def test_zero_variance_limit(self):
-        assert regularize(5.0, 0.0) == 0.0
+        ctx = fixed_variance_context(0.0)
+        assert np.exp(log_acquisition(ctx, self.X)[0]) == 0.0
 
     def test_only_decreases(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            a = rng.uniform(0, 10)
             v = 10 ** rng.uniform(-8, 0)
-            assert regularize(a, v) <= a
+            damped, undamped = self.log_values(v)
+            assert damped <= undamped
 
 
 class TestOptimizeAcquisition:
@@ -173,23 +214,7 @@ class TestOptimizeAcquisition:
     def test_degenerate_space_raises(self):
         # zero predictive variance everywhere (clamped GP): acquisition is
         # -inf over the whole box and the search must refuse to pick
-        class ZeroVariance:
-            train = TrainingSet([[0.0]], [0.0])
-
-            def __iter__(self):
-                return iter([self])
-
-            def __len__(self):
-                return 1
-
-            def predict(self, X):
-                n = np.atleast_2d(X).shape[0]
-                return np.zeros(n), np.zeros(n)
-
-        vp = VariationalPosterior([1.0], [[0.0]], [1.0], [1.0])
-        bad = AcquisitionContext(
-            ZeroVariance(), vp, np.array([-2.0]), np.array([2.0]), "pro"
-        )
+        bad = fixed_variance_context(0.0, kind="pro")
         grid = np.linspace(-2, 2, 50)[:, None]
         assert np.all(np.isneginf(log_acquisition(bad, grid)))
         with pytest.raises(AcquisitionError):

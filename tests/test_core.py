@@ -267,6 +267,54 @@ class TestPruning:
         assert vp3.K == 3
 
 
+def raising_after(spec, n_ok):
+    """Make call ``n_ok + 1`` (and later ones) of ``spec.log_joint`` raise."""
+    inner = spec.log_joint
+    calls = []
+
+    def log_joint(x):
+        calls.append(x)
+        if len(calls) > n_ok:
+            raise RuntimeError("simulator crashed")
+        return inner(x)
+
+    spec.log_joint = log_joint
+    return spec
+
+
+class TestRaisingLogJoint:
+    def test_raise_in_initial_design(self):
+        spec, *_ = conjugate_problem()
+        eng = VBMC(raising_after(spec, 3))
+        with pytest.raises(VBMCError, match="simulator crashed") as info:
+            eng.run(seed=0)
+        assert isinstance(info.value.__cause__, RuntimeError)
+        assert info.value.history == []
+        assert eng.fevals == 3
+
+    def test_raise_after_first_iteration(self, tmp_path, monkeypatch):
+        writers = []
+
+        class RecordingWriter(core_mod._DiagnosticsWriter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                writers.append(self)
+
+        monkeypatch.setattr(core_mod, "_DiagnosticsWriter", RecordingWriter)
+        spec, *_ = conjugate_problem()
+        opts = VBMCOptions()
+        # the first active-sampling batch starts after iteration 1
+        eng = VBMC(raising_after(spec, opts.n_init + 2), opts)
+        path = tmp_path / "diag.jsonl"
+        with pytest.raises(VBMCError) as info:
+            eng.run(seed=0, diagnostics=str(path))
+        assert isinstance(info.value.__cause__, RuntimeError)
+        assert [r.t for r in info.value.history] == [1]
+        assert eng.fevals == opts.n_init + 2
+        assert len(writers) == 1 and writers[0].fh.closed
+        assert len(path.read_text().splitlines()) == 1
+
+
 class TestFullRun:
     @pytest.fixture(scope="class")
     def conjugate_result(self):

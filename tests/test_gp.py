@@ -19,8 +19,8 @@ from vbmc.gp import (
     nq_mean,
     optimize_hyperparameters,
     sample_hyperparameters,
-    se_kernel,
     se_kernel_matrix,
+    sq_dist,
     student_t_logpdf,
 )
 
@@ -48,11 +48,12 @@ class TestKernelAndMean:
     def test_kernel_at_identical_inputs(self):
         hyp = simple_hyp(D=3, log_sf=0.4)
         x = np.array([0.3, -1.0, 2.0])
-        assert se_kernel(x, x, hyp) == pytest.approx(hyp.sf2)
+        assert se_kernel_matrix(x, x, hyp)[0, 0] == pytest.approx(hyp.sf2)
 
     def test_kernel_unit_distance(self):
         hyp = simple_hyp()
-        assert se_kernel([0.0], [1.0], hyp) == pytest.approx(math.exp(-0.5))
+        k = se_kernel_matrix([0.0], [1.0], hyp)[0, 0]
+        assert k == pytest.approx(math.exp(-0.5))
 
     def test_kernel_decay_and_symmetry(self):
         hyp = simple_hyp(D=2)
@@ -77,6 +78,36 @@ class TestKernelAndMean:
     def test_nq_mean_dominates_at_infinity(self):
         hyp = simple_hyp(D=1)
         assert nq_mean(np.array([[1e6]]), hyp)[0] < -1e9
+
+
+class TestSqDist:
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(20)
+        a = rng.normal(size=(7, 3))
+        b = rng.normal(size=(5, 3))
+        brute = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+        assert np.allclose(sq_dist(a, b), brute, rtol=1e-12, atol=1e-12)
+
+    def test_never_negative_near_identical_rows(self):
+        # far from the origin the expansion cancels |a|^2 against 2 a.b,
+        # where rounding alone would give negative entries
+        rng = np.random.default_rng(21)
+        for D in (1, 2, 6):
+            a = 1e4 + rng.normal(size=(40, D))
+            b = a + 1e-9 * rng.normal(size=a.shape)
+            assert np.all(sq_dist(a, b) >= 0.0)
+            assert np.all(sq_dist(a, a) >= 0.0)
+
+    def test_identical_rows(self):
+        # one dimension: |a|^2 - 2 a a + |a|^2 cancels exactly
+        rng = np.random.default_rng(22)
+        a = 1e4 + rng.normal(size=(30, 1))
+        assert np.all(np.diag(sq_dist(a, a)) == 0.0)
+        # more dimensions: BLAS and np.sum round the two dot products
+        # differently, so only a few ulps of |a|^2 remain
+        a = 1e4 + rng.normal(size=(30, 6))
+        norms = np.sum(a * a, axis=1)
+        assert np.all(np.diag(sq_dist(a, a)) <= 16 * np.finfo(float).eps * norms)
 
 
 class TestPosterior:
@@ -215,6 +246,43 @@ class TestRank1Update:
 
 
 class TestMarginalLikelihood:
+    def test_single_formula_matches_brute_force(self):
+        rng = np.random.default_rng(23)
+        hyp = simple_hyp(D=2, log_sobs=-2.0, m0=0.3)
+        train = draw_gp_data(hyp, 12, rng)
+        lml = log_marginal_likelihood(train, hyp)
+        assert lml == gp_fit(train, hyp).lml
+        cov = se_kernel_matrix(train.X, train.X, hyp) + hyp.sobs**2 * np.eye(12)
+        ref = stats.multivariate_normal(nq_mean(train.X, hyp), cov).logpdf(train.y)
+        assert lml == pytest.approx(ref, rel=1e-10)
+
+    def test_empty_training_set(self):
+        hyp = simple_hyp(D=2)
+        empty = TrainingSet(np.empty((0, 2)), np.empty(0))
+        assert log_marginal_likelihood(empty, hyp) == 0.0
+        assert gpm.GPPosterior.prior(hyp, 2).lml == 0.0
+
+    def test_jitter_escalation_reports_largest_jitter(self, monkeypatch):
+        attempts = []
+
+        def failing_cholesky(K, **kw):
+            attempts.append(K[0, 0])
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(gpm, "cholesky", failing_cholesky)
+        hyp = simple_hyp(D=1, log_sf=0.5, log_sobs=-2.0)
+        train = TrainingSet([[0.0], [1.0], [2.5]], [0.1, 0.4, -0.3])
+        with pytest.raises(gpm.GPTrainingError) as info:
+            gp_fit(train, hyp)
+        assert len(attempts) == 6
+        # zero, then 1e-10 .. 1e-6 times tr(K)/n = sf2 + sobs^2
+        base = hyp.sf2 + hyp.sobs**2
+        added = np.array(attempts) - attempts[0]
+        assert added[0] == 0.0
+        assert added[1:] == pytest.approx(base * 10.0 ** np.arange(-10, -5), rel=1e-4)
+        reported = float(str(info.value).rsplit(" ", 1)[1])
+        assert reported == pytest.approx(1e-6 * base, rel=1e-5)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         hyp = GPHyperparams(

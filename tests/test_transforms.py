@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vbmc.core import InferenceResult
 from vbmc.transforms import ParameterTransform
+from vbmc.variational import VariationalPosterior
 
 
 def make_mixed():
@@ -141,10 +143,51 @@ def test_bad_plausible_order_rejected():
 
 def test_config_round_trip():
     tr = make_mixed()
-    tr2 = ParameterTransform.from_config(tr.to_config())
     x = np.array([0.7, 0.42])
-    assert np.allclose(tr.to_internal(x), tr2.to_internal(x))
-    assert np.array_equal(tr.bounded, tr2.bounded)
+    string_inf = {**tr.to_config(), "lb": ["-inf", 0.0], "ub": ["inf", 1.0]}
+    for config in (tr.to_config(), string_inf):
+        tr2 = ParameterTransform.from_config(config)
+        assert np.allclose(tr.to_internal(x), tr2.to_internal(x))
+        assert np.array_equal(tr.bounded, tr2.bounded)
+
+
+def unbounded_posterior():
+    tr = ParameterTransform([-np.inf] * 2, [np.inf] * 2, [2.0, -1.0], [6.0, 0.0])
+    vp = VariationalPosterior(
+        [0.2, 0.5, 0.3],
+        [[0.1, -0.3], [0.6, 0.2], [-0.4, 0.5]],
+        [0.3, 0.5, 0.2],
+        [1.0, 0.7],
+    )
+    return InferenceResult(vp, tr, 0.0, 0.0, False, 0, 0, [])
+
+
+def test_moments_to_original_is_the_affine_map():
+    res = unbounded_posterior()
+    mean_i, cov_i = res.vp.moments()
+    mean, cov = res.transform.moments_to_original(mean_i, cov_i)
+    # x = center + width * u with center (4, -0.5) and width (4, 1)
+    width = np.array([4.0, 1.0])
+    assert np.allclose(mean, [4.0, -0.5] + width * mean_i, rtol=1e-14, atol=0)
+    expected_cov = np.diag(width) @ cov_i @ np.diag(width)
+    assert np.allclose(cov, expected_cov, rtol=1e-14, atol=0)
+    mean_r, cov_r = res.moments_original()
+    assert np.array_equal(mean_r, mean)
+    assert np.array_equal(cov_r, cov)
+
+
+def test_moments_to_original_matches_samples():
+    res = unbounded_posterior()
+    mean, cov = res.transform.moments_to_original(*res.vp.moments())
+    xs = res.sample_original(400_000, np.random.default_rng(1))
+    sd = np.sqrt(np.diag(cov))
+    assert np.all(np.abs(xs.mean(axis=0) - mean) < 0.01 * sd)
+    assert np.allclose(np.cov(xs.T), cov, rtol=0.02, atol=0.02 * sd.max() ** 2)
+
+
+def test_moments_to_original_rejects_bounded_dimensions():
+    with pytest.raises(ValueError, match="unbounded"):
+        make_mixed().moments_to_original(np.zeros(2), np.eye(2))
 
 
 def test_internal_plausible_box_is_unit_centered():
