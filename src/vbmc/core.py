@@ -325,8 +325,8 @@ class VBMC:
             if ok:
                 X.append(u)
                 y.append(val)
-        if not X:
-            raise VBMCError("all initial-design evaluations were non-finite")
+        if len(X) < 2:
+            raise VBMCError(f"only {len(X)} initial-design values were finite; the GP needs 2")
         self._x0_internal = u0
         return TrainingSet(np.array(X), np.array(y))
 

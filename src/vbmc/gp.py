@@ -2,9 +2,12 @@
 
 Squared-exponential kernel, negative-quadratic mean (so the exponentiated
 predictive mean is integrable), Gaussian observation noise, empirical-Bayes
-hyperpriors, and either slice-sampled or MAP hyperparameters. Posteriors are
-immutable; adding an observation produces a new posterior via a rank-1
-Cholesky extension.
+hyperpriors, and either slice-sampled or MAP hyperparameters.
+
+A :class:`GPPosterior` is one hyperparameter draw: its factorization, log
+marginal likelihood and O(n^2) rank-1 update. A :class:`HyperparamSampleSet`
+stacks the draws along a leading axis S; :func:`marginal_predict` and
+``vbmc.quadrature`` read only the stack, in one batched pass over all draws.
 """
 
 import math
@@ -157,9 +160,11 @@ def sq_dist(a, b):
 
     Uses the Gram expansion |a|^2 - 2 a.b + |b|^2, so callers pass rows
     already divided by their shared length scales; rounding can make the
-    expansion slightly negative, so it is clamped at zero.
+    expansion slightly negative, so it is clamped at zero. Axes before the
+    last two are batch axes: one distance matrix per hyperparameter draw.
     """
-    d2 = np.sum(a * a, 1)[:, None] - 2.0 * (a @ b.T) + np.sum(b * b, 1)[None, :]
+    ab = a @ np.swapaxes(b, -1, -2)
+    d2 = np.sum(a * a, -1)[..., :, None] - 2.0 * ab + np.sum(b * b, -1)[..., None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -172,9 +177,13 @@ def se_kernel_matrix(X1, X2, hyp):
 
 
 def nq_mean(X, hyp):
-    """Negative-quadratic mean function, maximum ``m0`` at ``x_m``."""
+    """Negative-quadratic mean function, maximum ``m0`` at ``x_m``.
+
+    For a :class:`HyperparamSampleSet` the result has one row per draw.
+    """
     X = np.atleast_2d(X)
-    return hyp.m0 - 0.5 * np.sum(((X - hyp.x_m) / hyp.omega) ** 2, axis=1)
+    quad = ((X - hyp.x_m[..., None, :]) / hyp.omega[..., None, :]) ** 2
+    return np.asarray(hyp.m0)[..., None] - 0.5 * np.sum(quad, axis=-1)
 
 
 class GPPosterior:
@@ -211,28 +220,6 @@ class GPPosterior:
     @property
     def n(self):
         return self.train.n
-
-    def predict(self, X):
-        """Latent predictive mean and variance at rows of ``X``.
-
-        Variance is the posterior variance of the latent function (no
-        observation noise), clamped at zero if numerically negative.
-        """
-        global VARIANCE_CLAMP_COUNT
-        X = np.atleast_2d(X)
-        mean = nq_mean(X, self.hyp)
-        var = np.full(X.shape[0], self.hyp.sf2)
-        if self.n > 0:
-            Ks = se_kernel_matrix(self.train.X, X, self.hyp)
-            mean = mean + Ks.T @ self.alpha
-            U = solve_triangular(
-                self.L, Ks, lower=True, check_finite=False, overwrite_b=True
-            )
-            var = var - np.sum(U * U, axis=0)
-        if np.any(var < 0):
-            VARIANCE_CLAMP_COUNT += int(np.sum(var < 0))
-            var = np.maximum(var, 0.0)
-        return mean, var
 
     def with_point(self, x_new, y_new, new_train=None):
         """Rank-1 posterior update with one observation; O(n^2).
@@ -440,26 +427,42 @@ class GPHyperprior:
 
 
 class HyperparamSampleSet:
-    """Hyperparameter draws with one fitted posterior each."""
+    """GP hyperparameter draws on one training set, stacked along axis S.
+
+    Keeps each draw's :class:`GPPosterior` (for rank-1 updates and
+    diagnostics) and stacks what prediction and quadrature read: Cholesky
+    factors ``L`` (S, n, n), weights ``alpha`` (S, n), ``ell``, ``x_m`` and
+    ``omega`` (S, D), ``sf2`` and ``m0`` (S,), and ``Xs = X / ell`` (S, n, D).
+
+    ``L`` keeps the draws' memory order: Fortran after :func:`gp_fit`, C
+    after a rank-1 update, C when they mix. LAPACK orders a one-column
+    triangular solve differently for the two, so only the draws' own order
+    reproduces their per-draw results bit for bit.
+    """
 
     def __init__(self, posteriors):
         if len(posteriors) < 1:
             raise ValueError("need at least one hyperparameter sample")
-        self.posteriors = list(posteriors)
+        self.posteriors = posts = list(posteriors)
+        self.train = posts[0].train
+        hyps = [p.hyp for p in posts]
+        self.ell = np.array([h.ell for h in hyps])
+        self.x_m = np.array([h.x_m for h in hyps])
+        self.omega = np.array([h.omega for h in hyps])
+        self.sf2 = np.array([h.sf2 for h in hyps])
+        self.m0 = np.array([h.m0 for h in hyps])
+        self.alpha = np.array([p.alpha for p in posts])
+        self.Xs = self.train.X / self.ell[:, None, :]
+        if all(p.L.flags.f_contiguous for p in posts):
+            self.L = np.array([p.L.T for p in posts]).transpose(0, 2, 1)
+        else:
+            self.L = np.array([p.L for p in posts])
 
     def __iter__(self):
         return iter(self.posteriors)
 
     def __len__(self):
         return len(self.posteriors)
-
-    @property
-    def train(self):
-        return self.posteriors[0].train
-
-    @property
-    def D(self):
-        return self.train.D
 
     def with_point(self, x_new, y_new):
         """Rank-1 update of every posterior with the same observation."""
@@ -579,19 +582,29 @@ def optimize_hyperparameters(train, init, rng=None, n_restarts=3):
 
 
 def marginal_predict(samples, X):
-    """Predictive mean/variance marginalized over hyperparameter draws.
+    """Predictive mean and variance marginalized over hyperparameter draws.
 
+    One batched pass computes each draw's latent mean and variance (no
+    observation noise; a variance that rounds negative is clamped at zero).
     The mean averages the per-draw means; the variance averages the
     per-draw variances and adds the unbiased sample variance of the means
     (zero for a single draw).
     """
-    means, variances = [], []
-    for post in samples:
-        m, v = post.predict(X)
-        means.append(m)
-        variances.append(v)
-    means = np.asarray(means)
-    variances = np.asarray(variances)
+    global VARIANCE_CLAMP_COUNT
+    X = np.atleast_2d(X)
+    means = nq_mean(X, samples)
+    variances = np.repeat(samples.sf2[:, None], X.shape[0], axis=1)
+    if samples.train.n > 0:
+        d2 = sq_dist(samples.Xs, X / samples.ell[:, None, :])
+        Ks = samples.sf2[:, None, None] * np.exp(-0.5 * d2)  # (S, n, rows)
+        means = means + (np.swapaxes(Ks, -1, -2) @ samples.alpha[..., None])[..., 0]
+        # U's blocks come back Fortran-ordered, as for a single draw, so each
+        # column is summed over contiguous memory in the same order
+        U = solve_triangular(samples.L, Ks, lower=True, check_finite=False)
+        variances = variances - np.sum(U * U, axis=-2)
+    if np.any(variances < 0):
+        VARIANCE_CLAMP_COUNT += int(np.sum(variances < 0))
+        variances = np.maximum(variances, 0.0)
     mean = means.mean(axis=0)
     var = variances.mean(axis=0)
     if len(samples) > 1:

@@ -33,137 +33,123 @@ _LOG_2PI = math.log(2.0 * math.pi)
 VARIANCE_CLAMP_COUNT = 0
 
 
-def _tau2(vp, hyp):
-    """Per-component, per-dimension tau^2 = sigma_k^2 lam^2 + ell^2."""
-    return vp.sigma[:, None] ** 2 * vp.lam[None, :] ** 2 + hyp.ell[None, :] ** 2
-
-
-def _kernel_normalizer(hyp):
-    """Gaussian normalizer of the kernel: (2 pi)^(D/2) prod(ell).
+def _kernel_normalizer(samples):
+    """Gaussian normalizer of each draw's kernel: (2 pi)^(D/2) prod(ell).
 
     The z entries are normalized Gaussian densities; the actual integral
     of a mixture component against the kernel carries this extra factor,
     since the kernel equals the normalizer times a Gaussian density.
     """
-    D = hyp.ell.size
-    return (2.0 * math.pi) ** (0.5 * D) * float(np.prod(hyp.ell))
+    D = samples.ell.shape[1]
+    return (2.0 * math.pi) ** (0.5 * D) * np.prod(samples.ell, axis=1)
 
 
-def z_matrix(vp, post):
-    """Cross integrals of each mixture component against the kernel.
+def _dot_w(a, w):
+    """Per-draw ``a[s] @ w`` as (1, K) @ (K, 1) matmuls: the BLAS dot one
+    draw's ``w @ a`` takes (``np.sum`` and ``einsum`` round differently)."""
+    return (a[:, None, :] @ w[:, None])[:, 0, 0]
 
-    Returns a (K, n) matrix whose (k, p) entry is the integral of
-    component k's density times the kernel at training point p; equals
-    ``sf2 N(mu_k; x_p, sigma_k^2 Sigma + Sigma_ell)``. The squared
-    distances are expanded here rather than by ``gp.sq_dist`` because
-    the metric ``tau_k^2`` differs per component, so no shared rescaling
-    of the rows exists.
+
+def z_matrix(vp, samples):
+    """Cross integrals of each mixture component against each draw's kernel.
+
+    Returns ``(z, t2)``: ``z`` (S, K, n) has entry (s, k, p) equal to the
+    integral of component k's density times draw s's kernel at training
+    point p, ``sf2 N(mu_k; x_p, sigma_k^2 Sigma + Sigma_ell)``, and ``t2``
+    (S, K, D) is tau^2 = sigma_k^2 lam^2 + ell^2. The squared distances are
+    expanded here rather than by ``gp.sq_dist`` because the metric
+    ``tau_k^2`` differs per component, so no shared rescaling of the rows
+    exists.
     """
-    hyp = post.hyp
-    X = post.train.X
-    t2 = _tau2(vp, hyp)
-    if post.n == 0:
-        return np.zeros((vp.K, 0)), t2
+    X = samples.train.X
+    t2 = vp.sigma[:, None] ** 2 * vp.lam[None, :] ** 2 + samples.ell[:, None, :] ** 2
     A = vp.mu / t2
     M = (
-        np.sum(vp.mu * A, axis=1)[:, None]
+        np.sum(vp.mu * A, axis=-1)[..., None]
         - 2.0 * A @ X.T
         + (1.0 / t2) @ (X * X).T
     )
     np.maximum(M, 0.0, out=M)
-    log_norm = -0.5 * vp.D * _LOG_2PI - 0.5 * np.sum(np.log(t2), axis=1)
-    z = hyp.sf2 * np.exp(log_norm[:, None] - 0.5 * M)
+    log_norm = -0.5 * vp.D * _LOG_2PI - 0.5 * np.sum(np.log(t2), axis=-1)
+    z = samples.sf2[:, None, None] * np.exp(log_norm[..., None] - 0.5 * M)
     return z, t2
 
 
-def _nu(vp, hyp):
-    """Quadrature of the negative-quadratic mean against each component."""
-    quad = (
-        vp.mu**2
-        + vp.sigma[:, None] ** 2 * vp.lam[None, :] ** 2
-        - 2.0 * vp.mu * hyp.x_m[None, :]
-        + hyp.x_m[None, :] ** 2
-    )
-    return -0.5 * np.sum(quad / hyp.omega[None, :] ** 2, axis=1)
+def expected_log_joint(vp, samples, z, t2, grad=False):
+    """Posterior mean of E_q[f] under each draw, from ``z_matrix`` output.
 
-
-def expected_log_joint(vp, post, grad=False):
-    """Posterior mean of E_q[f] for one GP posterior.
-
-    Returns ``(mean, grad_vec, i_k)``: the scalar mean, its gradient in
-    vector-space layout (or None), and the per-component integrals.
+    Returns ``(means, grads, i_k)``: the (S,) means, their (S, P) gradients
+    in vector-space layout (or None), and the (S, K) per-component
+    integrals.
     """
-    hyp = post.hyp
-    K, D = vp.K, vp.D
-    z, t2 = z_matrix(vp, post)
-    z = _kernel_normalizer(hyp) * z
-    nu = _nu(vp, hyp)
-    i_k = z @ post.alpha + hyp.m0 + nu
-    mean = float(vp.w @ i_k)
-    if not grad:
-        return mean, None, i_k
-
     w, mu, sigma, lam = vp.w, vp.mu, vp.sigma, vp.lam
-    om2 = hyp.omega**2
-    if post.n > 0:
-        X = post.train.X
-        v = z * post.alpha[None, :]
-        S = v.sum(axis=1)  # (K,)
-        V1 = v @ X  # (K, D)
-        V2 = v @ (X * X)  # (K, D)
-        quad = mu**2 * S[:, None] - 2.0 * mu * V1 + V2  # sum_p a_p z (mu - x)^2
-    else:
-        S = np.zeros(K)
-        V1 = V2 = np.zeros((K, D))
-        quad = np.zeros((K, D))
+    x_m, om2 = samples.x_m[:, None, :], samples.omega[:, None, :] ** 2
+    z = _kernel_normalizer(samples)[:, None, None] * z
+    # quadrature of the negative-quadratic mean against each component
+    quad_m = mu**2 + sigma[:, None] ** 2 * lam[None, :] ** 2 - 2.0 * mu * x_m + x_m**2
+    nu = -0.5 * np.sum(quad_m / om2, axis=-1)
+    alpha = samples.alpha
+    i_k = (z @ alpha[..., None])[..., 0] + samples.m0[:, None] + nu
+    means = _dot_w(i_k, w)
+    if not grad:
+        return means, None, i_k
 
-    d_mu = (V1 - mu * S[:, None]) / t2 - (mu - hyp.x_m[None, :]) / om2[None, :]
+    X = samples.train.X
+    v = z * alpha[:, None, :]
+    v_sum = v.sum(axis=-1)  # (S, K)
+    V1 = v @ X  # (S, K, D)
+    V2 = v @ (X * X)  # (S, K, D)
+    quad = mu**2 * v_sum[..., None] - 2.0 * mu * V1 + V2  # sum_p a_p z (mu - x)^2
+
+    d_mu = (V1 - mu * v_sum[..., None]) / t2 - (mu - x_m) / om2
     lam2 = lam[None, :] ** 2
     d_sigma = sigma * (
-        np.sum(lam2 * quad / t2**2, axis=1)
-        - S * np.sum(lam2 / t2, axis=1)
-        - np.sum(lam2 / om2[None, :], axis=1)
+        np.sum(lam2 * quad / t2**2, axis=-1)
+        - v_sum * np.sum(lam2 / t2, axis=-1)
+        - np.sum(lam2 / om2, axis=-1)
     )
     d_lam = lam[None, :] * (
-        sigma[:, None] ** 2 * (quad / t2**2 - S[:, None] / t2)
-        - sigma[:, None] ** 2 / om2[None, :]
+        sigma[:, None] ** 2 * (quad / t2**2 - v_sum[..., None] / t2)
+        - sigma[:, None] ** 2 / om2
     )
 
-    grad_vec = np.concatenate(
+    grads = np.concatenate(
         [
-            (w[:, None] * d_mu).ravel(),
+            (w[:, None] * d_mu).reshape(len(samples), -1),
             w * d_sigma * sigma,
-            lam * np.sum(w[:, None] * d_lam, axis=0),
-            w * (i_k - mean),
-        ]
+            lam * np.sum(w[:, None] * d_lam, axis=-2),
+            w * (i_k - means[:, None]),
+        ],
+        axis=-1,
     )
-    return mean, grad_vec, i_k
+    return means, grads, i_k
 
 
-def expected_log_joint_variance(vp, post):
-    """Posterior variance of E_q[f] for one GP posterior (clamped at 0)."""
+def expected_log_joint_variance(vp, samples, z):
+    """Posterior variance of E_q[f] under each draw from ``z_matrix``'s ``z``
+    (clamped at 0)."""
     global VARIANCE_CLAMP_COUNT
-    hyp = post.hyp
-    z, _ = z_matrix(vp, post)
-    lam_k = _kernel_normalizer(hyp)
+    lam_k = _kernel_normalizer(samples)
     # cross-component Gaussian overlap term
     s2sum = vp.sigma[:, None] ** 2 + vp.sigma[None, :] ** 2  # (K, K)
     rho2 = (
-        hyp.ell[None, None, :] ** 2
+        samples.ell[:, None, None, :] ** 2
         + s2sum[:, :, None] * vp.lam[None, None, :] ** 2
-    )  # (K, K, D)
+    )  # (S, K, K, D)
     diff = vp.mu[:, None, :] - vp.mu[None, :, :]
     logn = -0.5 * vp.D * _LOG_2PI - 0.5 * np.sum(
-        np.log(rho2) + diff**2 / rho2, axis=2
+        np.log(rho2) + diff**2 / rho2, axis=-1
     )
-    J = lam_k * hyp.sf2 * np.exp(logn)
-    if post.n > 0:
-        U = lam_k * solve_triangular(post.L, z.T, lower=True)  # (n, K)
-        J = J - U.T @ U
-    var = float(vp.w @ J @ vp.w)
-    if var < 0:
-        VARIANCE_CLAMP_COUNT += 1
-        var = 0.0
+    J = (lam_k * samples.sf2)[:, None, None] * np.exp(logn)
+    if samples.train.n > 0:
+        U = lam_k[:, None, None] * solve_triangular(
+            samples.L, np.swapaxes(z, -1, -2), lower=True
+        )  # (S, n, K)
+        J = J - np.swapaxes(U, -1, -2) @ U
+    var = _dot_w(vp.w @ J, vp.w)
+    if np.any(var < 0):
+        VARIANCE_CLAMP_COUNT += int(np.sum(var < 0))
+        var = np.maximum(var, 0.0)
     return var
 
 
@@ -180,24 +166,20 @@ class QuadratureResult:
 def quadrature(vp, samples, grad=False, variance=True):
     """Mean/variance of E_q[f] over a hyperparameter sample set.
 
-    ``variance=False`` skips the per-sample variance terms; the optimizer
-    only follows the mean.
+    All draws go through one batched pass that builds ``z`` once for the
+    mean, the gradient and the variance. ``variance=False`` skips the
+    variance terms; the optimizer only follows the mean.
     """
-    means, variances, grads = [], [], []
-    for post in samples:
-        m, g, _ = expected_log_joint(vp, post, grad=grad)
-        if variance:
-            variances.append(expected_log_joint_variance(vp, post))
-        means.append(m)
-        if grad:
-            grads.append(g)
-    means = np.asarray(means)
-    variances = np.asarray(variances) if variance else np.zeros_like(means)
+    z, t2 = z_matrix(vp, samples)
+    means, grads, _ = expected_log_joint(vp, samples, z, t2, grad=grad)
+    variances = (
+        expected_log_joint_variance(vp, samples, z) if variance else np.zeros_like(means)
+    )
     between = float(np.var(means, ddof=1)) if means.size > 1 else 0.0
     return QuadratureResult(
         g_mean=float(means.mean()),
         g_var=float(variances.mean() + between),
-        grad=np.mean(grads, axis=0) if grad else None,
+        grad=grads.mean(axis=0) if grad else None,
         between_sample_var=between,
     )
 

@@ -8,7 +8,7 @@ they can certify the analytic path.
 
 import numpy as np
 
-from vbmc.gp import se_kernel_matrix
+from vbmc.gp import HyperparamSampleSet, marginal_predict, se_kernel_matrix
 
 
 def _grid_1d(vp, post, points):
@@ -26,7 +26,7 @@ def _grid_1d(vp, post, points):
 def oracle_g_mean_1d(vp, post, points=4001):
     g = _grid_1d(vp, post, points)
     q = vp.pdf(g[:, None])
-    fbar, _ = post.predict(g[:, None])
+    fbar, _ = marginal_predict(HyperparamSampleSet([post]), g[:, None])
     return np.trapezoid(q * fbar, g)
 
 
@@ -66,7 +66,7 @@ def oracle_g_mean_2d(vp, post, points=451):
     xx, yy = np.meshgrid(ax1, ax2, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     q = vp.pdf(pts)
-    fbar, _ = post.predict(pts)
+    fbar, _ = marginal_predict(HyperparamSampleSet([post]), pts)
     vals = (q * fbar).reshape(points, points)
     return np.trapezoid(np.trapezoid(vals, ax2, axis=1), ax1)
 

@@ -12,7 +12,13 @@ from vbmc.acquisition import (
     search_box,
 )
 from vbmc.cmaes import cma_maximize
-from vbmc.gp import GPHyperparams, HyperparamSampleSet, TrainingSet, gp_fit
+from vbmc.gp import (
+    GPHyperparams,
+    GPPosterior,
+    HyperparamSampleSet,
+    TrainingSet,
+    gp_fit,
+)
 from vbmc.variational import VariationalPosterior
 
 
@@ -34,29 +40,24 @@ def fitted_context(kind="pro", gap=True):
     return AcquisitionContext(samples, vp, lo, hi, kind=kind)
 
 
-class FixedVariance:
-    """One-draw sample set whose predictive variance is ``var`` everywhere."""
+def fixed_variance(var):
+    """One-draw sample set whose predictive variance is ``var`` everywhere.
 
-    train = TrainingSet([[0.0]], [0.0])
-
-    def __init__(self, var):
-        self.var = var
-
-    def __iter__(self):
-        return iter([self])
-
-    def __len__(self):
-        return 1
-
-    def predict(self, X):
-        n = np.atleast_2d(X).shape[0]
-        return np.zeros(n), np.full(n, self.var)
+    A prior draw (no training data) predicts its output scale ``sf2``;
+    that is overwritten because a zero scale is no valid hyperparameter.
+    """
+    hyp = GPHyperparams(
+        log_ell=[0.0], log_sf=0.0, log_sobs=-4.0, m0=0.0, x_m=[0.0], log_omega=[0.0]
+    )
+    samples = HyperparamSampleSet([GPPosterior.prior(hyp, 1)])
+    samples.sf2 = np.array([float(var)])
+    return samples
 
 
 def fixed_variance_context(var, kind="us"):
     vp = VariationalPosterior([1.0], [[0.0]], [1.0], [1.0])
     return AcquisitionContext(
-        FixedVariance(var), vp, np.array([-2.0]), np.array([2.0]), kind
+        fixed_variance(var), vp, np.array([-2.0]), np.array([2.0]), kind
     )
 
 

@@ -78,6 +78,17 @@ class TestInitialDesign:
         with pytest.raises(VBMCError):
             VBMC(spec)._initial_design(np.random.default_rng(1))
 
+    def test_single_finite_point_aborts_run(self):
+        # finite only at x0: one usable point, too few to fit GP hyperparameters
+        spec, *_ = conjugate_problem(x0=0.3)
+        inner = spec.log_joint
+        spec.log_joint = lambda x: inner(x) if abs(x[0] - 0.3) < 1e-9 else -np.inf
+        eng = VBMC(spec)
+        with pytest.raises(VBMCError, match="only 1 initial-design") as info:
+            eng.run(seed=0)
+        assert info.value.history == []
+        assert eng.fevals == VBMCOptions().n_init
+
     def test_jacobian_corrected_values(self):
         spec, *_ = conjugate_problem()
         eng = VBMC(spec)
@@ -315,6 +326,42 @@ class TestRaisingLogJoint:
         assert len(path.read_text().splitlines()) == 1
 
 
+def inf_spikes(inner):
+    """Every 7th call returns +inf and every 11th -inf."""
+    calls = []
+
+    def log_joint(x):
+        calls.append(x)
+        if len(calls) % 7 == 0:
+            return np.inf
+        return -np.inf if len(calls) % 11 == 0 else inner(x)
+
+    return log_joint
+
+
+class TestFailureInjection:
+    @pytest.mark.parametrize("case", ["nan_half_space", "inf_spikes", "constant"])
+    def test_ends_in_result_or_error_with_history(self, case):
+        spec, *_ = conjugate_problem()
+        inner = spec.log_joint
+        spec.log_joint = {
+            "nan_half_space": lambda x: float("nan") if x[0] > 0.4 else inner(x),
+            "inf_spikes": inf_spikes(inner),
+            "constant": lambda x: -1.5,
+        }[case]
+        eng = VBMC(spec, VBMCOptions(max_fevals=40))
+        try:
+            res = eng.run(seed=0)
+        except VBMCError as err:
+            assert isinstance(err.history, list)
+            assert all(isinstance(r, IterationRecord) for r in err.history)
+        else:
+            assert isinstance(res, InferenceResult)
+            assert np.isfinite(res.elbo_mean) and res.elbo_sd >= 0.0
+            assert res.fevals <= 40
+        assert eng.fevals <= 40
+
+
 class TestFullRun:
     @pytest.fixture(scope="class")
     def conjugate_result(self):
@@ -384,6 +431,33 @@ class TestFullRun:
         assert np.array_equal(r1.vp.to_vector(), r2.vp.to_vector())
         assert [r.elcbo for r in r1.history] == [r.elcbo for r in r2.history]
         assert r1.fevals == r2.fevals
+
+    def test_gp_sample_lines(self, tmp_path, monkeypatch):
+        draws = []
+        update = core_mod.VBMC._update_hyperparameters
+
+        def recording(self, *args):
+            samples = update(self, *args)
+            draws.append(len(samples))
+            return samples
+
+        monkeypatch.setattr(core_mod.VBMC, "_update_hyperparameters", recording)
+        spec, *_ = conjugate_problem()
+        path = tmp_path / "diag.jsonl"
+        opts = VBMCOptions(max_fevals=30, diag_gp_samples=True)
+        res = VBMC(spec, opts).run(seed=3, diagnostics=str(path))
+        import json
+
+        lines = [json.loads(l) for l in path.read_text().splitlines()]
+        gp_lines = [l["gp_sample"] for l in lines if "gp_sample" in l]
+        assert [l["t"] for l in lines if "t" in l] == [r.t for r in res.history]
+        assert len(draws) == res.iterations
+        for t, n_draws in enumerate(draws, start=1):
+            assert sum(1 for g in gp_lines if g["iteration"] == t) == n_draws
+        assert len(gp_lines) == sum(draws)
+        for g in gp_lines:
+            assert len(g["psi"]) == 3 * 1 + 3
+            assert math.isfinite(g["lml"])
 
     def test_diagnostics_stream(self, tmp_path):
         spec, *_ = conjugate_problem()

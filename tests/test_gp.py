@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from per_draw import per_draw_predict, random_sample_set
 from vbmc import gp as gpm
 from vbmc.gp import (
     GPHyperparams,
@@ -34,6 +35,11 @@ def simple_hyp(D=1, log_ell=0.0, log_sf=0.0, log_sobs=-4.0, m0=0.0):
         x_m=np.zeros(D),
         log_omega=np.full(D, 2.0),
     )
+
+
+def predict(post, X):
+    """Predictive mean and variance of one draw through the batched path."""
+    return marginal_predict(HyperparamSampleSet([post]), X)
 
 
 def draw_gp_data(hyp, n, rng, box=3.0):
@@ -115,7 +121,7 @@ class TestPosterior:
         hyp = simple_hyp(log_sobs=math.log(1e-4))
         train = TrainingSet([[0.5]], [2.0])
         post = gp_fit(train, hyp)
-        mean, var = post.predict([[0.5]])
+        mean, var = predict(post, [[0.5]])
         # closed form for one point: f = m + k/(k+s2) (y - m)
         s2 = hyp.sobs**2
         expected_mean = nq_mean([[0.5]], hyp)[0] + 1.0 / (1.0 + s2) * (
@@ -130,7 +136,7 @@ class TestPosterior:
         hyp = simple_hyp(D=2, log_sobs=math.log(1e-4))
         train = draw_gp_data(hyp, 12, rng, box=1.5)
         post = gp_fit(train, hyp)
-        mean, _ = post.predict(train.X)
+        mean, _ = predict(post, train.X)
         assert np.max(np.abs(mean - train.y)) <= 3 * hyp.sobs
 
     def test_two_point_brute_force(self):
@@ -144,7 +150,7 @@ class TestPosterior:
         w = np.linalg.inv(Kxx) @ (y - nq_mean(X, hyp))
         mean_bf = nq_mean(xs, hyp)[0] + ks @ w
         var_bf = hyp.sf2 - ks @ np.linalg.inv(Kxx) @ ks
-        mean, var = post.predict(xs)
+        mean, var = predict(post, xs)
         assert mean[0] == pytest.approx(mean_bf, abs=1e-10)
         assert var[0] == pytest.approx(var_bf, abs=1e-10)
 
@@ -154,21 +160,21 @@ class TestPosterior:
         train = draw_gp_data(hyp, 8, rng, box=1.0)
         post = gp_fit(train, hyp)
         far = np.array([[60.0, -55.0]])
-        mean, var = post.predict(far)
+        mean, var = predict(post, far)
         assert mean[0] == pytest.approx(nq_mean(far, hyp)[0], abs=1e-9)
         assert var[0] == pytest.approx(hyp.sf2, rel=1e-9)
 
     def test_variance_shrinks_at_data(self):
         hyp = simple_hyp()
         post = gp_fit(TrainingSet([[0.0]], [1.0]), hyp)
-        _, v_at = post.predict([[0.0]])
-        _, v_far = post.predict([[30.0]])
+        _, v_at = predict(post, [[0.0]])
+        _, v_far = predict(post, [[30.0]])
         assert v_at[0] <= v_far[0]
 
     def test_prior_posterior_empty(self):
         hyp = simple_hyp(D=2, m0=0.7)
         post = gpm.GPPosterior.prior(hyp, 2)
-        mean, var = post.predict([[1.0, 2.0]])
+        mean, var = predict(post, [[1.0, 2.0]])
         assert mean[0] == pytest.approx(nq_mean([[1.0, 2.0]], hyp)[0])
         assert var[0] == pytest.approx(hyp.sf2)
 
@@ -180,8 +186,8 @@ class TestPosterior:
         post1 = gp_fit(train, hyp)
         post2 = gp_fit(TrainingSet(train.X[perm], train.y[perm]), hyp)
         xs = rng.uniform(-3, 3, size=(40, 2))
-        m1, v1 = post1.predict(xs)
-        m2, v2 = post2.predict(xs)
+        m1, v1 = predict(post1, xs)
+        m2, v2 = predict(post2, xs)
         assert np.allclose(m1, m2, atol=1e-8)
         assert np.allclose(v1, v2, atol=1e-8)
 
@@ -197,7 +203,7 @@ class TestPosterior:
             train = draw_gp_data(hyp, 25, rng)
             post = gp_fit(train, hyp)
             xs = rng.uniform(-4, 4, size=(2000, 2))
-            _, var = post.predict(xs)
+            _, var = predict(post, xs)
             assert np.all(var >= 0)
 
 
@@ -214,8 +220,8 @@ class TestRank1Update:
                 y_new = rng.normal()
                 post = post.with_point(x_new, y_new)
                 refit = gp_fit(post.train, hyp)
-                m1, v1 = post.predict(xs)
-                m2, v2 = refit.predict(xs)
+                m1, v1 = predict(post, xs)
+                m2, v2 = predict(refit, xs)
                 assert np.allclose(m1, m2, atol=1e-8)
                 assert np.allclose(v1, v2, atol=1e-8)
 
@@ -225,9 +231,9 @@ class TestRank1Update:
         train = draw_gp_data(hyp, 10, rng, box=1.0)
         post = gp_fit(train, hyp)
         xs = rng.uniform(-1, 1, size=(50, 2))
-        m_before, v_before = post.predict(xs)
+        m_before, v_before = predict(post, xs)
         post2 = post.with_point(np.array([80.0, 80.0]), 0.3)
-        m_after, v_after = post2.predict(xs)
+        m_after, v_after = predict(post2, xs)
         assert np.allclose(m_before, m_after, atol=1e-6)
         assert np.allclose(v_before, v_after, atol=1e-6)
 
@@ -235,7 +241,7 @@ class TestRank1Update:
         hyp = simple_hyp(D=1, log_sobs=math.log(1e-3))
         post = gp_fit(TrainingSet([[0.0]], [0.5]), hyp)
         post2 = post.with_point(np.array([2.0]), -0.1)
-        _, var = post2.predict([[2.0]])
+        _, var = predict(post2, [[2.0]])
         assert var[0] < 10 * hyp.sobs**2 + 1e-6
 
     def test_duplicate_rejected(self):
@@ -399,17 +405,24 @@ class TestHyperparameterInference:
 
 
 class TestMarginalPredict:
-    def test_single_sample_equals_plain_predict(self):
-        rng = np.random.default_rng(14)
-        hyp = simple_hyp(D=2)
-        train = draw_gp_data(hyp, 10, rng)
-        post = gp_fit(train, hyp)
-        samples = HyperparamSampleSet([post])
-        xs = rng.uniform(-2, 2, size=(20, 2))
-        m1, v1 = post.predict(xs)
-        m2, v2 = marginal_predict(samples, xs)
-        assert np.array_equal(m1, m2)
-        assert np.array_equal(v1, v2)
+    @pytest.mark.parametrize(
+        "S, updates", [(1, 0), (1, 2), (6, 0), (6, 1), (6, 3)]
+    )
+    def test_batched_matches_per_draw(self, S, updates):
+        # fitted factors are Fortran-ordered, updated ones C-ordered; single
+        # query rows are where the two orders solve differently
+        rng = np.random.default_rng(100 * S + updates)
+        samples = random_sample_set(rng, S, n=15, D=2, updates=updates)
+        queries = [rng.uniform(-3, 3, size=(rows, 2)) for rows in [1] * 20 + [2, 40]]
+        for xs in queries:
+            parts = [per_draw_predict(post, xs) for post in samples]
+            means = np.array([m for m, _ in parts])
+            var = np.array([v for _, v in parts]).mean(axis=0)
+            if S > 1:
+                var = var + means.var(axis=0, ddof=1)
+            m, v = marginal_predict(samples, xs)
+            assert np.array_equal(m, means.mean(axis=0))
+            assert np.array_equal(v, var)
 
     def test_two_identical_samples(self):
         hyp = simple_hyp()
@@ -417,20 +430,15 @@ class TestMarginalPredict:
         samples = HyperparamSampleSet([post, post])
         xs = np.array([[0.5]])
         m, v = marginal_predict(samples, xs)
-        m1, v1 = post.predict(xs)
+        m1, v1 = predict(post, xs)
         assert m[0] == pytest.approx(m1[0])
         assert v[0] == pytest.approx(v1[0])
 
     def test_between_sample_variance_added(self):
-        class FakePost:
-            def __init__(self, m, v):
-                self.m, self.v = m, v
-
-            def predict(self, X):
-                n = np.atleast_2d(X).shape[0]
-                return np.full(n, self.m), np.full(n, self.v)
-
-        samples = [FakePost(0.0, 1.0), FakePost(2.0, 1.0)]
+        # prior draws at their mean's maximum x_m = 0: mean m0, variance sf2 = 1
+        samples = HyperparamSampleSet(
+            [gpm.GPPosterior.prior(simple_hyp(m0=m0), 1) for m0 in (0.0, 2.0)]
+        )
         m, v = marginal_predict(samples, np.zeros((1, 1)))
         assert m[0] == pytest.approx(1.0)
         assert v[0] == pytest.approx(1.0 + np.var([0.0, 2.0], ddof=1))

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from oracles import oracle_g_mean, oracle_g_var
+from per_draw import per_draw_variance, random_sample_set
 from vbmc.gp import (
     GPHyperparams,
     GPPosterior,
@@ -61,27 +62,41 @@ def random_case(rng, D, K, n):
     return vp, post
 
 
+def one_draw(vp, post, grad=False):
+    """Mean, gradient and per-component integrals under a single draw."""
+    samples = HyperparamSampleSet([post])
+    means, grads, i_k = expected_log_joint(
+        vp, samples, *z_matrix(vp, samples), grad=grad
+    )
+    return means[0], None if grads is None else grads[0], i_k[0]
+
+
+def one_draw_variance(vp, post):
+    samples = HyperparamSampleSet([post])
+    return expected_log_joint_variance(vp, samples, z_matrix(vp, samples)[0])[0]
+
+
 class TestZMatrix:
     def test_coincident_component_and_point(self):
         hyp = make_hyp()
         post = gp_fit(TrainingSet([[0.3]], [1.0]), hyp)
-        z, _ = z_matrix(single_vp(mu=0.3), post)
-        assert z[0, 0] == pytest.approx(1.0 / (math.sqrt(2 * math.pi) * math.sqrt(2.0)))
+        z, _ = z_matrix(single_vp(mu=0.3), HyperparamSampleSet([post]))
+        assert z[0, 0, 0] == pytest.approx(1.0 / (math.sqrt(2 * math.pi) * math.sqrt(2.0)))
 
     def test_zero_scale_limit_is_kernel_density(self):
         hyp = make_hyp()
         post = gp_fit(TrainingSet([[1.0]], [0.5]), hyp)
         vp = single_vp(mu=0.2, sigma=1e-8)
-        z, _ = z_matrix(vp, post)
+        z, _ = z_matrix(vp, HyperparamSampleSet([post]))
         # sf2 * N(mu; x_p, ell^2)
         expected = (1.0 / math.sqrt(2 * math.pi)) * math.exp(-0.5 * 0.8**2)
-        assert z[0, 0] == pytest.approx(expected, rel=1e-8)
+        assert z[0, 0, 0] == pytest.approx(expected, rel=1e-8)
 
     def test_matches_numerical_quadrature(self):
         hyp = make_hyp(log_ell=[0.2], log_sf=0.3)
         post = gp_fit(TrainingSet([[0.7]], [0.0]), hyp)
         vp = single_vp(mu=-0.4, sigma=0.8, lam=1.1)
-        z, _ = z_matrix(vp, post)
+        z, _ = z_matrix(vp, HyperparamSampleSet([post]))
 
         def integrand(x):
             dens = math.exp(-0.5 * ((x + 0.4) / 0.88) ** 2) / (
@@ -92,7 +107,7 @@ class TestZMatrix:
         ref, _ = scipy_quad(integrand, -12, 12, epsabs=1e-13, epsrel=1e-12)
         # z stores the integral divided by the kernel's Gaussian normalizer
         normalizer = math.sqrt(2 * math.pi) * hyp.ell[0]
-        assert z[0, 0] * normalizer == pytest.approx(ref, rel=1e-8)
+        assert z[0, 0, 0] * normalizer == pytest.approx(ref, rel=1e-8)
 
 
 class TestExpectedLogJoint:
@@ -100,7 +115,7 @@ class TestExpectedLogJoint:
         hyp = make_hyp(m0=0.0)
         post = GPPosterior.prior(hyp, 1)
         vp = single_vp(mu=0.0, sigma=1.0, lam=1.0)
-        mean, _, _ = expected_log_joint(vp, post)
+        mean, _, _ = one_draw(vp, post)
         assert mean == pytest.approx(-0.5)
 
     def test_matches_brute_force_quadrature(self):
@@ -108,20 +123,20 @@ class TestExpectedLogJoint:
         hyp = make_hyp(log_ell=[-0.2], log_sf=0.2, m0=-0.3, log_omega=[0.8])
         post = gp_fit(TrainingSet([[-1.0], [0.2], [1.1]], [0.5, 1.2, 0.3]), hyp)
         vp = single_vp(mu=0.3, sigma=0.7, lam=1.0)
-        mean, _, _ = expected_log_joint(vp, post)
+        mean, _, _ = one_draw(vp, post)
         assert mean == pytest.approx(oracle_g_mean(vp, post), rel=1e-6)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         for D, K in [(1, 1), (2, 2), (2, 3)]:
             vp, post = random_case(rng, D=D, K=K, n=6)
-            _, grad, _ = expected_log_joint(vp, post, grad=True)
+            _, grad, _ = one_draw(vp, post, grad=True)
             theta0 = vp.to_vector()
             h = 1e-6
 
             def value(theta):
                 v = VariationalPosterior.from_vector(theta, K, D)
-                m, _, _ = expected_log_joint(v, post)
+                m, _, _ = one_draw(v, post)
                 return m
 
             for i in range(theta0.size):
@@ -134,7 +149,7 @@ class TestExpectedLogJoint:
     def test_weight_decomposition_exact(self):
         rng = np.random.default_rng(2)
         vp, post = random_case(rng, D=2, K=3, n=5)
-        mean, _, i_k = expected_log_joint(vp, post)
+        mean, _, i_k = one_draw(vp, post)
         assert mean == pytest.approx(float(vp.w @ i_k), rel=1e-14)
 
 
@@ -145,14 +160,14 @@ class TestVariance:
         # kernel normalizer sqrt(2 pi)); cross-checked by the grid oracle
         hyp = make_hyp()
         post = GPPosterior.prior(hyp, 1)
-        var = expected_log_joint_variance(single_vp(), post)
+        var = one_draw_variance(single_vp(), post)
         assert var == pytest.approx(1.0 / math.sqrt(3.0))
         assert var == pytest.approx(oracle_g_var(single_vp(), post), rel=1e-6)
 
     def test_matches_brute_force_double_integral(self):
         rng = np.random.default_rng(3)
         vp, post = random_case(rng, D=1, K=2, n=4)
-        var = expected_log_joint_variance(vp, post)
+        var = one_draw_variance(vp, post)
         assert var == pytest.approx(oracle_g_var(vp, post), rel=1e-6)
 
     def test_nested_training_sets_decrease_variance(self):
@@ -168,7 +183,7 @@ class TestVariance:
                 if n == 0
                 else gp_fit(TrainingSet(X[:n], y[:n]), hyp)
             )
-            var = expected_log_joint_variance(vp, post)
+            var = one_draw_variance(vp, post)
             assert var <= prev + 1e-12
             prev = var
 
@@ -178,7 +193,7 @@ class TestVariance:
             vp, post = random_case(
                 rng, D=int(rng.integers(1, 3)), K=int(rng.integers(1, 4)), n=6
             )
-            assert expected_log_joint_variance(vp, post) >= 0.0
+            assert one_draw_variance(vp, post) >= 0.0
 
 
 class TestELBO:
@@ -187,8 +202,8 @@ class TestELBO:
         vp, post = random_case(rng, D=1, K=2, n=5)
         samples = HyperparamSampleSet([post])
         est = elbo(vp, samples, 2**12, np.random.default_rng(7))
-        mean, _, _ = expected_log_joint(vp, post)
-        var = expected_log_joint_variance(vp, post)
+        mean, _, _ = one_draw(vp, post)
+        var = one_draw_variance(vp, post)
         assert est.g_mean == pytest.approx(mean)
         assert est.g_var == pytest.approx(var)
         assert est.elbo_mean == pytest.approx(mean + est.entropy)
@@ -199,8 +214,8 @@ class TestELBO:
         hyp2 = make_hyp(log_ell=[0.3], log_sf=0.1)
         post2 = gp_fit(post1.train, hyp2)
         res = quadrature(vp, HyperparamSampleSet([post1, post2]))
-        m1, _, _ = expected_log_joint(vp, post1)
-        m2, _, _ = expected_log_joint(vp, post2)
+        m1, _, _ = one_draw(vp, post1)
+        m2, _, _ = one_draw(vp, post2)
         assert res.g_mean == pytest.approx(0.5 * (m1 + m2))
         assert res.between_sample_var == pytest.approx(np.var([m1, m2], ddof=1))
 
@@ -237,3 +252,31 @@ class TestELBO:
         assert est.elcbo(3.0) == pytest.approx(est.elbo_mean - 3 * est.elbo_sd)
         for beta in [0.0, 1.0, 3.0, 5.0]:
             assert est.elcbo(beta) <= est.elbo_mean + 1e-12
+
+
+class TestBatchedSet:
+    @pytest.mark.parametrize(
+        "S, K, updates",
+        [(1, 1, 0), (1, 3, 2), (5, 1, 0), (5, 1, 2), (5, 3, 0), (5, 4, 1)],
+    )
+    def test_matches_per_draw(self, S, K, updates):
+        # K = 1 makes the variance's solve one column wide, where Fortran-
+        # and C-ordered factors (fitted and updated draws) round differently
+        rng = np.random.default_rng(10 * S + K + updates)
+        samples = random_sample_set(rng, S, n=12, D=2, updates=updates)
+        vp = VariationalPosterior(
+            rng.dirichlet(np.ones(K)),
+            rng.uniform(-1.5, 1.5, size=(K, 2)),
+            rng.uniform(0.5, 1.2, size=K),
+            rng.uniform(0.7, 1.3, size=2),
+        )
+        parts = [one_draw(vp, post, grad=True) for post in samples]
+        means = np.array([m for m, _, _ in parts])
+        grads = np.array([g for _, g, _ in parts])
+        variances = np.array([per_draw_variance(vp, post) for post in samples])
+        between = float(np.var(means, ddof=1)) if S > 1 else 0.0
+        res = quadrature(vp, samples, grad=True)
+        assert res.g_mean == float(means.mean())
+        assert res.g_var == float(variances.mean() + between)
+        assert res.between_sample_var == between
+        assert np.array_equal(res.grad, grads.mean(axis=0))
