@@ -22,7 +22,6 @@ from .acquisition import (
 )
 from .gp import (
     GPHyperparams,
-    HyperparamSampleSet,
     TrainingSet,
     default_hyperparams,
     gp_fit,
@@ -266,6 +265,11 @@ class VBMC:
         self.transform = problem.transform()
         self.D = self.transform.D
         self.max_fevals = self.options.resolve_max_fevals(self.D)
+        if self.max_fevals < self.options.n_init:
+            raise ValueError(
+                f"max_fevals={self.max_fevals} is below n_init={self.options.n_init}, "
+                "the evaluations of the initial design"
+            )
         self.fevals = 0
         self.archive = []  # dicts: u, y (internal), ok
         self._consecutive_failures = 0
@@ -381,11 +385,11 @@ class VBMC:
             except SliceSamplingError as err:
                 logger.warning("slice sampling failed (%s); using last valid sample", err)
                 hyp = GPHyperparams.from_vector(err.last_sample, train.D)
-                samples = HyperparamSampleSet([gp_fit(train, hyp)])
+                samples = gp_fit(train, [hyp])
         else:
             hyp = optimize_hyperparameters(train, self._last_hyp, rng)
-            samples = HyperparamSampleSet([gp_fit(train, hyp)])
-        self._last_hyp = samples.posteriors[-1].hyp
+            samples = gp_fit(train, [hyp])
+        self._last_hyp = samples.hyps[-1]
         return samples
 
     def _prune(self, vp, est, samples, rng):
@@ -584,12 +588,12 @@ class _DiagnosticsWriter:
             return
         self.fh.write(json.dumps(record.to_json()) + "\n")
         if self.include_gp and samples is not None:
-            for post in samples:
+            for hyp, lml in zip(samples.hyps, samples.lml):
                 line = {
                     "gp_sample": {
                         "iteration": record.t,
-                        "psi": post.hyp.to_vector().tolist(),
-                        "lml": post.lml,
+                        "psi": hyp.to_vector().tolist(),
+                        "lml": float(lml),
                     }
                 }
                 self.fh.write(json.dumps(line) + "\n")

@@ -4,10 +4,13 @@ Squared-exponential kernel, negative-quadratic mean (so the exponentiated
 predictive mean is integrable), Gaussian observation noise, empirical-Bayes
 hyperpriors, and either slice-sampled or MAP hyperparameters.
 
-A :class:`GPPosterior` is one hyperparameter draw: its factorization, log
-marginal likelihood and O(n^2) rank-1 update. A :class:`HyperparamSampleSet`
-stacks the draws along a leading axis S; :func:`marginal_predict` and
-``vbmc.quadrature`` read only the stack, in one batched pass over all draws.
+The GP posterior has one type, :class:`HyperparamSampleSet`: S
+hyperparameter draws on one training set, with their Cholesky factors,
+weights and log marginal likelihoods stacked along a leading axis S.
+:func:`gp_fit` builds it, :meth:`HyperparamSampleSet.with_point` adds one
+observation to every draw in one batched pass, and :func:`marginal_predict`
+and ``vbmc.quadrature`` read it. :func:`log_marginal_likelihood`, which the
+slice sampler calls, factors one draw and builds no set.
 """
 
 import math
@@ -23,7 +26,6 @@ __all__ = [
     "GPTrainingError",
     "GPHyperparams",
     "TrainingSet",
-    "GPPosterior",
     "GPHyperprior",
     "HyperparamSampleSet",
     "gp_fit",
@@ -36,6 +38,9 @@ __all__ = [
 
 DUPLICATE_TOL_SQ = 1e-12
 SIGMA_OBS_FLOOR = 1e-5
+BURN_SWEEPS = 10  # slice-sampling sweeps discarded before the first draw
+THIN_SWEEPS = 3  # slice-sampling sweeps per retained draw
+N_RESTARTS = 3  # MAP restarts from hyperprior draws
 
 # Diagnostics: number of times a numerically negative predictive variance
 # was clamped to zero.
@@ -186,68 +191,16 @@ def nq_mean(X, hyp):
     return np.asarray(hyp.m0)[..., None] - 0.5 * np.sum(quad, axis=-1)
 
 
-class GPPosterior:
-    """Factored GP posterior for a fixed hyperparameter value.
-
-    Holds the lower Cholesky factor of ``K + sobs^2 I`` (plus any jitter
-    that was required), the weight vector ``alpha`` and the log marginal
-    likelihood ``lml`` of the training data; immutable after construction.
-    """
-
-    def __init__(self, train, hyp, L, jitter):
-        self.train = train
-        self.hyp = hyp
-        self.L = L
-        self.jitter = jitter
-        resid = train.y - nq_mean(train.X, hyp)
-        self.alpha = (
-            cho_solve((L, True), resid, check_finite=False)
-            if train.n > 0
-            else np.empty(0)
-        )
-        self.lml = float(
-            -0.5 * resid @ self.alpha
-            - np.sum(np.log(np.diag(L)))
-            - 0.5 * train.n * math.log(2.0 * math.pi)
-        )
-
-    @classmethod
-    def prior(cls, hyp, D):
-        """Posterior conditioned on no data (prior predictive)."""
-        empty = TrainingSet(np.empty((0, D)), np.empty(0))
-        return cls(empty, hyp, np.empty((0, 0)), 0.0)
-
-    @property
-    def n(self):
-        return self.train.n
-
-    def with_point(self, x_new, y_new, new_train=None):
-        """Rank-1 posterior update with one observation; O(n^2).
-
-        Falls back to a full refit if the extended factorization loses
-        positive definiteness. ``new_train`` lets callers share one
-        extended training set across several posteriors.
-        """
-        x_new = np.asarray(x_new, dtype=float)
-        if new_train is None:
-            new_train = self.train.with_point(x_new, y_new)
-        if self.n == 0:
-            return gp_fit(new_train, self.hyp)
-        k = se_kernel_matrix(self.train.X, x_new[None, :], self.hyp)[:, 0]
-        c = solve_triangular(self.L, k, lower=True)
-        d2 = self.hyp.sf2 + self.hyp.sobs**2 + self.jitter - c @ c
-        if d2 <= 0:
-            return gp_fit(new_train, self.hyp)
-        n = self.n
-        L = np.zeros((n + 1, n + 1))
-        L[:n, :n] = self.L
-        L[n, :n] = c
-        L[n, n] = math.sqrt(d2)
-        return GPPosterior(new_train, self.hyp, L, self.jitter)
-
-
 def _factor_gram(train, hyp):
-    """Cholesky of the noisy Gram matrix with escalating jitter."""
+    """Cholesky of the noisy Gram matrix with escalating jitter.
+
+    Returns ``(L, jitter)``; ``L`` is Fortran-ordered, as LAPACK returns it.
+    The factorization is tried without jitter, then with five jitters from
+    ``1e-10`` to ``1e-6`` times ``tr(K)/n``, before giving up with
+    :class:`GPTrainingError`. No data gives an empty factor (the prior).
+    """
+    if train.n == 0:
+        return np.empty((0, 0)), 0.0
     K = se_kernel_matrix(train.X, train.X, hyp)
     diag = np.diag_indices_from(K)
     K[diag] += hyp.sobs**2
@@ -266,30 +219,49 @@ def _factor_gram(train, hyp):
     )
 
 
-def gp_fit(train, hyp):
-    """Factor the Gram matrix and build a :class:`GPPosterior`.
+def _weights_and_lml(train, hyp, L):
+    """One draw's weights ``alpha`` and log marginal likelihood from its factor."""
+    resid = train.y - nq_mean(train.X, hyp)
+    alpha = cho_solve((L, True), resid, check_finite=False) if train.n > 0 else np.empty(0)
+    lml = float(
+        -0.5 * resid @ alpha
+        - np.sum(np.log(np.diag(L)))
+        - 0.5 * train.n * math.log(2.0 * math.pi)
+    )
+    return alpha, lml
 
-    The factorization is tried without jitter, then with five jitters from
-    ``1e-10`` to ``1e-6`` times ``tr(K)/n``, before giving up with
-    :class:`GPTrainingError`.
+
+def gp_fit(train, hyps):
+    """Factor the Gram matrix of each draw in ``hyps``: a :class:`HyperparamSampleSet`.
+
+    An empty training set gives the prior. Raises :class:`GPTrainingError`
+    when a draw's Gram matrix stays indefinite under the largest jitter.
     """
-    if train.n == 0:
-        return GPPosterior.prior(hyp, hyp.D)
-    L, jitter = _factor_gram(train, hyp)
-    return GPPosterior(train, hyp, L, jitter)
+    hyps = tuple(hyps)
+    factors = [_factor_gram(train, hyp) for hyp in hyps]
+    fits = [_weights_and_lml(train, hyp, L) for hyp, (L, _) in zip(hyps, factors)]
+    return HyperparamSampleSet(
+        train,
+        hyps,
+        np.array([L.T for L, _ in factors]).transpose(0, 2, 1),  # Fortran blocks
+        np.array([jitter for _, jitter in factors]),
+        np.array([alpha for alpha, _ in fits]),
+        np.array([lml for _, lml in fits]),
+    )
 
 
 def log_marginal_likelihood(train, hyp):
     """GP log marginal likelihood of the training data under ``hyp``."""
-    return gp_fit(train, hyp).lml
+    L, _ = _factor_gram(train, hyp)
+    return _weights_and_lml(train, hyp, L)[1]
 
 
 def log_marginal_likelihood_grad(train, hyp):
     """Log marginal likelihood and its gradient in the 3D+3 vector order."""
-    post = gp_fit(train, hyp)
+    L, _ = _factor_gram(train, hyp)
+    alpha, lml = _weights_and_lml(train, hyp, L)
     X, n, D = train.X, train.n, train.D
-    alpha = post.alpha
-    Kinv = cho_solve((post.L, True), np.eye(n))
+    Kinv = cho_solve((L, True), np.eye(n))
     A = np.outer(alpha, alpha) - Kinv
 
     Kk = se_kernel_matrix(X, X, hyp)
@@ -305,7 +277,7 @@ def log_marginal_likelihood_grad(train, hyp):
     diff = X - hyp.x_m
     grad[D + 3 : 2 * D + 3] = (diff / hyp.omega**2).T @ alpha
     grad[2 * D + 3 :] = (diff**2 / hyp.omega**2).T @ alpha
-    return post.lml, grad
+    return lml, grad
 
 
 def student_t_logpdf(x, mu, scale, df=3.0):
@@ -427,49 +399,74 @@ class GPHyperprior:
 
 
 class HyperparamSampleSet:
-    """GP hyperparameter draws on one training set, stacked along axis S.
+    """The GP posterior: hyperparameter draws on one training set, stacked along axis S.
 
-    Keeps each draw's :class:`GPPosterior` (for rank-1 updates and
-    diagnostics) and stacks what prediction and quadrature read: Cholesky
-    factors ``L`` (S, n, n), weights ``alpha`` (S, n), ``ell``, ``x_m`` and
-    ``omega`` (S, D), ``sf2`` and ``m0`` (S,), and ``Xs = X / ell`` (S, n, D).
+    Holds the training set ``train`` and the draws ``hyps``; the lower
+    Cholesky factors ``L`` (S, n, n) of ``K + sobs^2 I`` plus each draw's
+    ``jitter`` (S,); the weights ``alpha`` (S, n) and log marginal
+    likelihoods ``lml`` (S,); and what prediction and quadrature read:
+    ``ell``, ``x_m`` and ``omega`` (S, D), ``sf2`` and ``m0`` (S,), and the
+    length-scaled inputs ``Xs = X / ell`` (S, n, D). Built by :func:`gp_fit`
+    and :meth:`with_point`; immutable.
 
-    ``L`` keeps the draws' memory order: Fortran after :func:`gp_fit`, C
-    after a rank-1 update, C when they mix. LAPACK orders a one-column
-    triangular solve differently for the two, so only the draws' own order
-    reproduces their per-draw results bit for bit.
+    ``L`` has one of two memory orders: :func:`gp_fit` stacks Fortran-ordered
+    blocks, as LAPACK returns them, and :meth:`with_point` builds a C-ordered
+    stack. LAPACK orders a one-column triangular solve differently for the
+    two, so a draw's results depend on which one last wrote its factor. A
+    draw that :meth:`with_point` has to refit is copied into the C stack, so
+    its next update solves on a C-ordered factor and rounds differently than
+    on the Fortran factor the refit returned.
     """
 
-    def __init__(self, posteriors):
-        if len(posteriors) < 1:
+    def __init__(self, train, hyps, L, jitter, alpha, lml):
+        if len(hyps) < 1:
             raise ValueError("need at least one hyperparameter sample")
-        self.posteriors = posts = list(posteriors)
-        self.train = posts[0].train
-        hyps = [p.hyp for p in posts]
+        self.train = train
+        self.hyps = hyps
+        self.L = L
+        self.jitter = jitter
+        self.alpha = alpha
+        self.lml = lml
         self.ell = np.array([h.ell for h in hyps])
         self.x_m = np.array([h.x_m for h in hyps])
         self.omega = np.array([h.omega for h in hyps])
         self.sf2 = np.array([h.sf2 for h in hyps])
         self.m0 = np.array([h.m0 for h in hyps])
-        self.alpha = np.array([p.alpha for p in posts])
-        self.Xs = self.train.X / self.ell[:, None, :]
-        if all(p.L.flags.f_contiguous for p in posts):
-            self.L = np.array([p.L.T for p in posts]).transpose(0, 2, 1)
-        else:
-            self.L = np.array([p.L for p in posts])
-
-    def __iter__(self):
-        return iter(self.posteriors)
+        self.Xs = train.X / self.ell[:, None, :]
 
     def __len__(self):
-        return len(self.posteriors)
+        return len(self.hyps)
 
     def with_point(self, x_new, y_new):
-        """Rank-1 update of every posterior with the same observation."""
-        new_train = self.train.with_point(x_new, y_new)
-        return HyperparamSampleSet(
-            [p.with_point(x_new, y_new, new_train=new_train) for p in self.posteriors]
-        )
+        """Rank-1 update of every draw with one observation; O(S n^2).
+
+        One batched pass borders each factor with the new kernel column.
+        A draw whose new pivot is not positive is refit from scratch.
+        """
+        x_new = np.asarray(x_new, dtype=float)
+        train = self.train.with_point(x_new, y_new)
+        n = self.train.n
+        if n == 0:
+            return gp_fit(train, self.hyps)
+        d2 = sq_dist(self.Xs, x_new / self.ell[:, None, :])
+        k = self.sf2[:, None, None] * np.exp(-0.5 * d2)  # (S, n, 1)
+        c = solve_triangular(self.L, k, lower=True, check_finite=False)
+        # per-draw Python floats, summed in the order of one draw's update
+        noise = np.array([h.sf2 + h.sobs**2 for h in self.hyps])
+        pivot = noise + self.jitter - (np.swapaxes(c, -1, -2) @ c)[:, 0, 0]
+        L = np.zeros((len(self), n + 1, n + 1))
+        L[:, :n, :n] = self.L
+        L[:, n, :n] = c[..., 0]
+        L[:, n, n] = np.sqrt(np.maximum(pivot, 0.0))
+        jitter = self.jitter.copy()
+        alpha, lml = np.empty((len(self), n + 1)), np.empty(len(self))
+        for s, hyp in enumerate(self.hyps):
+            L_s = L[s]
+            if pivot[s] <= 0:  # the bordered factor lost positive definiteness
+                L_s, jitter[s] = _factor_gram(train, hyp)
+                L[s] = L_s
+            alpha[s], lml[s] = _weights_and_lml(train, hyp, L_s)
+        return HyperparamSampleSet(train, self.hyps, L, jitter, alpha, lml)
 
 
 def n_gp_schedule(n):
@@ -498,12 +495,12 @@ def _clip_to(theta, prior):
     return np.clip(theta, prior.lower, prior.upper)
 
 
-def sample_hyperparameters(train, n_gp, init, rng, burn_sweeps=10, thin_sweeps=3):
+def sample_hyperparameters(train, n_gp, init, rng):
     """Slice-sample ``n_gp`` hyperparameter draws from the GP posterior.
 
     The target is the GP log marginal likelihood plus the empirical-Bayes
-    hyperprior; one chain is thinned after burn-in. Each retained draw is
-    paired with a fitted posterior.
+    hyperprior; one chain runs ``BURN_SWEEPS`` sweeps of burn-in and keeps
+    a draw every ``THIN_SWEEPS`` sweeps. The draws are fitted as one set.
     """
     if train.n < 2:
         raise ValueError("hyperparameter sampling requires at least 2 points")
@@ -529,25 +526,22 @@ def sample_hyperparameters(train, n_gp, init, rng, burn_sweeps=10, thin_sweeps=3
         n_gp,
         prior.widths,
         rng,
-        burn_sweeps=burn_sweeps,
-        thin_sweeps=thin_sweeps,
+        burn_sweeps=BURN_SWEEPS,
+        thin_sweeps=THIN_SWEEPS,
     )
-    return HyperparamSampleSet(
-        [gp_fit(train, GPHyperparams.from_vector(t, D)) for t in thetas]
-    )
+    return gp_fit(train, [GPHyperparams.from_vector(t, D) for t in thetas])
 
 
-def optimize_hyperparameters(train, init, rng=None, n_restarts=3):
+def optimize_hyperparameters(train, init, rng):
     """MAP hyperparameters by quasi-Newton ascent with analytic gradients.
 
-    Restarts from hyperprior draws; returns the best local maximizer seen,
-    never worse than the initial point.
+    Restarts from ``N_RESTARTS`` hyperprior draws; returns the best local
+    maximizer seen, never worse than the initial point.
     """
     if train.n < 2:
         raise ValueError("hyperparameter optimization requires at least 2 points")
     prior = GPHyperprior(train)
     D = train.D
-    rng = np.random.default_rng(0) if rng is None else rng
 
     def neg_objective(theta):
         if np.any(theta < prior.lower) or np.any(theta > prior.upper):
@@ -563,7 +557,7 @@ def optimize_hyperparameters(train, init, rng=None, n_restarts=3):
         return -(lml + lp), -(grad + gp_prior)
 
     theta0 = _clip_to(init.to_vector(), prior)
-    starts = [theta0] + [prior.sample(theta0, rng) for _ in range(n_restarts)]
+    starts = [theta0] + [prior.sample(theta0, rng) for _ in range(N_RESTARTS)]
     bounds = list(zip(prior.lower, prior.upper))
 
     best_theta, best_val = theta0, neg_objective(theta0)[0]

@@ -25,23 +25,27 @@ __all__ = [
     "optimize_elbo",
 ]
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.99
 ADAM_EPS = math.sqrt(np.finfo(float).eps)  # ~1.49e-8
+ALPHA_MIN = 0.001  # the learning rate decays from alpha_max towards this
+TAU = 200.0  # decay time of the learning rate, in steps
+N_BATCH = 20  # steps per window of the stopping checks
+TOL_VALUE = 0.01  # windowed ELBO improvement below which a window stalls
+TOL_PARAM = 0.001  # RMS parameter move per window below which Adam stops
+JITTER_MU = 0.1  # candidate jitter of the means, in component SDs
+JITTER_LOG_SIGMA = 0.2  # candidate jitter of the log scales
+JITTER_ETA = 0.2  # candidate jitter of the log weights
 
 
 @dataclass
 class AdamState:
-    """Adam accumulators and schedule constants."""
+    """Adam accumulators and the learning rate's starting value."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.99
-    eps: float = ADAM_EPS
-    alpha_min: float = 0.001
     alpha_max: float = 0.01
-    tau: float = 200.0
-    n_batch: int = 20
 
     @classmethod
     def fresh(cls, n_params, **kw):
@@ -49,10 +53,8 @@ class AdamState:
 
 
 def learning_rate(state):
-    """Decaying step size: alpha_min + (alpha_max - alpha_min) e^{-t/tau}."""
-    return state.alpha_min + (state.alpha_max - state.alpha_min) * math.exp(
-        -state.t / state.tau
-    )
+    """Decaying step size: ALPHA_MIN + (alpha_max - ALPHA_MIN) e^{-t/TAU}."""
+    return ALPHA_MIN + (state.alpha_max - ALPHA_MIN) * math.exp(-state.t / TAU)
 
 
 def adam_step(state, theta, grad):
@@ -60,12 +62,12 @@ def adam_step(state, theta, grad):
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("non-finite gradient in Adam step")
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad**2
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad**2
     state = replace(state, m=m, v=v, t=t)
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    theta = theta - learning_rate(state) * m_hat / (np.sqrt(v_hat) + state.eps)
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    theta = theta - learning_rate(state) * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return state, theta
 
 
@@ -76,13 +78,8 @@ class OptimOptions:
     n_entropy: int = 100
     n_entropy_readout: int = 2**15
     max_iter: int = 5000
-    tol_value: float = 0.01
-    tol_param: float = 0.001
     freeze_weights: bool = False
     alpha_max: float = 0.01
-    jitter_mu: float = 0.1
-    jitter_log_sigma: float = 0.2
-    jitter_eta: float = 0.2
 
 
 def _neg_elbo_and_grad(theta, K, D, samples, options, rng, entropy_fn):
@@ -118,17 +115,13 @@ def split_component(vp, rng, jitter=0.5):
     )
 
 
-def _jittered(vp, options, rng, freeze_weights):
-    mu = vp.mu + options.jitter_mu * vp.sigma[:, None] * vp.lam * rng.standard_normal(
-        vp.mu.shape
-    )
-    sigma = vp.sigma * np.exp(
-        options.jitter_log_sigma * rng.standard_normal(vp.K)
-    )
+def _jittered(vp, rng, freeze_weights):
+    mu = vp.mu + JITTER_MU * vp.sigma[:, None] * vp.lam * rng.standard_normal(vp.mu.shape)
+    sigma = vp.sigma * np.exp(JITTER_LOG_SIGMA * rng.standard_normal(vp.K))
     if freeze_weights:
         w = vp.w
     else:
-        eta = np.log(vp.w) + options.jitter_eta * rng.standard_normal(vp.K)
+        eta = np.log(vp.w) + JITTER_ETA * rng.standard_normal(vp.K)
         w = np.exp(eta - eta.max())
         w = w / w.sum()
     return VariationalPosterior(w, mu, sigma, vp.lam)
@@ -148,7 +141,7 @@ def select_starting_points(vp, K_target, n_fast, samples, rng, options=None):
 
     candidates = [base]
     for _ in range(max(0, n_fast * K_target - 1)):
-        candidates.append(_jittered(base, options, rng, options.freeze_weights))
+        candidates.append(_jittered(base, rng, options.freeze_weights))
 
     best, best_val = None, -np.inf
     for cand in candidates:
@@ -172,7 +165,6 @@ def optimize_elbo(vp0, samples, options, rng, entropy_fn=None, trace=None):
     K, D = vp0.K, vp0.D
     theta = vp0.to_vector()
     state = AdamState.fresh(theta.size, alpha_max=options.alpha_max)
-    nb = state.n_batch
 
     values = []
     theta_window = [theta.copy()]
@@ -195,7 +187,7 @@ def optimize_elbo(vp0, samples, options, rng, entropy_fn=None, trace=None):
                     )
         values.append(-value)
         theta_window.append(theta.copy())
-        if len(theta_window) > nb + 1:
+        if len(theta_window) > N_BATCH + 1:
             theta_window.pop(0)
         if trace is not None:
             trace.append(
@@ -211,12 +203,12 @@ def optimize_elbo(vp0, samples, options, rng, entropy_fn=None, trace=None):
         # The value test is one-sided (improvement below tolerance) and must
         # hold on two consecutive windows, so an entropy-noise dip while the
         # objective is still climbing rarely stops the run early.
-        if len(values) >= 2 * nb and len(values) % nb == 0:
-            recent = np.mean(values[-nb:])
-            previous = np.mean(values[-2 * nb : -nb])
-            stalls = stalls + 1 if recent - previous < options.tol_value else 0
+        if len(values) >= 2 * N_BATCH and len(values) % N_BATCH == 0:
+            recent = np.mean(values[-N_BATCH:])
+            previous = np.mean(values[-2 * N_BATCH : -N_BATCH])
+            stalls = stalls + 1 if recent - previous < TOL_VALUE else 0
             moved = math.sqrt(np.mean((theta - theta_window[0]) ** 2))
-            if stalls >= 2 or moved < options.tol_param:
+            if stalls >= 2 or moved < TOL_PARAM:
                 break
 
     vp = VariationalPosterior.from_vector(theta, K, D)

@@ -3,12 +3,13 @@
 These deliberately avoid the closed-form quadrature identities in the
 package: integrals are computed on dense tensor grids from the kernel and
 mixture definitions, with explicit matrix inverses. Kept independent so
-they can certify the analytic path.
+they can certify the analytic path. ``post`` is a one-draw
+``HyperparamSampleSet``.
 """
 
 import numpy as np
 
-from vbmc.gp import HyperparamSampleSet, marginal_predict, se_kernel_matrix
+from vbmc.gp import marginal_predict, se_kernel_matrix
 
 
 def _grid_1d(vp, post, points):
@@ -16,8 +17,8 @@ def _grid_1d(vp, post, points):
     s = vp.sigma.max() * vp.lam.max()
     lo = min(vp.mu.min() - 8.5 * s, -1.0)
     hi = max(vp.mu.max() + 8.5 * s, 1.0)
-    if post.n > 0:
-        ell = post.hyp.ell.max()
+    if post.train.n > 0:
+        ell = post.hyps[0].ell.max()
         lo = min(lo, post.train.X.min() - 5 * ell)
         hi = max(hi, post.train.X.max() + 5 * ell)
     return np.linspace(lo, hi, points)
@@ -26,7 +27,7 @@ def _grid_1d(vp, post, points):
 def oracle_g_mean_1d(vp, post, points=4001):
     g = _grid_1d(vp, post, points)
     q = vp.pdf(g[:, None])
-    fbar, _ = marginal_predict(HyperparamSampleSet([post]), g[:, None])
+    fbar, _ = marginal_predict(post, g[:, None])
     return np.trapezoid(q * fbar, g)
 
 
@@ -36,13 +37,14 @@ def oracle_g_var_1d(vp, post, points=3001):
     wq = vp.pdf(g[:, None]) * h
     wq[0] *= 0.5
     wq[-1] *= 0.5
-    hyp = post.hyp
+    hyp = post.hyps[0]
     Kg = se_kernel_matrix(g[:, None], g[:, None], hyp)
     term1 = wq @ Kg @ wq
-    if post.n == 0:
+    if post.train.n == 0:
         return term1
     X = post.train.X
-    Kxx = se_kernel_matrix(X, X, hyp) + (hyp.sobs**2 + post.jitter) * np.eye(post.n)
+    noise = hyp.sobs**2 + post.jitter[0]
+    Kxx = se_kernel_matrix(X, X, hyp) + noise * np.eye(post.train.n)
     b = se_kernel_matrix(g[:, None], X, hyp).T @ wq
     return term1 - b @ np.linalg.inv(Kxx) @ b
 
@@ -53,8 +55,8 @@ def _grid_2d(vp, post, points):
         s = vp.sigma.max() * vp.lam[d]
         lo = vp.mu[:, d].min() - 8.5 * s
         hi = vp.mu[:, d].max() + 8.5 * s
-        if post.n > 0:
-            ell = post.hyp.ell[d]
+        if post.train.n > 0:
+            ell = post.hyps[0].ell[d]
             lo = min(lo, post.train.X[:, d].min() - 5 * ell)
             hi = max(hi, post.train.X[:, d].max() + 5 * ell)
         axes.append(np.linspace(lo, hi, points))
@@ -66,14 +68,14 @@ def oracle_g_mean_2d(vp, post, points=451):
     xx, yy = np.meshgrid(ax1, ax2, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     q = vp.pdf(pts)
-    fbar, _ = marginal_predict(HyperparamSampleSet([post]), pts)
+    fbar, _ = marginal_predict(post, pts)
     vals = (q * fbar).reshape(points, points)
     return np.trapezoid(np.trapezoid(vals, ax2, axis=1), ax1)
 
 
 def oracle_g_var_2d(vp, post, points=351):
     ax1, ax2 = _grid_2d(vp, post, points)
-    hyp = post.hyp
+    hyp = post.hyps[0]
 
     def trap_w(ax):
         w = np.full(ax.size, ax[1] - ax[0])
@@ -90,10 +92,11 @@ def oracle_g_var_2d(vp, post, points=351):
     K1 = np.exp(-0.5 * (ax1[:, None] - ax1[None, :]) ** 2 / hyp.ell[0] ** 2)
     K2 = np.exp(-0.5 * (ax2[:, None] - ax2[None, :]) ** 2 / hyp.ell[1] ** 2)
     term1 = hyp.sf2 * float(np.sum(WQ * (K1 @ WQ @ K2.T)))
-    if post.n == 0:
+    if post.train.n == 0:
         return term1
     X = post.train.X
-    Kxx = se_kernel_matrix(X, X, hyp) + (hyp.sobs**2 + post.jitter) * np.eye(post.n)
+    noise = hyp.sobs**2 + post.jitter[0]
+    Kxx = se_kernel_matrix(X, X, hyp) + noise * np.eye(post.train.n)
     b = se_kernel_matrix(pts, X, hyp).T @ WQ.ravel()
     return term1 - b @ np.linalg.inv(Kxx) @ b
 

@@ -1,15 +1,16 @@
 """Per-draw references for the batched hyperparameter-set path.
 
-``marginal_predict`` and ``quadrature`` treat all GP hyperparameter draws
-of a ``HyperparamSampleSet`` in one batched pass. The functions here redo
-the solve-dependent parts one draw at a time, on each draw's own Cholesky
-factor, so tests can demand bit-identical results from the batched path.
+``HyperparamSampleSet.with_point``, ``marginal_predict`` and ``quadrature``
+treat all GP hyperparameter draws of a set in one batched pass. The
+functions here redo the solve-dependent parts one draw at a time, on each
+draw's own Cholesky factor, so tests can demand bit-identical results from
+the batched path.
 """
 
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from vbmc.gp import (
     GPHyperparams,
@@ -22,48 +23,89 @@ from vbmc.gp import (
 from vbmc.quadrature import z_matrix
 
 
+def prior_set(hyps, D=1):
+    """The draws ``hyps`` conditioned on no data (the prior predictive)."""
+    return gp_fit(TrainingSet(np.empty((0, D)), np.empty(0)), hyps)
+
+
+def random_hyp(rng, D, log_sobs=math.log(1e-3)):
+    return GPHyperparams(
+        log_ell=rng.uniform(-1.0, 0.5, size=D),
+        log_sf=rng.uniform(-0.5, 0.5),
+        log_sobs=log_sobs,
+        m0=rng.uniform(-1.0, 1.0),
+        x_m=rng.uniform(-1.0, 1.0, size=D),
+        log_omega=rng.uniform(0.0, 1.0, size=D),
+    )
+
+
 def random_sample_set(rng, S, n, D, updates=0):
     """``S`` random draws fitted to ``n`` random points, then ``updates``
     rank-1 updates (which turn the factors from Fortran to C order)."""
     X = rng.uniform(-2.0, 2.0, size=(n, D))
     y = rng.normal(size=n)
-    posts = [
-        gp_fit(
-            TrainingSet(X, y),
-            GPHyperparams(
-                log_ell=rng.uniform(-1.0, 0.5, size=D),
-                log_sf=rng.uniform(-0.5, 0.5),
-                log_sobs=math.log(1e-3),
-                m0=rng.uniform(-1.0, 1.0),
-                x_m=rng.uniform(-1.0, 1.0, size=D),
-                log_omega=rng.uniform(0.0, 1.0, size=D),
-            ),
-        )
-        for _ in range(S)
-    ]
-    samples = HyperparamSampleSet(posts)
+    samples = gp_fit(TrainingSet(X, y), [random_hyp(rng, D) for _ in range(S)])
     for _ in range(updates):
         samples = samples.with_point(rng.uniform(-2.0, 2.0, size=D), rng.normal())
     return samples
 
 
+def draws(samples):
+    """One-draw sets sliced from ``samples``; each keeps its factor's memory order."""
+    return [
+        HyperparamSampleSet(
+            samples.train,
+            samples.hyps[s : s + 1],
+            samples.L[s : s + 1],
+            samples.jitter[s : s + 1],
+            samples.alpha[s : s + 1],
+            samples.lml[s : s + 1],
+        )
+        for s in range(len(samples))
+    ]
+
+
+def per_draw_update(samples, s, x_new, y_new):
+    """Draw ``s`` updated with one observation on its own factor.
+
+    Borders the factor with the solved kernel column and the pivot, or
+    refits the draw when the pivot is not positive. Returns
+    ``(L, jitter, alpha, refit)``.
+    """
+    hyp, L, jitter = samples.hyps[s], samples.L[s], samples.jitter[s]
+    train = samples.train.with_point(x_new, y_new)
+    n = samples.train.n
+    k = se_kernel_matrix(samples.train.X, x_new[None, :], hyp)[:, 0]
+    c = solve_triangular(L, k, lower=True)
+    d2 = hyp.sf2 + hyp.sobs**2 + jitter - c @ c
+    if d2 <= 0:
+        refit = gp_fit(train, [hyp])
+        return refit.L[0], refit.jitter[0], refit.alpha[0], True
+    L_new = np.zeros((n + 1, n + 1))
+    L_new[:n, :n] = L
+    L_new[n, :n] = c
+    L_new[n, n] = math.sqrt(d2)
+    alpha = cho_solve((L_new, True), train.y - nq_mean(train.X, hyp))
+    return L_new, jitter, alpha, False
+
+
 def per_draw_predict(post, X):
-    """One draw's latent mean and clamped variance at rows of ``X``."""
+    """A one-draw set's latent mean and clamped variance at rows of ``X``."""
     X = np.atleast_2d(X)
-    hyp = post.hyp
+    hyp = post.hyps[0]
     mean, var = nq_mean(X, hyp), np.full(X.shape[0], hyp.sf2)
-    if post.n > 0:
+    if post.train.n > 0:
         Ks = se_kernel_matrix(post.train.X, X, hyp)
-        mean = mean + Ks.T @ post.alpha
-        U = solve_triangular(post.L, Ks, lower=True, check_finite=False)
+        mean = mean + Ks.T @ post.alpha[0]
+        U = solve_triangular(post.L[0], Ks, lower=True, check_finite=False)
         var = var - np.sum(U * U, axis=0)
     return mean, np.maximum(var, 0.0)
 
 
 def per_draw_variance(vp, post):
-    """One draw's clamped posterior variance of E_q[f]."""
-    hyp = post.hyp
-    z = z_matrix(vp, HyperparamSampleSet([post]))[0][0]
+    """A one-draw set's clamped posterior variance of E_q[f]."""
+    hyp = post.hyps[0]
+    z = z_matrix(vp, post)[0][0]
     lam_k = (2.0 * math.pi) ** (0.5 * vp.D) * float(np.prod(hyp.ell))
     s2sum = vp.sigma[:, None] ** 2 + vp.sigma[None, :] ** 2
     rho2 = hyp.ell**2 + s2sum[:, :, None] * vp.lam**2
@@ -72,7 +114,7 @@ def per_draw_variance(vp, post):
         np.log(rho2) + diff**2 / rho2, axis=2
     )
     J = lam_k * hyp.sf2 * np.exp(logn)
-    if post.n > 0:
-        U = lam_k * solve_triangular(post.L, z.T, lower=True)
+    if post.train.n > 0:
+        U = lam_k * solve_triangular(post.L[0], z.T, lower=True)
         J = J - U.T @ U
     return max(float(vp.w @ J @ vp.w), 0.0)

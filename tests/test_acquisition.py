@@ -14,8 +14,6 @@ from vbmc.acquisition import (
 from vbmc.cmaes import cma_maximize
 from vbmc.gp import (
     GPHyperparams,
-    GPPosterior,
-    HyperparamSampleSet,
     TrainingSet,
     gp_fit,
 )
@@ -33,10 +31,9 @@ def fitted_context(kind="pro", gap=True):
     else:
         xs = np.linspace(-2, 2, 9)
     y = -0.5 * xs**2
-    post = gp_fit(TrainingSet(xs[:, None], y), hyp)
-    samples = HyperparamSampleSet([post])
+    samples = gp_fit(TrainingSet(xs[:, None], y), [hyp])
     vp = VariationalPosterior([1.0], [[0.0]], [1.0], [1.0])
-    lo, hi = search_box(post.train)
+    lo, hi = search_box(samples.train)
     return AcquisitionContext(samples, vp, lo, hi, kind=kind)
 
 
@@ -49,7 +46,7 @@ def fixed_variance(var):
     hyp = GPHyperparams(
         log_ell=[0.0], log_sf=0.0, log_sobs=-4.0, m0=0.0, x_m=[0.0], log_omega=[0.0]
     )
-    samples = HyperparamSampleSet([GPPosterior.prior(hyp, 1)])
+    samples = gp_fit(TrainingSet(np.empty((0, 1)), np.empty(0)), [hyp])
     samples.sf2 = np.array([float(var)])
     return samples
 
@@ -128,10 +125,10 @@ class TestAcquisitionValues:
         )
         xs = np.array([-2.0, -1.0, 1.0, 2.0])
         y = np.array([1.5, 1.5, -1.5, -1.5])  # high mean on the left
-        post = gp_fit(TrainingSet(xs[:, None], y), hyp)
+        samples = gp_fit(TrainingSet(xs[:, None], y), [hyp])
         vp = VariationalPosterior([1.0], [[0.0]], [1.5], [1.0])
-        lo, hi = search_box(post.train)
-        ctx = AcquisitionContext(HyperparamSampleSet([post]), vp, lo, hi, "pro")
+        lo, hi = search_box(samples.train)
+        ctx = AcquisitionContext(samples, vp, lo, hi, "pro")
         left = np.exp(log_acquisition(ctx, np.array([-0.5])[None])[0])
         right = np.exp(log_acquisition(ctx, np.array([0.5])[None])[0])
         assert left > right

@@ -89,6 +89,22 @@ class TestInitialDesign:
         assert info.value.history == []
         assert eng.fevals == VBMCOptions().n_init
 
+    @pytest.mark.parametrize("max_fevals", [3, 5, 9])
+    def test_budget_below_initial_design_raises(self, max_fevals):
+        # the initial design alone would spend n_init = 10 evaluations
+        spec, *_ = conjugate_problem()
+        calls = []
+        inner = spec.log_joint
+        spec.log_joint = lambda x: calls.append(x) or inner(x)
+        with pytest.raises(ValueError, match=f"max_fevals={max_fevals} .*n_init=10"):
+            VBMC(spec, VBMCOptions(max_fevals=max_fevals))
+        assert calls == []
+
+    def test_budget_equal_to_initial_design_runs(self):
+        spec, *_ = conjugate_problem()
+        res = VBMC(spec, VBMCOptions(max_fevals=10)).run(seed=0)
+        assert res.fevals == 10
+
     def test_jacobian_corrected_values(self):
         spec, *_ = conjugate_problem()
         eng = VBMC(spec)

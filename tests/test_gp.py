@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from per_draw import per_draw_predict, random_sample_set
+from per_draw import (
+    draws,
+    per_draw_predict,
+    per_draw_update,
+    prior_set,
+    random_hyp,
+    random_sample_set,
+)
 from vbmc import gp as gpm
 from vbmc.gp import (
     GPHyperparams,
     GPHyperprior,
-    HyperparamSampleSet,
     TrainingSet,
     default_hyperparams,
     gp_fit,
@@ -35,11 +41,6 @@ def simple_hyp(D=1, log_ell=0.0, log_sf=0.0, log_sobs=-4.0, m0=0.0):
         x_m=np.zeros(D),
         log_omega=np.full(D, 2.0),
     )
-
-
-def predict(post, X):
-    """Predictive mean and variance of one draw through the batched path."""
-    return marginal_predict(HyperparamSampleSet([post]), X)
 
 
 def draw_gp_data(hyp, n, rng, box=3.0):
@@ -120,8 +121,8 @@ class TestPosterior:
     def test_single_point_interpolation(self):
         hyp = simple_hyp(log_sobs=math.log(1e-4))
         train = TrainingSet([[0.5]], [2.0])
-        post = gp_fit(train, hyp)
-        mean, var = predict(post, [[0.5]])
+        post = gp_fit(train, [hyp])
+        mean, var = marginal_predict(post, [[0.5]])
         # closed form for one point: f = m + k/(k+s2) (y - m)
         s2 = hyp.sobs**2
         expected_mean = nq_mean([[0.5]], hyp)[0] + 1.0 / (1.0 + s2) * (
@@ -135,22 +136,22 @@ class TestPosterior:
         rng = np.random.default_rng(1)
         hyp = simple_hyp(D=2, log_sobs=math.log(1e-4))
         train = draw_gp_data(hyp, 12, rng, box=1.5)
-        post = gp_fit(train, hyp)
-        mean, _ = predict(post, train.X)
+        post = gp_fit(train, [hyp])
+        mean, _ = marginal_predict(post, train.X)
         assert np.max(np.abs(mean - train.y)) <= 3 * hyp.sobs
 
     def test_two_point_brute_force(self):
         hyp = simple_hyp(log_sobs=math.log(0.05), m0=-0.5)
         X = np.array([[0.0], [1.3]])
         y = np.array([0.7, -0.2])
-        post = gp_fit(TrainingSet(X, y), hyp)
+        post = gp_fit(TrainingSet(X, y), [hyp])
         xs = np.array([[0.4]])
         Kxx = se_kernel_matrix(X, X, hyp) + hyp.sobs**2 * np.eye(2)
         ks = se_kernel_matrix(X, xs, hyp)[:, 0]
         w = np.linalg.inv(Kxx) @ (y - nq_mean(X, hyp))
         mean_bf = nq_mean(xs, hyp)[0] + ks @ w
         var_bf = hyp.sf2 - ks @ np.linalg.inv(Kxx) @ ks
-        mean, var = predict(post, xs)
+        mean, var = marginal_predict(post, xs)
         assert mean[0] == pytest.approx(mean_bf, abs=1e-10)
         assert var[0] == pytest.approx(var_bf, abs=1e-10)
 
@@ -158,23 +159,23 @@ class TestPosterior:
         hyp = simple_hyp(D=2)
         rng = np.random.default_rng(2)
         train = draw_gp_data(hyp, 8, rng, box=1.0)
-        post = gp_fit(train, hyp)
+        post = gp_fit(train, [hyp])
         far = np.array([[60.0, -55.0]])
-        mean, var = predict(post, far)
+        mean, var = marginal_predict(post, far)
         assert mean[0] == pytest.approx(nq_mean(far, hyp)[0], abs=1e-9)
         assert var[0] == pytest.approx(hyp.sf2, rel=1e-9)
 
     def test_variance_shrinks_at_data(self):
         hyp = simple_hyp()
-        post = gp_fit(TrainingSet([[0.0]], [1.0]), hyp)
-        _, v_at = predict(post, [[0.0]])
-        _, v_far = predict(post, [[30.0]])
+        post = gp_fit(TrainingSet([[0.0]], [1.0]), [hyp])
+        _, v_at = marginal_predict(post, [[0.0]])
+        _, v_far = marginal_predict(post, [[30.0]])
         assert v_at[0] <= v_far[0]
 
     def test_prior_posterior_empty(self):
         hyp = simple_hyp(D=2, m0=0.7)
-        post = gpm.GPPosterior.prior(hyp, 2)
-        mean, var = predict(post, [[1.0, 2.0]])
+        post = prior_set([hyp], 2)
+        mean, var = marginal_predict(post, [[1.0, 2.0]])
         assert mean[0] == pytest.approx(nq_mean([[1.0, 2.0]], hyp)[0])
         assert var[0] == pytest.approx(hyp.sf2)
 
@@ -183,11 +184,11 @@ class TestPosterior:
         hyp = simple_hyp(D=2, log_sobs=-3.0)
         train = draw_gp_data(hyp, 15, rng)
         perm = rng.permutation(15)
-        post1 = gp_fit(train, hyp)
-        post2 = gp_fit(TrainingSet(train.X[perm], train.y[perm]), hyp)
+        post1 = gp_fit(train, [hyp])
+        post2 = gp_fit(TrainingSet(train.X[perm], train.y[perm]), [hyp])
         xs = rng.uniform(-3, 3, size=(40, 2))
-        m1, v1 = predict(post1, xs)
-        m2, v2 = predict(post2, xs)
+        m1, v1 = marginal_predict(post1, xs)
+        m2, v2 = marginal_predict(post2, xs)
         assert np.allclose(m1, m2, atol=1e-8)
         assert np.allclose(v1, v2, atol=1e-8)
 
@@ -201,9 +202,9 @@ class TestPosterior:
                 log_sobs=rng.uniform(-6, -2),
             )
             train = draw_gp_data(hyp, 25, rng)
-            post = gp_fit(train, hyp)
+            post = gp_fit(train, [hyp])
             xs = rng.uniform(-4, 4, size=(2000, 2))
-            _, var = predict(post, xs)
+            _, var = marginal_predict(post, xs)
             assert np.all(var >= 0)
 
 
@@ -213,15 +214,15 @@ class TestRank1Update:
         hyp = simple_hyp(D=2, log_sobs=-3.0)
         for _ in range(5):
             train = draw_gp_data(hyp, 5, rng)
-            post = gp_fit(train, hyp)
+            post = gp_fit(train, [hyp])
             xs = rng.uniform(-3, 3, size=(100, 2))
             for _ in range(3):
                 x_new = rng.uniform(-3, 3, size=2)
                 y_new = rng.normal()
                 post = post.with_point(x_new, y_new)
-                refit = gp_fit(post.train, hyp)
-                m1, v1 = predict(post, xs)
-                m2, v2 = predict(refit, xs)
+                refit = gp_fit(post.train, [hyp])
+                m1, v1 = marginal_predict(post, xs)
+                m2, v2 = marginal_predict(refit, xs)
                 assert np.allclose(m1, m2, atol=1e-8)
                 assert np.allclose(v1, v2, atol=1e-8)
 
@@ -229,24 +230,82 @@ class TestRank1Update:
         rng = np.random.default_rng(6)
         hyp = simple_hyp(D=2)
         train = draw_gp_data(hyp, 10, rng, box=1.0)
-        post = gp_fit(train, hyp)
+        post = gp_fit(train, [hyp])
         xs = rng.uniform(-1, 1, size=(50, 2))
-        m_before, v_before = predict(post, xs)
+        m_before, v_before = marginal_predict(post, xs)
         post2 = post.with_point(np.array([80.0, 80.0]), 0.3)
-        m_after, v_after = predict(post2, xs)
+        m_after, v_after = marginal_predict(post2, xs)
         assert np.allclose(m_before, m_after, atol=1e-6)
         assert np.allclose(v_before, v_after, atol=1e-6)
 
     def test_variance_at_inserted_point(self):
         hyp = simple_hyp(D=1, log_sobs=math.log(1e-3))
-        post = gp_fit(TrainingSet([[0.0]], [0.5]), hyp)
+        post = gp_fit(TrainingSet([[0.0]], [0.5]), [hyp])
         post2 = post.with_point(np.array([2.0]), -0.1)
-        _, var = predict(post2, [[2.0]])
+        _, var = marginal_predict(post2, [[2.0]])
         assert var[0] < 10 * hyp.sobs**2 + 1e-6
+
+    @pytest.mark.parametrize("S", [1, 6])
+    @pytest.mark.parametrize("updates", [0, 1, 2, 3])
+    def test_batched_update_matches_per_draw(self, S, updates):
+        rng = np.random.default_rng(10 * S + updates)
+        samples = random_sample_set(rng, S, n=15, D=2, updates=updates)
+        x_new, y_new = rng.uniform(-2, 2, size=2), rng.normal()
+        updated = samples.with_point(x_new, y_new)
+        # the two memory orders: Fortran blocks after a fit, a C stack after an update
+        if updates == 0:
+            assert all(L.flags.f_contiguous for L in samples.L)
+        assert updated.L.flags.c_contiguous
+        for s in range(S):
+            L, jitter, alpha, refit = per_draw_update(samples, s, x_new, y_new)
+            assert not refit
+            assert np.array_equal(updated.L[s], L)
+            assert np.array_equal(updated.alpha[s], alpha)
+            assert updated.jitter[s] == jitter
+
+    def test_lost_pivot_refits_the_draw(self, monkeypatch):
+        # tiny noise and a large output scale: bordering a near-duplicate
+        # point leaves a pivot of order sobs^2 = 1e-10 against rounding of
+        # order eps * sf2 = 2e-9, so some draws lose positive definiteness;
+        # their refits need jitter, which the second point's pivots include
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-1, 1, size=(20, 2))
+        y = rng.normal(size=20)
+        hyps = []
+        for _ in range(6):
+            h = random_hyp(rng, 2, log_sobs=math.log(1e-5))
+            hyps.append(
+                GPHyperparams(h.log_ell + 1.0, 8.0, h.log_sobs, h.m0, h.x_m, h.log_omega)
+            )
+        samples = gp_fit(TrainingSet(X, y), hyps)
+        factor_gram = gpm._factor_gram
+        refits = []
+
+        def spy(train, hyp):
+            refits[-1].append(hyp)
+            return factor_gram(train, hyp)
+
+        for x_new, y_new in [(X[3] + 1e-6, 0.1), (X[5] + 1e-6, 0.2)]:
+            refits.append([])
+            monkeypatch.setattr(gpm, "_factor_gram", spy)
+            updated = samples.with_point(x_new, y_new)
+            monkeypatch.setattr(gpm, "_factor_gram", factor_gram)
+            # the reference refits a draw with a fresh gp_fit
+            expected = [per_draw_update(samples, s, x_new, y_new) for s in range(6)]
+            assert refits[-1] == [h for h, e in zip(hyps, expected) if e[3]]
+            for s, (L, jitter, alpha, refit) in enumerate(expected):
+                if refit:
+                    assert updated.lml[s] == gp_fit(updated.train, [hyps[s]]).lml[0]
+                assert np.array_equal(updated.L[s], L)
+                assert np.array_equal(updated.alpha[s], alpha)
+                assert updated.jitter[s] == jitter
+            samples = updated
+            if len(refits) == 1:
+                assert refits[0] and np.any(samples.jitter > 0)
 
     def test_duplicate_rejected(self):
         hyp = simple_hyp()
-        post = gp_fit(TrainingSet([[1.0]], [0.0]), hyp)
+        post = gp_fit(TrainingSet([[1.0]], [0.0]), [hyp])
         with pytest.raises(ValueError, match="duplicate"):
             post.train.with_point(np.array([1.0]), 0.2)
 
@@ -257,7 +316,7 @@ class TestMarginalLikelihood:
         hyp = simple_hyp(D=2, log_sobs=-2.0, m0=0.3)
         train = draw_gp_data(hyp, 12, rng)
         lml = log_marginal_likelihood(train, hyp)
-        assert lml == gp_fit(train, hyp).lml
+        assert lml == gp_fit(train, [hyp]).lml[0]
         cov = se_kernel_matrix(train.X, train.X, hyp) + hyp.sobs**2 * np.eye(12)
         ref = stats.multivariate_normal(nq_mean(train.X, hyp), cov).logpdf(train.y)
         assert lml == pytest.approx(ref, rel=1e-10)
@@ -266,7 +325,7 @@ class TestMarginalLikelihood:
         hyp = simple_hyp(D=2)
         empty = TrainingSet(np.empty((0, 2)), np.empty(0))
         assert log_marginal_likelihood(empty, hyp) == 0.0
-        assert gpm.GPPosterior.prior(hyp, 2).lml == 0.0
+        assert gp_fit(empty, [hyp]).lml[0] == 0.0
 
     def test_jitter_escalation_reports_largest_jitter(self, monkeypatch):
         attempts = []
@@ -279,7 +338,7 @@ class TestMarginalLikelihood:
         hyp = simple_hyp(D=1, log_sf=0.5, log_sobs=-2.0)
         train = TrainingSet([[0.0], [1.0], [2.5]], [0.1, 0.4, -0.3])
         with pytest.raises(gpm.GPTrainingError) as info:
-            gp_fit(train, hyp)
+            gp_fit(train, [hyp])
         assert len(attempts) == 6
         # zero, then 1e-10 .. 1e-6 times tr(K)/n = sf2 + sobs^2
         base = hyp.sf2 + hyp.sobs**2
@@ -365,7 +424,7 @@ class TestHyperparameterInference:
         train = draw_gp_data(true, 40, rng)
         samples = sample_hyperparameters(train, 8, default_hyperparams(train), rng)
         prior = GPHyperprior(train)
-        log_ells = np.array([p.hyp.log_ell[0] for p in samples])
+        log_ells = np.array([h.log_ell[0] for h in samples.hyps])
         assert abs(np.median(log_ells) - true.log_ell[0]) < prior.scale[0]
 
     def test_map_no_decrease_from_optimum(self):
@@ -415,7 +474,7 @@ class TestMarginalPredict:
         samples = random_sample_set(rng, S, n=15, D=2, updates=updates)
         queries = [rng.uniform(-3, 3, size=(rows, 2)) for rows in [1] * 20 + [2, 40]]
         for xs in queries:
-            parts = [per_draw_predict(post, xs) for post in samples]
+            parts = [per_draw_predict(post, xs) for post in draws(samples)]
             means = np.array([m for m, _ in parts])
             var = np.array([v for _, v in parts]).mean(axis=0)
             if S > 1:
@@ -426,19 +485,17 @@ class TestMarginalPredict:
 
     def test_two_identical_samples(self):
         hyp = simple_hyp()
-        post = gp_fit(TrainingSet([[0.0]], [1.0]), hyp)
-        samples = HyperparamSampleSet([post, post])
+        post = gp_fit(TrainingSet([[0.0]], [1.0]), [hyp])
+        samples = gp_fit(post.train, [hyp, hyp])
         xs = np.array([[0.5]])
         m, v = marginal_predict(samples, xs)
-        m1, v1 = predict(post, xs)
+        m1, v1 = marginal_predict(post, xs)
         assert m[0] == pytest.approx(m1[0])
         assert v[0] == pytest.approx(v1[0])
 
     def test_between_sample_variance_added(self):
         # prior draws at their mean's maximum x_m = 0: mean m0, variance sf2 = 1
-        samples = HyperparamSampleSet(
-            [gpm.GPPosterior.prior(simple_hyp(m0=m0), 1) for m0 in (0.0, 2.0)]
-        )
+        samples = prior_set([simple_hyp(m0=m0) for m0 in (0.0, 2.0)])
         m, v = marginal_predict(samples, np.zeros((1, 1)))
         assert m[0] == pytest.approx(1.0)
         assert v[0] == pytest.approx(1.0 + np.var([0.0, 2.0], ddof=1))

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from vbmc.gp import GPHyperparams, HyperparamSampleSet, TrainingSet, gp_fit
+from vbmc.gp import GPHyperparams, TrainingSet, gp_fit
 from vbmc.optim import (
+    ALPHA_MIN,
+    TAU,
     AdamState,
     OptimOptions,
     adam_step,
@@ -33,8 +35,7 @@ def conjugate_gaussian_samples(mean=0.4, sd=0.6, n=25, span=4.0):
         x_m=[mean],
         log_omega=[math.log(2.0)],
     )
-    post = gp_fit(TrainingSet(X, y), hyp)
-    return HyperparamSampleSet([post])
+    return gp_fit(TrainingSet(X, y), [hyp])
 
 
 class TestLearningRate:
@@ -42,12 +43,12 @@ class TestLearningRate:
         st = AdamState.fresh(1, alpha_max=0.1)
         assert learning_rate(st) == pytest.approx(0.1)
         st.t = 10**9
-        assert learning_rate(st) == pytest.approx(st.alpha_min)
+        assert learning_rate(st) == pytest.approx(ALPHA_MIN)
 
     def test_value_at_tau(self):
         st = AdamState.fresh(1, alpha_max=0.1)
-        st.t = int(st.tau)
-        expected = st.alpha_min + (0.1 - st.alpha_min) / math.e
+        st.t = int(TAU)
+        expected = ALPHA_MIN + (0.1 - ALPHA_MIN) / math.e
         assert learning_rate(st) == pytest.approx(expected)
 
 

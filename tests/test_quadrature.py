@@ -5,11 +5,9 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from oracles import oracle_g_mean, oracle_g_var
-from per_draw import per_draw_variance, random_sample_set
+from per_draw import draws, per_draw_variance, prior_set, random_sample_set
 from vbmc.gp import (
     GPHyperparams,
-    GPPosterior,
-    HyperparamSampleSet,
     TrainingSet,
     gp_fit,
     se_kernel_matrix,
@@ -40,7 +38,7 @@ def single_vp(D=1, mu=0.0, sigma=1.0, lam=1.0):
 
 
 def random_case(rng, D, K, n):
-    """A random fitted GP and mixture with grid-friendly length scales."""
+    """A random one-draw GP fit and mixture with grid-friendly length scales."""
     hyp = make_hyp(
         D,
         log_ell=rng.uniform(math.log(0.4), math.log(1.2), size=D),
@@ -52,7 +50,7 @@ def random_case(rng, D, K, n):
     )
     X = rng.uniform(-2.5, 2.5, size=(n, D))
     y = rng.normal(0.0, 1.0, size=n)
-    post = gp_fit(TrainingSet(X, y), hyp)
+    post = gp_fit(TrainingSet(X, y), [hyp])
     vp = VariationalPosterior(
         rng.dirichlet(np.ones(K)),
         rng.uniform(-1.5, 1.5, size=(K, D)),
@@ -62,41 +60,39 @@ def random_case(rng, D, K, n):
     return vp, post
 
 
-def one_draw(vp, post, grad=False):
-    """Mean, gradient and per-component integrals under a single draw."""
-    samples = HyperparamSampleSet([post])
+def one_draw(vp, samples, grad=False):
+    """Mean, gradient and per-component integrals under a one-draw set."""
     means, grads, i_k = expected_log_joint(
         vp, samples, *z_matrix(vp, samples), grad=grad
     )
     return means[0], None if grads is None else grads[0], i_k[0]
 
 
-def one_draw_variance(vp, post):
-    samples = HyperparamSampleSet([post])
+def one_draw_variance(vp, samples):
     return expected_log_joint_variance(vp, samples, z_matrix(vp, samples)[0])[0]
 
 
 class TestZMatrix:
     def test_coincident_component_and_point(self):
         hyp = make_hyp()
-        post = gp_fit(TrainingSet([[0.3]], [1.0]), hyp)
-        z, _ = z_matrix(single_vp(mu=0.3), HyperparamSampleSet([post]))
+        post = gp_fit(TrainingSet([[0.3]], [1.0]), [hyp])
+        z, _ = z_matrix(single_vp(mu=0.3), post)
         assert z[0, 0, 0] == pytest.approx(1.0 / (math.sqrt(2 * math.pi) * math.sqrt(2.0)))
 
     def test_zero_scale_limit_is_kernel_density(self):
         hyp = make_hyp()
-        post = gp_fit(TrainingSet([[1.0]], [0.5]), hyp)
+        post = gp_fit(TrainingSet([[1.0]], [0.5]), [hyp])
         vp = single_vp(mu=0.2, sigma=1e-8)
-        z, _ = z_matrix(vp, HyperparamSampleSet([post]))
+        z, _ = z_matrix(vp, post)
         # sf2 * N(mu; x_p, ell^2)
         expected = (1.0 / math.sqrt(2 * math.pi)) * math.exp(-0.5 * 0.8**2)
         assert z[0, 0, 0] == pytest.approx(expected, rel=1e-8)
 
     def test_matches_numerical_quadrature(self):
         hyp = make_hyp(log_ell=[0.2], log_sf=0.3)
-        post = gp_fit(TrainingSet([[0.7]], [0.0]), hyp)
+        post = gp_fit(TrainingSet([[0.7]], [0.0]), [hyp])
         vp = single_vp(mu=-0.4, sigma=0.8, lam=1.1)
-        z, _ = z_matrix(vp, HyperparamSampleSet([post]))
+        z, _ = z_matrix(vp, post)
 
         def integrand(x):
             dens = math.exp(-0.5 * ((x + 0.4) / 0.88) ** 2) / (
@@ -113,7 +109,7 @@ class TestZMatrix:
 class TestExpectedLogJoint:
     def test_prior_only_single_component(self):
         hyp = make_hyp(m0=0.0)
-        post = GPPosterior.prior(hyp, 1)
+        post = prior_set([hyp])
         vp = single_vp(mu=0.0, sigma=1.0, lam=1.0)
         mean, _, _ = one_draw(vp, post)
         assert mean == pytest.approx(-0.5)
@@ -121,7 +117,7 @@ class TestExpectedLogJoint:
     def test_matches_brute_force_quadrature(self):
         rng = np.random.default_rng(0)
         hyp = make_hyp(log_ell=[-0.2], log_sf=0.2, m0=-0.3, log_omega=[0.8])
-        post = gp_fit(TrainingSet([[-1.0], [0.2], [1.1]], [0.5, 1.2, 0.3]), hyp)
+        post = gp_fit(TrainingSet([[-1.0], [0.2], [1.1]], [0.5, 1.2, 0.3]), [hyp])
         vp = single_vp(mu=0.3, sigma=0.7, lam=1.0)
         mean, _, _ = one_draw(vp, post)
         assert mean == pytest.approx(oracle_g_mean(vp, post), rel=1e-6)
@@ -159,7 +155,7 @@ class TestVariance:
         # unit scales (the normalized-Gaussian form 1/sqrt(6 pi) times the
         # kernel normalizer sqrt(2 pi)); cross-checked by the grid oracle
         hyp = make_hyp()
-        post = GPPosterior.prior(hyp, 1)
+        post = prior_set([hyp])
         var = one_draw_variance(single_vp(), post)
         assert var == pytest.approx(1.0 / math.sqrt(3.0))
         assert var == pytest.approx(oracle_g_var(single_vp(), post), rel=1e-6)
@@ -179,9 +175,9 @@ class TestVariance:
         prev = np.inf
         for n in [0, 3, 6, 12]:
             post = (
-                GPPosterior.prior(hyp, 1)
+                prior_set([hyp])
                 if n == 0
-                else gp_fit(TrainingSet(X[:n], y[:n]), hyp)
+                else gp_fit(TrainingSet(X[:n], y[:n]), [hyp])
             )
             var = one_draw_variance(vp, post)
             assert var <= prev + 1e-12
@@ -200,8 +196,7 @@ class TestELBO:
     def test_single_sample_matches_direct_computation(self):
         rng = np.random.default_rng(6)
         vp, post = random_case(rng, D=1, K=2, n=5)
-        samples = HyperparamSampleSet([post])
-        est = elbo(vp, samples, 2**12, np.random.default_rng(7))
+        est = elbo(vp, post, 2**12, np.random.default_rng(7))
         mean, _, _ = one_draw(vp, post)
         var = one_draw_variance(vp, post)
         assert est.g_mean == pytest.approx(mean)
@@ -212,8 +207,8 @@ class TestELBO:
         rng = np.random.default_rng(8)
         vp, post1 = random_case(rng, D=1, K=1, n=5)
         hyp2 = make_hyp(log_ell=[0.3], log_sf=0.1)
-        post2 = gp_fit(post1.train, hyp2)
-        res = quadrature(vp, HyperparamSampleSet([post1, post2]))
+        post2 = gp_fit(post1.train, [hyp2])
+        res = quadrature(vp, gp_fit(post1.train, [post1.hyps[0], hyp2]))
         m1, _, _ = one_draw(vp, post1)
         m2, _, _ = one_draw(vp, post2)
         assert res.g_mean == pytest.approx(0.5 * (m1 + m2))
@@ -238,16 +233,16 @@ class TestELBO:
             log_ell=[math.log(0.7)], log_sf=math.log(5.0),
             log_sobs=math.log(1e-4), m0=float(y.max()), log_omega=[math.log(2.0)],
         )
-        post = gp_fit(TrainingSet(X, y), hyp)
+        post = gp_fit(TrainingSet(X, y), [hyp])
         vp = single_vp(mu=post_mean, sigma=math.sqrt(post_var), lam=1.0)
-        est = elbo(vp, HyperparamSampleSet([post]), 2**15, np.random.default_rng(9))
+        est = elbo(vp, post, 2**15, np.random.default_rng(9))
         assert est.elbo_mean <= lml + 3 * est.elbo_sd + 1e-3
         assert est.elbo_mean == pytest.approx(lml, abs=0.05)
 
     def test_elcbo_values(self):
         rng = np.random.default_rng(10)
         vp, post = random_case(rng, D=1, K=1, n=4)
-        est = elbo(vp, HyperparamSampleSet([post]), 256, np.random.default_rng(11))
+        est = elbo(vp, post, 256, np.random.default_rng(11))
         assert est.elcbo(0.0) == pytest.approx(est.elbo_mean)
         assert est.elcbo(3.0) == pytest.approx(est.elbo_mean - 3 * est.elbo_sd)
         for beta in [0.0, 1.0, 3.0, 5.0]:
@@ -270,10 +265,10 @@ class TestBatchedSet:
             rng.uniform(0.5, 1.2, size=K),
             rng.uniform(0.7, 1.3, size=2),
         )
-        parts = [one_draw(vp, post, grad=True) for post in samples]
+        parts = [one_draw(vp, post, grad=True) for post in draws(samples)]
         means = np.array([m for m, _, _ in parts])
         grads = np.array([g for _, g, _ in parts])
-        variances = np.array([per_draw_variance(vp, post) for post in samples])
+        variances = np.array([per_draw_variance(vp, post) for post in draws(samples)])
         between = float(np.var(means, ddof=1)) if S > 1 else 0.0
         res = quadrature(vp, samples, grad=True)
         assert res.g_mean == float(means.mean())

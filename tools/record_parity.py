@@ -1,0 +1,93 @@
+"""Compare the benchmark records of two checkouts, run by run.
+
+    python3 tools/record_parity.py SRC_A SRC_B [--workload lumpy-d2 ...] [--run-seeds 0,1,2]
+
+SRC_A and SRC_B are checkout roots. Each runs in its own child process at
+one BLAS thread, importing its own ``src`` and ``perfbench/workloads.py``,
+and calls ``execute_run`` for the chosen ``WORKLOADS`` entries (all of them
+by default) at their run seeds, or at ``--run-seeds``. Each run prints
+``content_equal`` when the two records agree apart from wall time, or else
+the first checkpoint that differs with both sides' ``lml_err``, ``gskl``
+and variance-clamp counts (GP predictive / quadrature). Exits 1 on any
+difference.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+
+def child(root, names, seeds):
+    """Run the workloads of the checkout at ``root``; print the records as JSON."""
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import workloads
+
+    out = {}
+    for name in names or list(workloads.WORKLOADS):
+        w = workloads.WORKLOADS[name]
+        out[name] = {}
+        for seed in seeds or w.run_seeds:
+            o = workloads.run_once(w, seed)
+            record = o.record.to_json() if o.record else None
+            out[name][seed] = [record, o.gp_clamps, o.quad_clamps, o.reasons]
+    print(json.dumps(out))
+
+
+def start(root, args):
+    env = {k: v for k, v in os.environ.items() if k != "VBMC_WORKERS"}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cmd = [sys.executable, os.path.abspath(__file__), "--child", os.path.abspath(root)]
+    cmd += ["--workload", *args.workload] if args.workload else []
+    cmd += ["--run-seeds", ",".join(map(str, args.run_seeds))] if args.run_seeds else []
+    return subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, env=env)
+
+
+def compare(a, b):
+    (ra, ga, qa, why_a), (rb, gb, qb, why_b) = a, b
+    if ra is None or rb is None:
+        return f"a run failed: A {why_a or 'ok'}; B {why_b or 'ok'}"
+    ra.pop("wall_time")
+    rb.pop("wall_time")
+    if ra == rb:
+        return "content_equal"
+    cps = list(zip(ra["checkpoints"], rb["checkpoints"]))
+    i = next((i for i, (x, y) in enumerate(cps) if x != y), len(cps))
+    where = f"checkpoint {i} (fevals {cps[i][0][0]} vs {cps[i][1][0]})" if i < len(cps) else "final"
+    fa, fb = ra["final"], rb["final"]
+    return (
+        f"differs from {where}; lml_err {fa['lml_err']:.6g} vs {fb['lml_err']:.6g}, "
+        f"gskl {fa['gskl']:.6g} vs {fb['gskl']:.6g}, fevals {fa['fevals']} vs {fb['fevals']}, "
+        f"clamps {ga}/{qa} vs {gb}/{qb}"
+    )
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("roots", nargs="*", metavar="SRC")
+    parser.add_argument("--workload", nargs="+", default=None)
+    parser.add_argument("--run-seeds", type=lambda s: [int(x) for x in s.split(",")])
+    parser.add_argument("--child", default=None, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        return child(args.child, args.workload, args.run_seeds)
+    if len(args.roots) != 2:
+        parser.error("give two checkout roots, SRC_A and SRC_B")
+    procs = [start(root, args) for root in args.roots]
+    outs = [p.communicate()[0] for p in procs]
+    if any(p.returncode for p in procs):
+        sys.exit("a child process failed")
+    a, b = (json.loads(o.splitlines()[-1]) for o in outs)
+    verdicts = [
+        (name, seed, compare(a[name][seed], b[name][seed]))
+        for name in a
+        for seed in a[name]
+    ]
+    for name, seed, verdict in verdicts:
+        print(f"{name} seed {seed}: {verdict}")
+    return 0 if all(v == "content_equal" for *_, v in verdicts) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
