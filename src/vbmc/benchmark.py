@@ -12,9 +12,7 @@ per-iteration metrics, and summarizes medians with bootstrap intervals.
 import csv
 import json
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -432,16 +430,14 @@ def execute_run(family, D, problem_seed, run_seed, acq, budget_multiplier, meta_
     )
 
 
-def _execute_run_tuple(args):
-    return execute_run(*args)
-
-
 def run_benchmark(config, progress=None):
     """Execute the sweep and append records to ``config.out`` (JSON lines).
 
     Ground truth is cross-checked once per problem before any run. Runs
-    use ``VBMC_WORKERS`` processes (default 1). Records are written in
-    deterministic task order regardless of worker count.
+    go one after another in task order, and each record is appended as its
+    run ends, so a failing run keeps the earlier records.
+    A sweep is sharded by starting several processes with disjoint
+    ``seeds``.
     """
     tasks = []
     for family in config.families:
@@ -460,25 +456,15 @@ def run_benchmark(config, progress=None):
                      config.budget_multiplier, config.meta_seed)
                 )
 
-    workers = int(os.environ.get("VBMC_WORKERS") or 1)
     records = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rec in pool.map(_execute_run_tuple, tasks):
-                records.append(rec)
-                if progress:
-                    progress(rec)
-    else:
-        for task in tasks:
-            rec = _execute_run_tuple(task)
-            records.append(rec)
-            if progress:
-                progress(rec)
-
-    if config.out:
-        with open(config.out, "a") as fh:
-            for rec in records:
+    for task in tasks:
+        rec = execute_run(*task)
+        records.append(rec)
+        if config.out:
+            with open(config.out, "a") as fh:
                 fh.write(json.dumps(rec.to_json()) + "\n")
+        if progress:
+            progress(rec)
     return records
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: problem generation, benchmark sweeps, inference."""
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -152,11 +153,21 @@ def _cmd_summarize(args):
 def _cmd_infer(args):
     with open(args.config) as fh:
         config = json.load(fh)
+    given = config.get("options", {})
+    allowed = [f.name for f in dataclasses.fields(VBMCOptions)]
+    unknown = sorted(set(given) - set(allowed))
+    if unknown:
+        print(
+            f"vbmc infer: unknown option(s) {', '.join(unknown)} in {args.config}; "
+            f"allowed: {', '.join(allowed)}",
+            file=sys.stderr,
+        )
+        return 2
+    options = VBMCOptions(**given)
     pspec = config["problem"]
     problem = make_problem(
         pspec["family"], int(pspec["D"]), int(pspec.get("seed", 0))
     )
-    options = VBMCOptions(**config.get("options", {}))
     x0 = config.get("x0")
     spec = problem.problem_spec(x0=np.asarray(x0, float) if x0 else None)
     if "bounds" in config:

@@ -29,13 +29,37 @@ from .gp import (
     optimize_hyperparameters,
     sample_hyperparameters,
 )
-from .optim import OptimOptions, optimize_elbo, select_starting_points
+from .optim import optimize_elbo, select_starting_points
 from .quadrature import elbo
 from .slice_sampler import SliceSamplingError
 from .transforms import ParameterTransform
 from .variational import VariationalPosterior, gaussian_skl
 
 logger = logging.getLogger("vbmc")
+
+N_INIT = 10  # evaluations in the initial design
+N_ACTIVE = 5  # evaluations per active-sampling batch
+INIT_SIGMA = 0.1  # component scale of the initial two-component posterior
+INIT_MU_JITTER = 0.1  # jitter of its means around x0
+BETA_LCB = 3.0  # ELCBO = ELBO - BETA_LCB * SD
+BETA_LCB_FALLBACK = 5.0  # conservative score of the fallback solution
+W_MIN = 0.01  # components below this weight are pruning candidates
+EPS_PRUNE = 0.01  # largest ELCBO change a kept pruning may cause
+N_ENTROPY_PRUNE = 2**13  # entropy draws per pruning trial
+N_FAST = 5  # starting candidates per component
+N_FAST_FIRST = 50  # the same on the first iteration and after warm-up
+N_RECENT = 4  # earlier iterations the ELCBO must beat for K to grow
+KMAX_POWER = 2.0 / 3.0  # K is capped at n_train**KMAX_POWER
+DELTA_SD = 0.1  # ELBO tolerance of the reliability features
+DELTA_KL_UNIT = 0.01  # sKL tolerance, scaled by sqrt(D)
+N_STABLE = 8  # iterations in the stability window
+DELTA_IMPRO = 0.01  # ELCBO slope below which the window counts as flat
+WARMUP_IMPROVEMENT = 1.0  # ELCBO gain below which a warm-up step is small
+WARMUP_PATIENCE = 3  # small gains in a row that end warm-up
+WARMUP_NGP_CAP = 8  # hyperparameter draws per iteration during warm-up
+TRIM_MULTIPLIER = 10.0  # the end of warm-up keeps y above max - TRIM_MULTIPLIER * D
+STOP_SAMPLING_FRAC = 0.1  # of DELTA_SD: between-draw ELBO SD that counts as settled
+STOP_SAMPLING_PATIENCE = 3  # settled iterations in a row before MAP hyperparameters
 
 __all__ = [
     "ProblemSpec",
@@ -82,41 +106,17 @@ class ProblemSpec:
 
 @dataclass
 class VBMCOptions:
-    """Algorithm settings; defaults follow the reference configuration."""
+    """Per-run settings: the budget, the acquisition and the diagnostics.
 
-    max_fevals: int | None = None  # defaults to 50 (D + 2)
-    n_init: int = 10
-    n_active: int = 5
+    ``max_fevals`` defaults to 50 (D + 2) evaluations, ``acq`` is ``"pro"``
+    or ``"us"``, and ``diag_gp_samples`` adds one diagnostics line per GP
+    hyperparameter draw. Every other value of the reference configuration is
+    a module constant of the one module that reads it (``core``, ``optim``,
+    ``acquisition``, ``gp``).
+    """
+
+    max_fevals: int | None = None
     acq: str = "pro"
-    beta_lcb: float = 3.0
-    beta_lcb_fallback: float = 5.0
-    w_min: float = 0.01
-    eps_prune: float = 0.01
-    n_recent: int = 4
-    n_stable: int = 8
-    delta_sd: float = 0.1
-    delta_kl_unit: float = 0.01  # scaled by sqrt(D)
-    delta_impro: float = 0.01
-    warmup_improvement: float = 1.0
-    warmup_patience: int = 3
-    warmup_ngp_cap: int = 8
-    trim_multiplier: float = 10.0  # scaled by D
-    kmax_power: float = 2.0 / 3.0
-    stop_sampling_frac: float = 0.1  # of delta_sd
-    stop_sampling_patience: int = 3
-    n_entropy: int = 100
-    n_entropy_readout: int = 2**15
-    n_entropy_prune: int = 2**13
-    adam_max_iter: int = 5000
-    alpha_max_warmup: float = 0.1
-    alpha_max_main: float = 0.01
-    n_fast: int = 5
-    n_fast_first: int = 50
-    acq_probes: int = 1000
-    cma_max_gen: int = 200
-    search_box_scale: float = 3.0
-    init_sigma: float = 0.1
-    init_mu_jitter: float = 0.1
     diag_gp_samples: bool = False
 
     def resolve_max_fevals(self, D):
@@ -192,14 +192,14 @@ class InferenceResult:
         return xs.mean(axis=0), np.cov(xs.T).reshape(self.vp.D, self.vp.D)
 
 
-def reliability_features(history, options, D):
+def reliability_features(history, D):
     """Reliability index and its three features for the newest record."""
     if len(history) < 2:
         return None, None
     cur, prev = history[-1], history[-2]
-    rho1 = abs(cur.elbo_mean - prev.elbo_mean) / options.delta_sd
-    rho2 = cur.elbo_sd / options.delta_sd
-    delta_kl = options.delta_kl_unit * math.sqrt(D)
+    rho1 = abs(cur.elbo_mean - prev.elbo_mean) / DELTA_SD
+    rho2 = cur.elbo_sd / DELTA_SD
+    delta_kl = DELTA_KL_UNIT * math.sqrt(D)
     try:
         skl = gaussian_skl(*cur.moments, *prev.moments)
     except np.linalg.LinAlgError:
@@ -209,15 +209,15 @@ def reliability_features(history, options, D):
     return float(np.mean(feats)), feats
 
 
-def termination_status(history, fevals, max_fevals, options, warmup, n_active):
+def termination_status(history, fevals, max_fevals, warmup):
     """(done, stable): long-term stability or exhausted budget."""
-    budget_done = fevals >= max_fevals or fevals + n_active > max_fevals
-    if warmup or len(history) < options.n_stable:
+    budget_done = fevals >= max_fevals or fevals + N_ACTIVE > max_fevals
+    if warmup or len(history) < N_STABLE:
         return budget_done, False
     cur = history[-1]
     if cur.rho_features is None or not all(f < 1.0 for f in cur.rho_features):
         return budget_done, False
-    window = history[-options.n_stable :]
+    window = history[-N_STABLE:]
     violations = sum(
         1 for r in window[:-1] if r.rho is None or r.rho >= 1.0
     )
@@ -226,26 +226,26 @@ def termination_status(history, fevals, max_fevals, options, warmup, n_active):
     ts = np.array([r.t for r in window], dtype=float)
     es = np.array([r.elcbo for r in window])
     slope = np.polyfit(ts, es, 1)[0]
-    if slope >= options.delta_impro:
+    if slope >= DELTA_IMPRO:
         return budget_done, False
     return True, True
 
 
-def warmup_should_end(elcbos, options):
-    """Warm-up ends after ``warmup_patience`` consecutive small improvements."""
-    if len(elcbos) < options.warmup_patience + 1:
+def warmup_should_end(elcbos):
+    """Warm-up ends after ``WARMUP_PATIENCE`` consecutive small improvements."""
+    if len(elcbos) < WARMUP_PATIENCE + 1:
         return False
-    improvements = np.diff(elcbos)[-options.warmup_patience :]
-    return bool(np.all(improvements < options.warmup_improvement))
+    improvements = np.diff(elcbos)[-WARMUP_PATIENCE:]
+    return bool(np.all(improvements < WARMUP_IMPROVEMENT))
 
 
-def k_schedule(history, K_current, n_train, options):
+def k_schedule(history, K_current, n_train):
     """Next component count: grow when improving/stable, clamp at n^(2/3)."""
-    k_max = max(2, math.ceil(n_train**options.kmax_power))
+    k_max = max(2, math.ceil(n_train**KMAX_POWER))
     K = K_current
     if len(history) >= 2:
         recent = history[-1]
-        window = history[-1 - options.n_recent : -1]
+        window = history[-1 - N_RECENT : -1]
         improving = bool(window) and recent.elcbo > max(r.elcbo for r in window)
         pruned_last = recent.pruned > 0
         if improving and not pruned_last:
@@ -265,13 +265,12 @@ class VBMC:
         self.transform = problem.transform()
         self.D = self.transform.D
         self.max_fevals = self.options.resolve_max_fevals(self.D)
-        if self.max_fevals < self.options.n_init:
+        if self.max_fevals < N_INIT:
             raise ValueError(
-                f"max_fevals={self.max_fevals} is below n_init={self.options.n_init}, "
+                f"max_fevals={self.max_fevals} is below n_init={N_INIT}, "
                 "the evaluations of the initial design"
             )
         self.fevals = 0
-        self.archive = []  # dicts: u, y (internal), ok
         self._consecutive_failures = 0
         self._history = []
 
@@ -280,8 +279,8 @@ class VBMC:
     def _evaluate(self, u):
         """Evaluate the log joint at internal coordinates ``u``.
 
-        Returns (y_internal, ok); non-finite values are archived and
-        excluded from the GP training data. An exception raised by the log
+        Returns (y_internal, ok); non-finite values are counted as failures
+        and excluded from the GP training data. An exception raised by the log
         joint ends the run with a :class:`VBMCError` carrying the history.
         """
         x = self.transform.to_original(u)
@@ -297,31 +296,23 @@ class VBMC:
         if np.isfinite(y_orig):
             y = y_orig - float(self.transform.log_jacobian(x))
             if np.isfinite(y):
-                self.archive.append({"u": np.array(u), "y": y, "ok": True})
                 self._consecutive_failures = 0
                 return y, True
         self._consecutive_failures += 1
         logger.warning("non-finite log joint at %s (failure #%d)",
                        np.array_str(np.asarray(x), precision=4),
                        self._consecutive_failures)
-        self.archive.append({"u": np.array(u), "y": None, "ok": False})
         return None, False
-
-    def _penalty_value(self):
-        ys = [a["y"] for a in self.archive if a["ok"]]
-        y_max = max(ys) if ys else 0.0
-        return y_max - self.options.trim_multiplier * self.D - 10.0
 
     # -- iteration pieces ----------------------------------------------
 
     def _initial_design(self, rng):
-        opts = self.options
         if self.problem.x0 is not None:
             u0 = self.transform.to_internal(np.asarray(self.problem.x0, float))
         else:
             u0 = rng.uniform(-0.5, 0.5, size=self.D)
         points = [u0] + [
-            rng.uniform(-0.5, 0.5, size=self.D) for _ in range(opts.n_init - 1)
+            rng.uniform(-0.5, 0.5, size=self.D) for _ in range(N_INIT - 1)
         ]
         X, y = [], []
         for u in points:
@@ -335,21 +326,17 @@ class VBMC:
         return TrainingSet(np.array(X), np.array(y))
 
     def _initial_vp(self, rng):
-        opts = self.options
-        mu = self._x0_internal + opts.init_mu_jitter * rng.standard_normal((2, self.D))
+        mu = self._x0_internal + INIT_MU_JITTER * rng.standard_normal((2, self.D))
         return VariationalPosterior(
-            [0.5, 0.5], mu, [opts.init_sigma, opts.init_sigma], np.ones(self.D)
+            [0.5, 0.5], mu, [INIT_SIGMA, INIT_SIGMA], np.ones(self.D)
         )
 
     def _active_sample_batch(self, train, samples, vp, rng):
-        opts = self.options
-        for _ in range(opts.n_active):
-            lo, hi = search_box(train, opts.search_box_scale)
-            ctx = AcquisitionContext(samples, vp, lo, hi, kind=opts.acq)
+        for _ in range(N_ACTIVE):
+            lo, hi = search_box(train)
+            ctx = AcquisitionContext(samples, vp, lo, hi, kind=self.options.acq)
             try:
-                u_next = optimize_acquisition(
-                    ctx, rng, n_probes=opts.acq_probes, max_gen=opts.cma_max_gen
-                )
+                u_next = optimize_acquisition(ctx, rng)
             except AcquisitionError:
                 logger.warning("degenerate acquisition; falling back to a uniform draw")
                 u_next = rng.uniform(-0.5, 0.5, size=self.D)
@@ -362,12 +349,8 @@ class VBMC:
                 samples = samples.with_point(u_next, y)
                 train = samples.train
             else:
-                logger.error(
-                    "excluding failed evaluation from the surrogate "
-                    "(recorded penalty %.1f)", self._penalty_value(),
-                )
-                self.archive[-1]["y"] = self._penalty_value()
-                if self._consecutive_failures >= 2 * opts.n_active:
+                logger.error("excluding failed evaluation from the surrogate")
+                if self._consecutive_failures >= 2 * N_ACTIVE:
                     raise VBMCError(
                         "repeated log-joint failures during active sampling",
                         history=self._history,
@@ -375,11 +358,10 @@ class VBMC:
         return train, samples
 
     def _update_hyperparameters(self, train, warmup, stop_sampling, rng):
-        opts = self.options
         if not stop_sampling:
             n_gp = n_gp_schedule(train.n)
             if warmup:
-                n_gp = min(n_gp, opts.warmup_ngp_cap)
+                n_gp = min(n_gp, WARMUP_NGP_CAP)
             try:
                 samples = sample_hyperparameters(train, n_gp, self._last_hyp, rng)
             except SliceSamplingError as err:
@@ -399,7 +381,6 @@ class VBMC:
         each removal renormalizes the remaining weights and is kept only
         if the ELCBO barely changes.
         """
-        opts = self.options
         pruned = 0
         order = rng.permutation(vp.K)
         removed = []
@@ -407,12 +388,12 @@ class VBMC:
             if vp.K == 1:
                 break
             k = int(orig_k - sum(1 for r in removed if r < orig_k))
-            if vp.w[k] >= opts.w_min:
+            if vp.w[k] >= W_MIN:
                 continue
             vp_try = vp.without_component(k)
-            est_try = elbo(vp_try, samples, opts.n_entropy_prune, rng)
-            change = abs(est_try.elcbo(opts.beta_lcb) - est.elcbo(opts.beta_lcb))
-            if change < opts.eps_prune:
+            est_try = elbo(vp_try, samples, N_ENTROPY_PRUNE, rng)
+            change = abs(est_try.elcbo(BETA_LCB) - est.elcbo(BETA_LCB))
+            if change < EPS_PRUNE:
                 vp, est = vp_try, est_try
                 removed.append(orig_k)
                 pruned += 1
@@ -433,7 +414,6 @@ class VBMC:
 
     def _iterate(self, rng, diag):
         """The main loop of :meth:`run`; returns the assembled result."""
-        opts = self.options
         self._history = []
 
         train = self._initial_design(rng)
@@ -461,21 +441,14 @@ class VBMC:
                 K_target = 2
             else:
                 # growth only; shrinking happens through pruning
-                K_target = max(vp.K, k_schedule(self._history, vp.K, train.n, opts))
+                K_target = max(vp.K, k_schedule(self._history, vp.K, train.n))
 
-            n_fast = opts.n_fast_first if (t == 1 or boost_fast) else opts.n_fast
+            n_fast = N_FAST_FIRST if (t == 1 or boost_fast) else N_FAST
             boost_fast = False
-            optim_opts = OptimOptions(
-                n_entropy=opts.n_entropy,
-                n_entropy_readout=opts.n_entropy_readout,
-                max_iter=opts.adam_max_iter,
-                freeze_weights=warmup,
-                alpha_max=opts.alpha_max_warmup if warmup else opts.alpha_max_main,
-            )
             vp_init = select_starting_points(
-                vp, K_target, n_fast, samples, rng, optim_opts
+                vp, K_target, n_fast, samples, rng, warmup=warmup
             )
-            vp, est = optimize_elbo(vp_init, samples, optim_opts, rng)
+            vp, est = optimize_elbo(vp_init, samples, rng, warmup=warmup)
 
             pruned = 0
             if not warmup:
@@ -488,7 +461,7 @@ class VBMC:
                 K=vp.K,
                 elbo_mean=est.elbo_mean,
                 elbo_sd=est.elbo_sd,
-                elcbo=est.elcbo(opts.beta_lcb),
+                elcbo=est.elcbo(BETA_LCB),
                 entropy=est.entropy,
                 rho=None,
                 rho_features=None,
@@ -500,12 +473,10 @@ class VBMC:
                 moments=vp.moments(),
             )
             self._history.append(record)
-            record.rho, record.rho_features = reliability_features(
-                self._history, opts, self.D
-            )
+            record.rho, record.rho_features = reliability_features(self._history, self.D)
             diag.iteration(record, samples)
 
-            if warmup and warmup_should_end([r.elcbo for r in self._history], opts):
+            if warmup and warmup_should_end([r.elcbo for r in self._history]):
                 warmup = False
                 train = self._trim(train)
                 skip_active = True
@@ -514,18 +485,17 @@ class VBMC:
                             t, train.n)
 
             if not warmup and not stop_sampling and record.warmup is False:
-                threshold = opts.stop_sampling_frac * opts.delta_sd
+                threshold = STOP_SAMPLING_FRAC * DELTA_SD
                 if record.between_sample_sd < threshold:
                     stop_strikes += 1
                 else:
                     stop_strikes = 0
-                if stop_strikes >= opts.stop_sampling_patience:
+                if stop_strikes >= STOP_SAMPLING_PATIENCE:
                     stop_sampling = True
                     logger.info("switching to MAP hyperparameters at iteration %d", t)
 
             done, stable_done = termination_status(
-                self._history, self.fevals, self.max_fevals, opts, warmup,
-                opts.n_active,
+                self._history, self.fevals, self.max_fevals, warmup
             )
             if done:
                 break
@@ -533,7 +503,7 @@ class VBMC:
         return self._assemble_result(stable_done)
 
     def _trim(self, train):
-        cutoff = train.y.max() - self.options.trim_multiplier * self.D
+        cutoff = train.y.max() - TRIM_MULTIPLIER * self.D
         keep = train.y >= cutoff
         floor = min(train.n, max(4, self.D + 2))  # enough points to refit
         if keep.sum() < floor:
@@ -543,7 +513,6 @@ class VBMC:
         return train.subset(keep)
 
     def _assemble_result(self, stable):
-        opts = self.options
         if stable:
             final = self._history[-1]
         else:
@@ -552,7 +521,7 @@ class VBMC:
                 "iterate with the best conservative ELCBO"
             )
             scores = [
-                r.elbo_mean - opts.beta_lcb_fallback * r.elbo_sd
+                r.elbo_mean - BETA_LCB_FALLBACK * r.elbo_sd
                 for r in self._history
             ]
             final = self._history[int(np.argmax(scores))]

@@ -17,7 +17,6 @@ from .variational import VariationalPosterior, entropy_mc
 
 __all__ = [
     "AdamState",
-    "OptimOptions",
     "learning_rate",
     "adam_step",
     "split_component",
@@ -28,6 +27,9 @@ __all__ = [
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.99
 ADAM_EPS = math.sqrt(np.finfo(float).eps)  # ~1.49e-8
+ADAM_MAX_ITER = 5000  # Adam steps per optimization at most
+ALPHA_MAX_WARMUP = 0.1  # starting learning rate during warm-up
+ALPHA_MAX_MAIN = 0.01  # starting learning rate after warm-up
 ALPHA_MIN = 0.001  # the learning rate decays from alpha_max towards this
 TAU = 200.0  # decay time of the learning rate, in steps
 N_BATCH = 20  # steps per window of the stopping checks
@@ -36,6 +38,8 @@ TOL_PARAM = 0.001  # RMS parameter move per window below which Adam stops
 JITTER_MU = 0.1  # candidate jitter of the means, in component SDs
 JITTER_LOG_SIGMA = 0.2  # candidate jitter of the log scales
 JITTER_ETA = 0.2  # candidate jitter of the log weights
+N_ENTROPY = 100  # entropy draws per Adam step and per starting candidate
+N_ENTROPY_READOUT = 2**15  # entropy draws of the final ELBO estimate
 
 
 @dataclass
@@ -45,7 +49,7 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    alpha_max: float = 0.01
+    alpha_max: float = ALPHA_MAX_MAIN
 
     @classmethod
     def fresh(cls, n_params, **kw):
@@ -71,28 +75,14 @@ def adam_step(state, theta, grad):
     return state, theta
 
 
-@dataclass
-class OptimOptions:
-    """Settings for one variational optimization."""
-
-    n_entropy: int = 100
-    n_entropy_readout: int = 2**15
-    max_iter: int = 5000
-    freeze_weights: bool = False
-    alpha_max: float = 0.01
-
-
-def _neg_elbo_and_grad(theta, K, D, samples, options, rng, entropy_fn):
+def _neg_elbo_and_grad(theta, K, D, samples, rng, freeze_weights):
     """Negative mean ELBO and gradient at ``theta`` (vector space)."""
     vp = VariationalPosterior.from_vector(theta, K, D)
     quad = quadrature(vp, samples, grad=True, variance=False)
-    if entropy_fn is not None:
-        H, gH = entropy_fn(vp)
-    else:
-        H, gH = entropy_mc(vp, options.n_entropy, rng, grad=True)
+    H, gH = entropy_mc(vp, N_ENTROPY, rng, grad=True)
     value = quad.g_mean + H
     grad = quad.grad + gH
-    if options.freeze_weights:
+    if freeze_weights:
         grad[K * (D + 1) + D :] = 0.0
     return -value, -grad
 
@@ -127,54 +117,53 @@ def _jittered(vp, rng, freeze_weights):
     return VariationalPosterior(w, mu, sigma, vp.lam)
 
 
-def select_starting_points(vp, K_target, n_fast, samples, rng, options=None):
+def select_starting_points(vp, K_target, n_fast, samples, rng, warmup=False):
     """Pick the best of ``n_fast * K_target`` candidate posteriors.
 
     The unjittered current posterior (grown to ``K_target`` by splitting
     if needed) is always among the candidates, so the selected start is
-    never worse than it under the evaluation noise.
+    never worse than it under the evaluation noise. During warm-up the
+    candidates keep the current weights.
     """
-    options = options or OptimOptions()
     base = vp
     while base.K < K_target:
         base = split_component(base, rng)
 
     candidates = [base]
     for _ in range(max(0, n_fast * K_target - 1)):
-        candidates.append(_jittered(base, rng, options.freeze_weights))
+        candidates.append(_jittered(base, rng, warmup))
 
     best, best_val = None, -np.inf
     for cand in candidates:
         quad = quadrature(cand, samples, grad=False, variance=False)
-        H, _ = entropy_mc(cand, options.n_entropy, rng, grad=False)
+        H, _ = entropy_mc(cand, N_ENTROPY, rng, grad=False)
         val = quad.g_mean + H
         if val > best_val:
             best, best_val = cand, val
     return best
 
 
-def optimize_elbo(vp0, samples, options, rng, entropy_fn=None, trace=None):
+def optimize_elbo(vp0, samples, rng, warmup=False):
     """Run Adam on the negative mean ELBO from ``vp0``.
 
     Stops when the windowed objective value or the parameter vector
-    stabilizes (or at ``max_iter``), then re-estimates the ELBO with a
-    large fresh entropy sample. ``entropy_fn`` overrides the Monte Carlo
-    entropy (used by tests to make the objective deterministic);
-    ``trace``, if given, receives one dict per step.
+    stabilizes (or at ``ADAM_MAX_ITER``), then re-estimates the ELBO with a
+    large fresh entropy sample. During warm-up the weights stay frozen and
+    the learning rate starts at ``ALPHA_MAX_WARMUP`` instead of
+    ``ALPHA_MAX_MAIN``.
     """
     K, D = vp0.K, vp0.D
     theta = vp0.to_vector()
-    state = AdamState.fresh(theta.size, alpha_max=options.alpha_max)
+    alpha_max = ALPHA_MAX_WARMUP if warmup else ALPHA_MAX_MAIN
+    state = AdamState.fresh(theta.size, alpha_max=alpha_max)
 
     values = []
     theta_window = [theta.copy()]
     stalls = 0
-    for it in range(options.max_iter):
+    for it in range(ADAM_MAX_ITER):
         for attempt in range(4):
             try:
-                value, grad = _neg_elbo_and_grad(
-                    theta, K, D, samples, options, rng, entropy_fn
-                )
+                value, grad = _neg_elbo_and_grad(theta, K, D, samples, rng, warmup)
                 if np.isfinite(value):
                     state, theta = adam_step(state, theta, grad)
                     break
@@ -189,15 +178,6 @@ def optimize_elbo(vp0, samples, options, rng, entropy_fn=None, trace=None):
         theta_window.append(theta.copy())
         if len(theta_window) > N_BATCH + 1:
             theta_window.pop(0)
-        if trace is not None:
-            trace.append(
-                {
-                    "step": it,
-                    "elbo": float(-value),
-                    "learning_rate": learning_rate(state),
-                    "param_norm": float(np.linalg.norm(theta)),
-                }
-            )
 
         # check on disjoint windows; per-step checks over-trigger on noise.
         # The value test is one-sided (improvement below tolerance) and must
@@ -212,5 +192,5 @@ def optimize_elbo(vp0, samples, options, rng, entropy_fn=None, trace=None):
                 break
 
     vp = VariationalPosterior.from_vector(theta, K, D)
-    est = elbo(vp, samples, options.n_entropy_readout, rng)
+    est = elbo(vp, samples, N_ENTROPY_READOUT, rng)
     return vp, est

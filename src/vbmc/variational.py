@@ -17,7 +17,6 @@ from .gp import sq_dist
 __all__ = [
     "VariationalPosterior",
     "entropy_mc",
-    "entropy_exact_single",
     "gaussian_skl",
 ]
 
@@ -132,22 +131,6 @@ class VariationalPosterior:
             data["w"], np.asarray(data["mu"], dtype=float).reshape(K, D),
             data["sigma"], data["lambda"],
         )
-
-
-def entropy_exact_single(vp):
-    """Closed-form entropy of a single-Gaussian posterior (K = 1 only).
-
-    Returns the entropy and its gradient in vector-space layout; used as a
-    noise-free stand-in for the Monte Carlo estimator in tests.
-    """
-    if vp.K != 1:
-        raise ValueError("closed form requires K = 1")
-    D = vp.D
-    H = 0.5 * D * (_LOG_2PI + 1.0) + D * math.log(vp.sigma[0]) + np.sum(np.log(vp.lam))
-    grad = np.zeros(vp.n_params)
-    grad[D] = D  # d/d log sigma
-    grad[D + 1 : 2 * D + 1] = 1.0  # d/d log lambda
-    return float(H), grad
 
 
 def entropy_mc(vp, n_samples, rng, grad=True, eps=None):

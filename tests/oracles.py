@@ -4,8 +4,12 @@ These deliberately avoid the closed-form quadrature identities in the
 package: integrals are computed on dense tensor grids from the kernel and
 mixture definitions, with explicit matrix inverses. Kept independent so
 they can certify the analytic path. ``post`` is a one-draw
-``HyperparamSampleSet``.
+``HyperparamSampleSet``. ``entropy_exact_single`` is the closed-form
+entropy of one Gaussian, a noise-free reference for the Monte Carlo
+entropy estimator.
 """
+
+import math
 
 import numpy as np
 
@@ -107,3 +111,23 @@ def oracle_g_mean(vp, post):
 
 def oracle_g_var(vp, post):
     return oracle_g_var_1d(vp, post) if vp.D == 1 else oracle_g_var_2d(vp, post)
+
+
+def entropy_exact_single(vp):
+    """Closed-form entropy of a single-Gaussian posterior (K = 1 only).
+
+    Returns the entropy and its gradient in vector-space layout; a
+    noise-free stand-in for the Monte Carlo estimator.
+    """
+    if vp.K != 1:
+        raise ValueError("closed form requires K = 1")
+    D = vp.D
+    H = (
+        0.5 * D * (math.log(2.0 * math.pi) + 1.0)
+        + D * math.log(vp.sigma[0])
+        + np.sum(np.log(vp.lam))
+    )
+    grad = np.zeros(vp.n_params)
+    grad[D] = D  # d/d log sigma
+    grad[D + 1 : 2 * D + 1] = 1.0  # d/d log lambda
+    return float(H), grad

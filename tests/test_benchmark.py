@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.stats import t as student_t
 
+from vbmc import benchmark
 from vbmc.benchmark import (
     BenchmarkRecord,
     RunConfig,
@@ -205,6 +206,29 @@ class TestRunner:
         r1 = summarize_records(records, boot_seed=3)
         r2 = summarize_records(records, boot_seed=3)
         assert r1 == r2
+
+    def test_records_written_as_runs_end(self, tmp_path, monkeypatch):
+        # a crash in the second run keeps the first run's record in ``out``
+        def execute_run(family, D, problem_seed, run_seed, acq, *rest):
+            if run_seed == 1:
+                raise RuntimeError("run crashed")
+            return BenchmarkRecord(
+                problem_id=f"{family}_D{D}_s{problem_seed}", family=family, D=D,
+                problem_seed=problem_seed, run_seed=run_seed, acq=acq, budget=80,
+                checkpoints=[(10, 1.0, 1.0)], wall_time=0.0, final={"fevals": 10},
+            )
+
+        monkeypatch.setattr(benchmark, "execute_run", execute_run)
+        monkeypatch.setattr(
+            benchmark, "verify_ground_truth",
+            lambda problem: {"lml": problem.lml_true, "method": "stub"},
+        )
+        out = tmp_path / "records.jsonl"
+        config = RunConfig(families=("lumpy",), dims=(2,), seeds=(0, 1), out=str(out))
+        with pytest.raises(RuntimeError, match="run crashed"):
+            run_benchmark(config)
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        assert lines == [execute_run("lumpy", 2, 0, 0, "pro").to_json()]
 
     def test_x0_inside_prior_box(self):
         p = make_lumpy(2, 0)

@@ -88,3 +88,20 @@ def test_infer_with_bounds_override(tmp_path):
     assert code == 0
     result = json.loads(out.read_text())
     assert result["transform"]["plb"] == [-0.5, -0.5]
+
+
+def test_infer_rejects_unknown_option(tmp_path, capsys):
+    config = {
+        "problem": {"family": "lumpy", "D": 2, "seed": 0},
+        "options": {"max_fevals": 60, "n_active": 3},
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "result.json"
+    code = main(["infer", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "n_active" in err[0]
+    assert "allowed: max_fevals, acq, diag_gp_samples" in err[0]

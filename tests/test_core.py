@@ -5,6 +5,9 @@ import pytest
 
 from vbmc import core as core_mod
 from vbmc.core import (
+    N_ACTIVE,
+    N_INIT,
+    WARMUP_NGP_CAP,
     InferenceResult,
     IterationRecord,
     ProblemSpec,
@@ -56,7 +59,7 @@ def fake_record(t, elbo_mean=0.0, elbo_sd=0.01, elcbo=None, rho=0.5,
 class TestInitialDesign:
     def test_exact_count_and_box(self):
         spec, *_ = conjugate_problem()
-        eng = VBMC(spec, VBMCOptions())
+        eng = VBMC(spec)
         rng = np.random.default_rng(0)
         train = eng._initial_design(rng)
         assert eng.fevals == 10
@@ -87,7 +90,7 @@ class TestInitialDesign:
         with pytest.raises(VBMCError, match="only 1 initial-design") as info:
             eng.run(seed=0)
         assert info.value.history == []
-        assert eng.fevals == VBMCOptions().n_init
+        assert eng.fevals == N_INIT
 
     @pytest.mark.parametrize("max_fevals", [3, 5, 9])
     def test_budget_below_initial_design_raises(self, max_fevals):
@@ -117,17 +120,14 @@ class TestInitialDesign:
 
 class TestWarmupRules:
     def test_small_improvements_end_warmup(self):
-        opts = VBMCOptions()
         elcbos = [0.0, 0.5, 1.4, 1.7]  # improvements 0.5, 0.9, 0.3
-        assert warmup_should_end(elcbos, opts)
+        assert warmup_should_end(elcbos)
 
     def test_large_improvement_keeps_warming(self):
-        opts = VBMCOptions()
-        assert not warmup_should_end([0.0, 0.5, 2.5, 2.8], opts)
+        assert not warmup_should_end([0.0, 0.5, 2.5, 2.8])
 
     def test_needs_enough_history(self):
-        opts = VBMCOptions()
-        assert not warmup_should_end([0.0, 0.1], opts)
+        assert not warmup_should_end([0.0, 0.1])
 
     def test_trim_thresholds(self):
         spec, *_ = conjugate_problem()
@@ -148,62 +148,59 @@ class TestWarmupRules:
 class TestSchedules:
     def test_n_gp_warmup_cap_applies(self):
         assert n_gp_schedule(25) == 16
-        assert min(n_gp_schedule(25), VBMCOptions().warmup_ngp_cap) == 8
+        assert min(n_gp_schedule(25), WARMUP_NGP_CAP) == 8
         assert n_gp_schedule(100) == 8
 
     def test_k_max_clamp(self):
         history = [fake_record(1), fake_record(2, elbo_mean=10.0, elcbo=100.0)]
-        K = k_schedule(history, 8, 27, VBMCOptions())
+        K = k_schedule(history, 8, 27)
         assert K <= 9
 
     def test_grow_when_improving(self):
         history = [fake_record(t, elcbo=float(t)) for t in range(1, 6)]
         # stable (rho < 1) and improving, nothing pruned: +3
-        K = k_schedule(history, 4, 1000, VBMCOptions())
+        K = k_schedule(history, 4, 1000)
         assert K == 7
 
     def test_no_growth_after_prune(self):
         history = [fake_record(t, elcbo=float(t)) for t in range(1, 5)]
         history.append(fake_record(5, elcbo=5.0, pruned=1))
-        K = k_schedule(history, 4, 1000, VBMCOptions())
+        K = k_schedule(history, 4, 1000)
         assert K == 4
 
     def test_no_growth_when_flat_and_unstable(self):
         history = [fake_record(t, elcbo=1.0, rho=2.0) for t in range(1, 6)]
-        K = k_schedule(history, 4, 1000, VBMCOptions())
+        K = k_schedule(history, 4, 1000)
         assert K == 4
 
 
 class TestReliability:
     def test_identical_iterations_zero(self):
-        opts = VBMCOptions()
         history = [
             fake_record(1, elbo_mean=1.0, elbo_sd=0.0),
             fake_record(2, elbo_mean=1.0, elbo_sd=0.0),
         ]
-        rho, feats = reliability_features(history, opts, D=1)
+        rho, feats = reliability_features(history, D=1)
         assert rho == pytest.approx(0.0)
         assert feats == (0.0, 0.0, 0.0)
 
     def test_elbo_change_scaling(self):
-        opts = VBMCOptions()
         history = [
             fake_record(1, elbo_mean=0.0, elbo_sd=0.0),
             fake_record(2, elbo_mean=0.1, elbo_sd=0.0),
         ]
-        rho, feats = reliability_features(history, opts, D=3)
+        rho, feats = reliability_features(history, D=3)
         assert feats[0] == pytest.approx(1.0)
 
     def test_kl_tolerance_scales_with_dimension(self):
-        opts = VBMCOptions()
         m1 = (np.zeros(4), np.eye(4))
         m2 = (np.array([1.0, 0, 0, 0]), np.eye(4))  # skl = 0.5
         history = [fake_record(1, moments=m1), fake_record(2, moments=m2)]
-        rho, feats = reliability_features(history, opts, D=4)
+        rho, feats = reliability_features(history, D=4)
         assert feats[2] == pytest.approx(0.5 / 0.02)
 
     def test_needs_two_iterations(self):
-        rho, feats = reliability_features([fake_record(1)], VBMCOptions(), D=1)
+        rho, feats = reliability_features([fake_record(1)], D=1)
         assert rho is None
 
 
@@ -216,47 +213,35 @@ class TestTermination:
 
     def test_stable_termination(self):
         history = self.make_history()
-        done, stable = termination_status(
-            history, 100, 400, VBMCOptions(), warmup=False, n_active=5
-        )
+        done, stable = termination_status(history, 100, 400, warmup=False)
         assert done and stable
 
     def test_steep_slope_blocks(self):
         history = self.make_history(slope=0.5)
-        done, stable = termination_status(
-            history, 100, 400, VBMCOptions(), warmup=False, n_active=5
-        )
+        done, stable = termination_status(history, 100, 400, warmup=False)
         assert not done
 
     def test_budget_exhaustion(self):
         history = self.make_history(slope=0.5)
-        done, stable = termination_status(
-            history, 400, 400, VBMCOptions(), warmup=False, n_active=5
-        )
+        done, stable = termination_status(history, 400, 400, warmup=False)
         assert done and not stable
 
     def test_one_unstable_iteration_tolerated(self):
         history = self.make_history()
         history[4].rho = 3.0
-        done, stable = termination_status(
-            history, 100, 400, VBMCOptions(), warmup=False, n_active=5
-        )
+        done, stable = termination_status(history, 100, 400, warmup=False)
         assert done and stable
 
     def test_two_unstable_iterations_block(self):
         history = self.make_history()
         history[3].rho = 3.0
         history[5].rho = 3.0
-        done, stable = termination_status(
-            history, 100, 400, VBMCOptions(), warmup=False, n_active=5
-        )
+        done, stable = termination_status(history, 100, 400, warmup=False)
         assert not done
 
     def test_warmup_blocks_stable_exit(self):
         history = self.make_history()
-        done, stable = termination_status(
-            history, 100, 400, VBMCOptions(), warmup=True, n_active=5
-        )
+        done, stable = termination_status(history, 100, 400, warmup=True)
         assert not done
 
 
@@ -329,15 +314,14 @@ class TestRaisingLogJoint:
 
         monkeypatch.setattr(core_mod, "_DiagnosticsWriter", RecordingWriter)
         spec, *_ = conjugate_problem()
-        opts = VBMCOptions()
         # the first active-sampling batch starts after iteration 1
-        eng = VBMC(raising_after(spec, opts.n_init + 2), opts)
+        eng = VBMC(raising_after(spec, N_INIT + 2))
         path = tmp_path / "diag.jsonl"
         with pytest.raises(VBMCError) as info:
             eng.run(seed=0, diagnostics=str(path))
         assert isinstance(info.value.__cause__, RuntimeError)
         assert [r.t for r in info.value.history] == [1]
-        assert eng.fevals == opts.n_init + 2
+        assert eng.fevals == N_INIT + 2
         assert len(writers) == 1 and writers[0].fh.closed
         assert len(path.read_text().splitlines()) == 1
 
@@ -382,7 +366,7 @@ class TestFullRun:
     @pytest.fixture(scope="class")
     def conjugate_result(self):
         spec, lml, post_mean, post_var = conjugate_problem()
-        result = VBMC(spec, VBMCOptions()).run(seed=0)
+        result = VBMC(spec).run(seed=0)
         return spec, lml, post_mean, post_var, result
 
     def test_recovers_evidence_and_posterior(self, conjugate_result):
@@ -402,13 +386,12 @@ class TestFullRun:
 
     def test_evaluation_accounting(self, conjugate_result):
         *_, res = conjugate_result
-        opts = VBMCOptions()
         sampling_iters = sum(
             1
             for a, b in zip(res.history, res.history[1:])
             if b.fevals > a.fevals
         )
-        assert res.fevals == opts.n_init + opts.n_active * sampling_iters
+        assert res.fevals == N_INIT + N_ACTIVE * sampling_iters
 
     def test_warmup_clamps_components(self, conjugate_result):
         *_, res = conjugate_result

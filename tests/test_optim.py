@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import entropy_exact_single
+from vbmc import optim
 from vbmc.gp import GPHyperparams, TrainingSet, gp_fit
 from vbmc.optim import (
     ALPHA_MIN,
     TAU,
     AdamState,
-    OptimOptions,
     adam_step,
     learning_rate,
     optimize_elbo,
@@ -16,7 +17,7 @@ from vbmc.optim import (
     split_component,
 )
 from vbmc.quadrature import elbo
-from vbmc.variational import VariationalPosterior, entropy_exact_single
+from vbmc.variational import VariationalPosterior
 
 
 def conjugate_gaussian_samples(mean=0.4, sd=0.6, n=25, span=4.0):
@@ -36,6 +37,27 @@ def conjugate_gaussian_samples(mean=0.4, sd=0.6, n=25, span=4.0):
         log_omega=[math.log(2.0)],
     )
     return gp_fit(TrainingSet(X, y), [hyp])
+
+
+def exact_entropy(monkeypatch):
+    """Make the optimizer's objective deterministic: closed-form entropy."""
+    monkeypatch.setattr(
+        optim, "entropy_mc", lambda vp, n, rng, grad=True: entropy_exact_single(vp)
+    )
+
+
+def record_elbo_steps(monkeypatch):
+    """List that receives the mean ELBO of every optimizer step."""
+    elbos = []
+    step = optim._neg_elbo_and_grad
+
+    def recording(*args):
+        value, grad = step(*args)
+        elbos.append(float(-value))
+        return value, grad
+
+    monkeypatch.setattr(optim, "_neg_elbo_and_grad", recording)
+    return elbos
 
 
 class TestLearningRate:
@@ -118,9 +140,9 @@ class TestOptimizeELBO:
     def test_fits_conjugate_gaussian(self):
         samples = conjugate_gaussian_samples(mean=0.4, sd=0.6)
         vp0 = VariationalPosterior([1.0], [[-0.5]], [0.3], [1.0])
-        # cold start far from the target: use the fast (warm-up) step size
-        opts = OptimOptions(alpha_max=0.1)
-        vp, est = optimize_elbo(vp0, samples, opts, np.random.default_rng(5))
+        # cold start far from the target: use the fast (warm-up) step size;
+        # its weight freeze is a no-op with one component
+        vp, est = optimize_elbo(vp0, samples, np.random.default_rng(5), warmup=True)
         mean, cov = vp.moments()
         assert mean[0] == pytest.approx(0.4, abs=0.05 * 0.6)
         assert math.sqrt(cov[0, 0]) == pytest.approx(0.6, rel=0.05)
@@ -128,45 +150,40 @@ class TestOptimizeELBO:
     def test_improves_over_start_across_seeds(self):
         samples = conjugate_gaussian_samples()
         vp0 = VariationalPosterior([1.0], [[-1.0]], [0.25], [1.0])
-        opts = OptimOptions()
         for seed in range(8):
             rng = np.random.default_rng(seed)
             e0 = elbo(vp0, samples, 2**13, np.random.default_rng(100 + seed))
-            vp, est = optimize_elbo(vp0, samples, opts, rng)
+            vp, est = optimize_elbo(vp0, samples, rng)
             assert est.elbo_mean >= e0.elbo_mean - 2 * max(est.elbo_sd, 1e-3)
 
     def test_symmetric_target_mode_found(self):
         samples = conjugate_gaussian_samples(mean=0.0, sd=0.5)
         vp0 = VariationalPosterior([1.0], [[0.8]], [0.4], [1.0])
-        vp, _ = optimize_elbo(vp0, samples, OptimOptions(), np.random.default_rng(6))
+        vp, _ = optimize_elbo(vp0, samples, np.random.default_rng(6))
         assert abs(vp.mu[0, 0]) < 0.05
 
-    def test_deterministic_with_exact_entropy(self):
+    def test_deterministic_with_exact_entropy(self, monkeypatch):
         samples = conjugate_gaussian_samples()
         vp0 = VariationalPosterior([1.0], [[-0.3]], [0.4], [1.0])
-        opts = OptimOptions()
+        exact_entropy(monkeypatch)
         out = []
         for _ in range(2):
-            vp, _ = optimize_elbo(
-                vp0, samples, opts, np.random.default_rng(7),
-                entropy_fn=entropy_exact_single,
-            )
+            vp, _ = optimize_elbo(vp0, samples, np.random.default_rng(7))
             out.append(vp.to_vector())
         assert np.array_equal(out[0], out[1])
 
-    def test_near_monotone_with_exact_entropy(self):
+    def test_near_monotone_with_exact_entropy(self, monkeypatch):
         samples = conjugate_gaussian_samples()
         vp0 = VariationalPosterior([1.0], [[-0.6]], [0.35], [1.0])
-        trace = []
-        optimize_elbo(
-            vp0, samples, OptimOptions(max_iter=400), np.random.default_rng(8),
-            entropy_fn=entropy_exact_single, trace=trace,
-        )
-        vals = np.array([t["elbo"] for t in trace])
+        exact_entropy(monkeypatch)
+        monkeypatch.setattr(optim, "ADAM_MAX_ITER", 400)
+        trace = record_elbo_steps(monkeypatch)
+        optimize_elbo(vp0, samples, np.random.default_rng(8))
+        vals = np.array(trace)
         increases = np.diff(-vals)[50:]
         assert increases.max() < 1e-3
 
-    def test_softmax_gauge_invariance(self):
+    def test_softmax_gauge_invariance(self, monkeypatch):
         samples = conjugate_gaussian_samples()
         vp0 = VariationalPosterior(
             [0.5, 0.5], [[-0.3], [0.5]], [0.4, 0.4], [1.0]
@@ -175,14 +192,15 @@ class TestOptimizeELBO:
         shifted = theta.copy()
         shifted[-2:] += 37.5
         vp_shift = VariationalPosterior.from_vector(shifted, 2, 1)
-        a, _ = optimize_elbo(vp0, samples, OptimOptions(max_iter=50), np.random.default_rng(9))
-        b, _ = optimize_elbo(vp_shift, samples, OptimOptions(max_iter=50), np.random.default_rng(9))
+        monkeypatch.setattr(optim, "ADAM_MAX_ITER", 50)
+        a, _ = optimize_elbo(vp0, samples, np.random.default_rng(9))
+        b, _ = optimize_elbo(vp_shift, samples, np.random.default_rng(9))
         assert np.allclose(a.w, b.w)
         assert np.allclose(a.mu, b.mu)
 
-    def test_weight_freeze_holds_exactly(self):
+    def test_weight_freeze_holds_exactly(self, monkeypatch):
         samples = conjugate_gaussian_samples()
         vp0 = VariationalPosterior([0.5, 0.5], [[-0.3], [0.5]], [0.4, 0.4], [1.0])
-        opts = OptimOptions(freeze_weights=True, max_iter=200)
-        vp, _ = optimize_elbo(vp0, samples, opts, np.random.default_rng(10))
+        monkeypatch.setattr(optim, "ADAM_MAX_ITER", 200)
+        vp, _ = optimize_elbo(vp0, samples, np.random.default_rng(10), warmup=True)
         assert np.array_equal(vp.w, np.array([0.5, 0.5]))

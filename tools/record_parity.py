@@ -36,7 +36,7 @@ def child(root, names, seeds):
 
 
 def start(root, args):
-    env = {k: v for k, v in os.environ.items() if k != "VBMC_WORKERS"}
+    env = dict(os.environ)
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     cmd = [sys.executable, os.path.abspath(__file__), "--child", os.path.abspath(root)]
     cmd += ["--workload", *args.workload] if args.workload else []
