@@ -28,6 +28,9 @@ class AcquisitionError(RuntimeError):
     """The whole search space scored zero (fully regularized)."""
 
 
+ACQUISITION_KINDS = ("us", "pro")
+
+
 @dataclass
 class AcquisitionContext:
     """Immutable inputs for one point selection."""
@@ -39,7 +42,7 @@ class AcquisitionContext:
     kind: str = "pro"
 
     def __post_init__(self):
-        if self.kind not in ("us", "pro"):
+        if self.kind not in ACQUISITION_KINDS:
             raise ValueError(f"unknown acquisition kind {self.kind!r}")
         self.search_lb = np.asarray(self.search_lb, dtype=float)
         self.search_ub = np.asarray(self.search_ub, dtype=float)

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 
+from .acquisition import ACQUISITION_KINDS
 from .benchmark import (
     FAMILIES,
     RunConfig,
@@ -36,7 +37,7 @@ def _add_run(sub):
     p.add_argument("--dims", nargs="+", type=int, default=[2])
     p.add_argument("--seeds", type=int, default=20, help="number of seeded runs")
     p.add_argument("--seed-start", type=int, default=0)
-    p.add_argument("--acq", choices=["us", "pro"], default="pro")
+    p.add_argument("--acq", choices=ACQUISITION_KINDS, default="pro")
     p.add_argument("--budget-multiplier", type=float, default=1.0)
     p.add_argument("--problem-seed", type=int, default=0)
     p.add_argument("--meta-seed", type=int, default=0)
@@ -163,7 +164,11 @@ def _cmd_infer(args):
             file=sys.stderr,
         )
         return 2
-    options = VBMCOptions(**given)
+    try:
+        options = VBMCOptions(**given)
+    except ValueError as err:
+        print(f"vbmc infer: {err} in {args.config}", file=sys.stderr)
+        return 2
     pspec = config["problem"]
     problem = make_problem(
         pspec["family"], int(pspec["D"]), int(pspec.get("seed", 0))

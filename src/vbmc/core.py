@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquisition import (
+    ACQUISITION_KINDS,
     AcquisitionContext,
     AcquisitionError,
     optimize_acquisition,
@@ -109,15 +110,22 @@ class VBMCOptions:
     """Per-run settings: the budget, the acquisition and the diagnostics.
 
     ``max_fevals`` defaults to 50 (D + 2) evaluations, ``acq`` is ``"pro"``
-    or ``"us"``, and ``diag_gp_samples`` adds one diagnostics line per GP
-    hyperparameter draw. Every other value of the reference configuration is
-    a module constant of the one module that reads it (``core``, ``optim``,
-    ``acquisition``, ``gp``).
+    or ``"us"`` (any other value raises ``ValueError`` here, before a run
+    spends an evaluation), and ``diag_gp_samples`` adds one diagnostics
+    line per GP hyperparameter draw. Every other value of the reference
+    configuration is a module constant of the one module that reads it
+    (``core``, ``optim``, ``acquisition``, ``gp``).
     """
 
     max_fevals: int | None = None
     acq: str = "pro"
     diag_gp_samples: bool = False
+
+    def __post_init__(self):
+        if self.acq not in ACQUISITION_KINDS:
+            raise ValueError(
+                f"unknown acquisition {self.acq!r}; allowed: {', '.join(ACQUISITION_KINDS)}"
+            )
 
     def resolve_max_fevals(self, D):
         return self.max_fevals if self.max_fevals is not None else 50 * (D + 2)

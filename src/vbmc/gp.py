@@ -11,13 +11,19 @@ weights and log marginal likelihoods stacked along a leading axis S.
 observation to every draw in one batched pass, and :func:`marginal_predict`
 and ``vbmc.quadrature`` read it. :func:`log_marginal_likelihood`, which the
 slice sampler calls, factors one draw and builds no set.
+
+The factor, the weights and the triangular solves call LAPACK directly
+(``dpotrf``, ``dpotrs``, ``dtrtrs``), with the arguments scipy's wrappers
+pass, so they give the same bits without the wrappers' per-call overhead.
+:func:`_solve_lower` holds the one memory-order rule of the stacked solves.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.optimize import minimize
 
 from .slice_sampler import slice_sample
@@ -58,7 +64,8 @@ class GPHyperparams:
     Scales are stored in log space: input length scales ``log_ell`` and
     output scale ``log_sf`` for the kernel, observation noise ``log_sobs``,
     and the negative-quadratic mean's maximum ``m0``, location ``x_m`` and
-    log length scales ``log_omega``.
+    log length scales ``log_omega``. The scales ``ell`` and ``omega`` are
+    exponentiated once, on construction.
     """
 
     log_ell: np.ndarray
@@ -75,17 +82,17 @@ class GPHyperparams:
         D = self.log_ell.size
         if self.x_m.size != D or self.log_omega.size != D:
             raise ValueError("hyperparameter blocks disagree on dimension")
-        scales = np.concatenate([self.log_ell, [self.log_sf, self.log_sobs], self.log_omega])
-        if not np.all(np.isfinite(np.exp(scales))) or np.any(np.exp(scales) <= 0):
+        scales = np.exp(
+            np.concatenate([self.log_ell, [self.log_sf, self.log_sobs], self.log_omega])
+        )
+        if not np.isfinite(scales).all() or (scales <= 0).any():
             raise ValueError("scale hyperparameters must exponentiate to finite positives")
+        object.__setattr__(self, "ell", np.exp(self.log_ell))
+        object.__setattr__(self, "omega", np.exp(self.log_omega))
 
     @property
     def D(self):
         return self.log_ell.size
-
-    @property
-    def ell(self):
-        return np.exp(self.log_ell)
 
     @property
     def sf2(self):
@@ -94,10 +101,6 @@ class GPHyperparams:
     @property
     def sobs(self):
         return max(math.exp(self.log_sobs), SIGMA_OBS_FLOOR)
-
-    @property
-    def omega(self):
-        return np.exp(self.log_omega)
 
     def to_vector(self):
         return np.concatenate(
@@ -168,8 +171,8 @@ def sq_dist(a, b):
     expansion slightly negative, so it is clamped at zero. Axes before the
     last two are batch axes: one distance matrix per hyperparameter draw.
     """
-    ab = a @ np.swapaxes(b, -1, -2)
-    d2 = np.sum(a * a, -1)[..., :, None] - 2.0 * ab + np.sum(b * b, -1)[..., None, :]
+    ab = a @ b.swapaxes(-1, -2)
+    d2 = (a * a).sum(-1)[..., :, None] - 2.0 * ab + (b * b).sum(-1)[..., None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -188,47 +191,74 @@ def nq_mean(X, hyp):
     """
     X = np.atleast_2d(X)
     quad = ((X - hyp.x_m[..., None, :]) / hyp.omega[..., None, :]) ** 2
-    return np.asarray(hyp.m0)[..., None] - 0.5 * np.sum(quad, axis=-1)
+    return np.asarray(hyp.m0)[..., None] - 0.5 * quad.sum(axis=-1)
 
 
-def _factor_gram(train, hyp):
+def _factor_gram(train, hyp, K=None):
     """Cholesky of the noisy Gram matrix with escalating jitter.
 
     Returns ``(L, jitter)``; ``L`` is Fortran-ordered, as LAPACK returns it.
     The factorization is tried without jitter, then with five jitters from
     ``1e-10`` to ``1e-6`` times ``tr(K)/n``, before giving up with
     :class:`GPTrainingError`. No data gives an empty factor (the prior).
+    ``K``, when given, is the noise-free kernel matrix of the training
+    inputs, and its diagonal is overwritten.
     """
-    if train.n == 0:
+    n = train.n
+    if n == 0:
         return np.empty((0, 0)), 0.0
-    K = se_kernel_matrix(train.X, train.X, hyp)
-    diag = np.diag_indices_from(K)
-    K[diag] += hyp.sobs**2
-    diag0 = K[diag].copy()
-    jitters = [0.0, 1e-10 * np.trace(K) / train.n]
-    while len(jitters) < 6:
-        jitters.append(jitters[-1] * 10.0)
-    for jitter in jitters:
-        try:
-            K[diag] = diag0 + jitter
-            return cholesky(K, lower=True, check_finite=False), jitter
-        except np.linalg.LinAlgError:
-            pass
-    raise GPTrainingError(
-        f"Gram matrix not positive definite after jitter {jitter:g}"
-    )
+    if K is None:
+        K = se_kernel_matrix(train.X, train.X, hyp)
+    diag = K.reshape(-1)[:: n + 1]
+    diag += hyp.sobs**2
+    L, info = dpotrf(K, lower=1, clean=1, overwrite_a=0)
+    if info == 0:
+        return L, 0.0
+    diag0 = diag.copy()
+    jitter = 1e-10 * np.trace(K) / n
+    for attempt in range(5):
+        if attempt:
+            jitter *= 10.0
+        diag[:] = diag0 + jitter
+        L, info = dpotrf(K, lower=1, clean=1, overwrite_a=0)
+        if info == 0:
+            return L, jitter
+    raise GPTrainingError(f"Gram matrix not positive definite after jitter {jitter:g}")
 
 
 def _weights_and_lml(train, hyp, L):
     """One draw's weights ``alpha`` and log marginal likelihood from its factor."""
     resid = train.y - nq_mean(train.X, hyp)
-    alpha = cho_solve((L, True), resid, check_finite=False) if train.n > 0 else np.empty(0)
+    alpha = dpotrs(L, resid, lower=1)[0] if train.n > 0 else np.empty(0)
     lml = float(
         -0.5 * resid @ alpha
-        - np.sum(np.log(np.diag(L)))
+        - np.log(np.diag(L)).sum()
         - 0.5 * train.n * math.log(2.0 * math.pi)
     )
     return alpha, lml
+
+
+def _solve_lower(L, B):
+    """``L[s]^-1 B[s]`` for every draw s of stacked lower factors ``L`` (S, n, n).
+
+    One ``dtrtrs`` call per draw, in the branch scipy's triangular solver
+    takes: a Fortran-contiguous block is solved as lower, any other block as
+    its transpose, upper, with ``trans=1``. The two orders round a
+    one-column solve differently, so this rule is what makes a draw's
+    results depend on which path last wrote its factor: :func:`gp_fit`
+    stacks Fortran blocks and :meth:`HyperparamSampleSet.with_point` a C
+    stack. Returns a C-ordered (S, n, m) stack.
+    """
+    out = []
+    for L_s, B_s in zip(L, B):
+        if L_s.flags.f_contiguous:
+            x, info = dtrtrs(L_s, B_s, lower=1)
+        else:
+            x, info = dtrtrs(L_s.T, B_s, lower=0, trans=1)
+        if info > 0:
+            raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+        out.append(x)
+    return np.stack(out)
 
 
 def gp_fit(train, hyps):
@@ -258,13 +288,13 @@ def log_marginal_likelihood(train, hyp):
 
 def log_marginal_likelihood_grad(train, hyp):
     """Log marginal likelihood and its gradient in the 3D+3 vector order."""
-    L, _ = _factor_gram(train, hyp)
-    alpha, lml = _weights_and_lml(train, hyp, L)
     X, n, D = train.X, train.n, train.D
-    Kinv = cho_solve((L, True), np.eye(n))
+    Kk = se_kernel_matrix(X, X, hyp)
+    L, _ = _factor_gram(train, hyp, Kk.copy())
+    alpha, lml = _weights_and_lml(train, hyp, L)
+    Kinv = dpotrs(L, np.eye(n), lower=1)[0]
     A = np.outer(alpha, alpha) - Kinv
 
-    Kk = se_kernel_matrix(X, X, hyp)
     grad = np.empty(3 * D + 3)
     # covariance block: log input scales, then log output scale
     for i in range(D):
@@ -282,14 +312,20 @@ def log_marginal_likelihood_grad(train, hyp):
 
 def student_t_logpdf(x, mu, scale, df=3.0):
     """Log density of a scaled Student-t distribution."""
-    z = (x - mu) / scale
+    return _student_t_log_norm(scale, df) - _student_t_log_kernel((x - mu) / scale, df)
+
+
+def _student_t_log_norm(scale, df=3.0):
     return (
         math.lgamma(0.5 * (df + 1.0))
         - math.lgamma(0.5 * df)
         - 0.5 * math.log(df * math.pi)
         - np.log(scale)
-        - 0.5 * (df + 1.0) * np.log1p(z * z / df)
     )
+
+
+def _student_t_log_kernel(z, df=3.0):
+    return 0.5 * (df + 1.0) * np.log1p(z * z / df)
 
 
 class GPHyperprior:
@@ -336,6 +372,10 @@ class GPHyperprior:
         self.mean = mean
         self.scale = np.maximum(scale, self.SCALE_FLOOR)
         self.has_prior = has_prior
+        # the Student-t terms that do not depend on theta, for logpdf
+        self._mean_p = mean[has_prior]
+        self._scale_p = self.scale[has_prior]
+        self._log_norm_p = _student_t_log_norm(self._scale_p)
 
         # hard bounds: safety rails for the flat-prior directions
         lo = np.full(m, -np.inf)
@@ -372,18 +412,15 @@ class GPHyperprior:
 
     def logpdf(self, theta):
         theta = np.asarray(theta)
-        if np.any(theta < self.lower) or np.any(theta > self.upper):
+        if (theta < self.lower).any() or (theta > self.upper).any():
             return -np.inf
-        p = self.has_prior
-        return float(
-            np.sum(student_t_logpdf(theta[p], self.mean[p], self.scale[p]))
-        )
+        z = (theta[self.has_prior] - self._mean_p) / self._scale_p
+        return float((self._log_norm_p - _student_t_log_kernel(z)).sum())
 
     def grad_logpdf(self, theta):
         g = np.zeros_like(theta)
-        p = self.has_prior
-        z = theta[p] - self.mean[p]
-        g[p] = -4.0 * z / (3.0 * self.scale[p] ** 2 + z * z)  # (df+1) = 4
+        z = theta[self.has_prior] - self._mean_p
+        g[self.has_prior] = -4.0 * z / (3.0 * self._scale_p**2 + z * z)  # (df+1) = 4
         return g
 
     def sample(self, center, rng):
@@ -411,11 +448,12 @@ class HyperparamSampleSet:
 
     ``L`` has one of two memory orders: :func:`gp_fit` stacks Fortran-ordered
     blocks, as LAPACK returns them, and :meth:`with_point` builds a C-ordered
-    stack. LAPACK orders a one-column triangular solve differently for the
-    two, so a draw's results depend on which one last wrote its factor. A
-    draw that :meth:`with_point` has to refit is copied into the C stack, so
-    its next update solves on a C-ordered factor and rounds differently than
-    on the Fortran factor the refit returned.
+    stack. Every solve against ``L`` goes through :func:`_solve_lower`, which
+    holds the rule for the two orders; they round a one-column solve
+    differently, so a draw's results depend on which one last wrote its
+    factor. A draw that :meth:`with_point` has to refit is copied into the C
+    stack, so its next update solves on a C-ordered factor and rounds
+    differently than on the Fortran factor the refit returned.
     """
 
     def __init__(self, train, hyps, L, jitter, alpha, lml):
@@ -450,7 +488,7 @@ class HyperparamSampleSet:
             return gp_fit(train, self.hyps)
         d2 = sq_dist(self.Xs, x_new / self.ell[:, None, :])
         k = self.sf2[:, None, None] * np.exp(-0.5 * d2)  # (S, n, 1)
-        c = solve_triangular(self.L, k, lower=True, check_finite=False)
+        c = _solve_lower(self.L, k)
         # per-draw Python floats, summed in the order of one draw's update
         noise = np.array([h.sf2 + h.sobs**2 for h in self.hyps])
         pivot = noise + self.jitter - (np.swapaxes(c, -1, -2) @ c)[:, 0, 0]
@@ -594,7 +632,7 @@ def marginal_predict(samples, X):
         means = means + (np.swapaxes(Ks, -1, -2) @ samples.alpha[..., None])[..., 0]
         # U's blocks come back Fortran-ordered, as for a single draw, so each
         # column is summed over contiguous memory in the same order
-        U = solve_triangular(samples.L, Ks, lower=True, check_finite=False)
+        U = _solve_lower(samples.L, Ks)
         variances = variances - np.sum(U * U, axis=-2)
     if np.any(variances < 0):
         VARIANCE_CLAMP_COUNT += int(np.sum(variances < 0))

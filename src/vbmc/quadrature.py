@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
+from .gp import _solve_lower
 from .variational import entropy_mc
 
 __all__ = [
@@ -142,8 +142,10 @@ def expected_log_joint_variance(vp, samples, z):
     )
     J = (lam_k * samples.sf2)[:, None, None] * np.exp(logn)
     if samples.train.n > 0:
-        U = lam_k[:, None, None] * solve_triangular(
-            samples.L, np.swapaxes(z, -1, -2), lower=True
+        if not (np.isfinite(samples.L).all() and np.isfinite(z).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        U = lam_k[:, None, None] * _solve_lower(
+            samples.L, np.swapaxes(z, -1, -2)
         )  # (S, n, K)
         J = J - np.swapaxes(U, -1, -2) @ U
     var = _dot_w(vp.w @ J, vp.w)

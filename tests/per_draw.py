@@ -1,24 +1,31 @@
-"""Per-draw references for the batched hyperparameter-set path.
+"""Per-draw and scipy-wrapper references for the GP's fast paths.
 
 ``HyperparamSampleSet.with_point``, ``marginal_predict`` and ``quadrature``
 treat all GP hyperparameter draws of a set in one batched pass. The
 functions here redo the solve-dependent parts one draw at a time, on each
 draw's own Cholesky factor, so tests can demand bit-identical results from
 the batched path.
+
+``vbmc.gp`` calls LAPACK directly. The ``scipy_*`` functions below compute
+the same quantities through ``scipy.linalg``'s wrappers (``cholesky``,
+``cho_solve``, ``solve_triangular``) and the summed ``student_t_logpdf``, so
+tests can demand the same bits from the direct calls.
 """
 
 import math
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from vbmc.gp import (
     GPHyperparams,
+    GPTrainingError,
     HyperparamSampleSet,
     TrainingSet,
     gp_fit,
     nq_mean,
     se_kernel_matrix,
+    student_t_logpdf,
 )
 from vbmc.quadrature import z_matrix
 
@@ -118,3 +125,59 @@ def per_draw_variance(vp, post):
         U = lam_k * solve_triangular(post.L[0], z.T, lower=True)
         J = J - U.T @ U
     return max(float(vp.w @ J @ vp.w), 0.0)
+
+
+def scipy_solve_lower(L, B):
+    """``L[s]^-1 B[s]`` for every draw through scipy's batched triangular solve."""
+    return solve_triangular(L, B, lower=True, check_finite=False)
+
+
+def scipy_factor_gram(train, hyp):
+    """``(L, jitter)`` of the noisy Gram matrix through ``scipy.linalg.cholesky``,
+    with the jitter ladder 0, then 1e-10 .. 1e-6 times ``tr(K)/n``."""
+    K = se_kernel_matrix(train.X, train.X, hyp)
+    diag = np.diag_indices_from(K)
+    K[diag] += hyp.sobs**2
+    diag0 = K[diag].copy()
+    jitters = [0.0, 1e-10 * np.trace(K) / train.n]
+    while len(jitters) < 6:
+        jitters.append(jitters[-1] * 10.0)
+    for jitter in jitters:
+        try:
+            K[diag] = diag0 + jitter
+            return cholesky(K, lower=True, check_finite=False), jitter
+        except np.linalg.LinAlgError:
+            pass
+    raise GPTrainingError(f"Gram matrix not positive definite after jitter {jitter:g}")
+
+
+def scipy_lml_grad(train, hyp):
+    """Log marginal likelihood and its gradient through ``cho_solve``."""
+    L, _ = scipy_factor_gram(train, hyp)
+    resid = train.y - nq_mean(train.X, hyp)
+    alpha = cho_solve((L, True), resid, check_finite=False)
+    lml = float(
+        -0.5 * resid @ alpha
+        - np.sum(np.log(np.diag(L)))
+        - 0.5 * train.n * math.log(2.0 * math.pi)
+    )
+    X, n, D = train.X, train.n, train.D
+    A = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(n))
+    Kk = se_kernel_matrix(X, X, hyp)
+    grad = np.empty(3 * D + 3)
+    for i in range(D):
+        Dist = (X[:, i, None] - X[None, :, i]) ** 2 / hyp.ell[i] ** 2
+        grad[i] = 0.5 * np.sum(A * (Kk * Dist))
+    grad[D] = np.sum(A * Kk)
+    grad[D + 1] = hyp.sobs**2 * np.trace(A)
+    grad[D + 2] = np.sum(alpha)
+    diff = X - hyp.x_m
+    grad[D + 3 : 2 * D + 3] = (diff / hyp.omega**2).T @ alpha
+    grad[2 * D + 3 :] = (diff**2 / hyp.omega**2).T @ alpha
+    return lml, grad
+
+
+def summed_prior_logpdf(prior, theta):
+    """``GPHyperprior.logpdf`` inside the bounds: the summed Student-t densities."""
+    p = prior.has_prior
+    return float(np.sum(student_t_logpdf(theta[p], prior.mean[p], prior.scale[p])))

@@ -114,6 +114,22 @@ class TestGroundTruthChecks:
         assert report["ess"] > 1000
         assert report["lml"] == pytest.approx(p.lml_true, abs=0.02)
 
+    @pytest.mark.parametrize("family", ["lumpy", "student", "cigar"])
+    @pytest.mark.parametrize("D", [2, 3])
+    def test_batched_report_matches_per_point_loop(self, family, D, monkeypatch):
+        # more rows than one chunk, so the chunks are joined in order
+        kwargs = {"n_grid": 70, "n_is": 6000}
+        p = make_problem(family, D, 0)
+        batched = verify_ground_truth(p, rng=np.random.default_rng(3), **kwargs)
+        monkeypatch.setattr(
+            p, "log_joint_rows", lambda X: np.array([p.log_joint(x) for x in X])
+        )
+        looped = verify_ground_truth(p, rng=np.random.default_rng(3), **kwargs)
+        assert batched["method"] == looped["method"]
+        for key in ("lml", "ess"):
+            assert batched[key] == pytest.approx(looped[key], rel=1e-12, abs=1e-12)
+        assert np.allclose(batched["mean"], looped["mean"], rtol=1e-12, atol=1e-12)
+
 
 class TestMetrics:
     class FakeResult:

@@ -105,3 +105,20 @@ def test_infer_rejects_unknown_option(tmp_path, capsys):
     assert len(err) == 1
     assert "n_active" in err[0]
     assert "allowed: max_fevals, acq, diag_gp_samples" in err[0]
+
+
+def test_infer_rejects_unknown_acquisition(tmp_path, capsys):
+    config = {
+        "problem": {"family": "lumpy", "D": 2, "seed": 0},
+        "options": {"max_fevals": 40, "acq": "ucb"},
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "result.json"
+    code = main(["infer", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "'ucb'" in err[0]
+    assert "allowed: us, pro" in err[0]

@@ -103,6 +103,15 @@ class TestInitialDesign:
             VBMC(spec, VBMCOptions(max_fevals=max_fevals))
         assert calls == []
 
+    def test_unknown_acquisition_raises_before_any_evaluation(self):
+        spec, *_ = conjugate_problem()
+        calls = []
+        inner = spec.log_joint
+        spec.log_joint = lambda x: calls.append(x) or inner(x)
+        with pytest.raises(ValueError, match="unknown acquisition 'ucb'; allowed: us, pro"):
+            VBMC(spec, VBMCOptions(max_fevals=40, acq="ucb")).run(seed=0)
+        assert calls == []
+
     def test_budget_equal_to_initial_design_runs(self):
         spec, *_ = conjugate_problem()
         res = VBMC(spec, VBMCOptions(max_fevals=10)).run(seed=0)

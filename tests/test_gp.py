@@ -11,6 +11,10 @@ from per_draw import (
     prior_set,
     random_hyp,
     random_sample_set,
+    scipy_factor_gram,
+    scipy_lml_grad,
+    scipy_solve_lower,
+    summed_prior_logpdf,
 )
 from vbmc import gp as gpm
 from vbmc.gp import (
@@ -330,11 +334,11 @@ class TestMarginalLikelihood:
     def test_jitter_escalation_reports_largest_jitter(self, monkeypatch):
         attempts = []
 
-        def failing_cholesky(K, **kw):
+        def failing_dpotrf(K, **kw):
             attempts.append(K[0, 0])
-            raise np.linalg.LinAlgError("not positive definite")
+            return K, 1  # LAPACK's info > 0: a leading minor is not positive
 
-        monkeypatch.setattr(gpm, "cholesky", failing_cholesky)
+        monkeypatch.setattr(gpm, "dpotrf", failing_dpotrf)
         hyp = simple_hyp(D=1, log_sf=0.5, log_sobs=-2.0)
         train = TrainingSet([[0.0], [1.0], [2.5]], [0.1, 0.4, -0.3])
         with pytest.raises(gpm.GPTrainingError) as info:
@@ -371,6 +375,72 @@ class TestMarginalLikelihood:
                 - log_marginal_likelihood(train, GPHyperparams.from_vector(tm, 2))
             ) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+
+def near_duplicate_set(rng):
+    """Training data and a draw whose Gram matrix needs jitter: five
+    near-duplicate inputs, sf2 = e^16 and sobs = 1e-5."""
+    X = rng.uniform(-1, 1, size=(20, 2))
+    X = np.vstack([X, X[:5] + 1e-7])
+    h = random_hyp(rng, 2, log_sobs=math.log(1e-5))
+    hyp = GPHyperparams(h.log_ell + 1.0, 8.0, h.log_sobs, h.m0, h.x_m, h.log_omega)
+    return TrainingSet(X, rng.normal(size=25)), hyp
+
+
+class TestDirectLapackMatchesScipy:
+    """The direct LAPACK calls give the bits of the scipy wrappers they replace."""
+
+    @pytest.mark.parametrize("S", [1, 6])
+    @pytest.mark.parametrize("updates", [0, 1])
+    def test_solve_lower(self, S, updates):
+        rng = np.random.default_rng(S + 10 * updates)
+        L = random_sample_set(rng, S, n=15, D=2, updates=updates).L
+        # Fortran blocks after a fit, a C stack after an update
+        if updates == 0:
+            assert all(block.flags.f_contiguous for block in L)
+        else:
+            assert L.flags.c_contiguous
+        for cols in (1, 7):
+            c_rhs = rng.normal(size=(S, 15 + updates, cols))
+            f_rhs = np.swapaxes(rng.normal(size=(S, cols, 15 + updates)), -1, -2)
+            for B in (c_rhs, f_rhs):
+                assert np.array_equal(gpm._solve_lower(L, B), scipy_solve_lower(L, B))
+
+    def test_factor_gram(self):
+        rng = np.random.default_rng(31)
+        cases = [(draw_gp_data(hyp, 30, rng), hyp) for hyp in (simple_hyp(D=2),)]
+        cases += [near_duplicate_set(rng)]
+        for train, hyp in cases:
+            L, jitter = gpm._factor_gram(train, hyp)
+            L_ref, jitter_ref = scipy_factor_gram(train, hyp)
+            assert L.flags.f_contiguous and L_ref.flags.f_contiguous
+            assert np.array_equal(L, L_ref)
+            assert jitter == jitter_ref
+        assert jitter > 0  # the near-duplicate case escalated
+
+    def test_lml_and_gradient(self):
+        rng = np.random.default_rng(32)
+        cases = [near_duplicate_set(rng)]
+        for n, D in [(12, 1), (30, 2), (45, 3)]:
+            X = rng.uniform(-2, 2, size=(n, D))
+            train = TrainingSet(X, rng.normal(size=n))
+            cases += [(train, random_hyp(rng, D)) for _ in range(5)]
+        for train, hyp in cases:
+            lml_ref, grad_ref = scipy_lml_grad(train, hyp)
+            assert log_marginal_likelihood(train, hyp) == lml_ref
+            lml, grad = log_marginal_likelihood_grad(train, hyp)
+            assert lml == lml_ref
+            assert np.array_equal(grad, grad_ref)
+
+    def test_hyperprior_logpdf(self):
+        rng = np.random.default_rng(33)
+        for D in (1, 2, 6):
+            train = draw_gp_data(simple_hyp(D=D), 20, rng)
+            prior = GPHyperprior(train)
+            center = default_hyperparams(train).to_vector()
+            for _ in range(20):
+                theta = prior.sample(center, rng)
+                assert prior.logpdf(theta) == summed_prior_logpdf(prior, theta)
 
 
 class TestHyperprior:
