@@ -5,9 +5,13 @@ plain (variance times squared mixture density) and prospective (variance
 times density times exponentiated predictive mean). Values are regularized
 to avoid points whose predictive variance is already tiny, which would
 ill-condition the Gram matrix, and all scoring happens in log space.
-"""
 
-from dataclasses import dataclass
+The inputs of one point selection are passed directly: the GP posterior
+``samples`` (a ``gp.HyperparamSampleSet``), the variational posterior
+``vp``, the search box ``lb``/``ub`` from :func:`search_box`, and the rule
+``kind``, one of ``ACQUISITION_KINDS``; ``core.VBMCOptions`` rejects any
+other kind before a run starts.
+"""
 
 import numpy as np
 
@@ -16,12 +20,15 @@ from .gp import marginal_predict
 
 __all__ = [
     "AcquisitionError",
-    "AcquisitionContext",
     "log_acquisition",
     "optimize_acquisition",
 ]
 
 V_REG = 1e-4
+SEARCH_MARGIN = 3.0  # search-box expansion beyond the training inputs, per side
+N_PROBES = 1000  # uniform probes that seed the search
+CMA_MAX_GEN = 200  # CMA-ES generations per search, split between its starts
+CMA_PATIENCE = 20  # CMA-ES generations without improvement before a start stops
 
 
 class AcquisitionError(RuntimeError):
@@ -31,35 +38,18 @@ class AcquisitionError(RuntimeError):
 ACQUISITION_KINDS = ("us", "pro")
 
 
-@dataclass
-class AcquisitionContext:
-    """Immutable inputs for one point selection."""
-
-    samples: object  # HyperparamSampleSet
-    vp: object  # VariationalPosterior
-    search_lb: np.ndarray
-    search_ub: np.ndarray
-    kind: str = "pro"
-
-    def __post_init__(self):
-        if self.kind not in ACQUISITION_KINDS:
-            raise ValueError(f"unknown acquisition kind {self.kind!r}")
-        self.search_lb = np.asarray(self.search_lb, dtype=float)
-        self.search_ub = np.asarray(self.search_ub, dtype=float)
-
-
-def search_box(train, scale=3.0):
-    """Bounding box of the training inputs, expanded on each side.
+def search_box(train):
+    """Bounding box of the training inputs, expanded by ``SEARCH_MARGIN`` per side.
 
     The expansion is in internal plausible-range units (one unit per
     dimension after the input transform).
     """
-    lo = train.X.min(axis=0) - scale
-    hi = train.X.max(axis=0) + scale
+    lo = train.X.min(axis=0) - SEARCH_MARGIN
+    hi = train.X.max(axis=0) + SEARCH_MARGIN
     return lo, hi
 
 
-def log_acquisition(ctx, X):
+def log_acquisition(samples, vp, X, kind):
     """Log of the regularized acquisition at rows of ``X``.
 
     ``us`` scores V(x) q(x)^2 and ``pro`` scores V(x) q(x) e^{fbar(x)}.
@@ -68,11 +58,11 @@ def log_acquisition(ctx, X):
     sends the score to zero (log -inf) as V goes to zero.
     """
     X = np.atleast_2d(X)
-    fbar, var = marginal_predict(ctx.samples, X)
-    logq = ctx.vp.logpdf(X)
+    fbar, var = marginal_predict(samples, X)
+    logq = vp.logpdf(X)
     with np.errstate(divide="ignore"):
         log_v = np.where(var > 0, np.log(np.maximum(var, 1e-300)), -np.inf)
-    if ctx.kind == "us":
+    if kind == "us":
         out = log_v + 2.0 * logq
     else:
         out = log_v + logq + fbar
@@ -85,25 +75,25 @@ def log_acquisition(ctx, X):
     return out
 
 
-def optimize_acquisition(ctx, rng, n_probes=1000, max_gen=200, patience=20):
-    """Search the box for the acquisition maximizer.
+def optimize_acquisition(samples, vp, lb, ub, kind, rng):
+    """Search the box ``[lb, ub]`` for the acquisition maximizer.
 
-    Seeds with uniform probes plus the mixture means, then runs CMA-ES
-    from the best seed with one restart from the runner-up (splitting the
-    generation budget). The returned point is at least as good as every
-    probe and is never within duplicate tolerance of a training input.
+    Seeds with ``N_PROBES`` uniform probes plus the mixture means, then runs
+    CMA-ES from the best seed with one restart from the runner-up (splitting
+    the ``CMA_MAX_GEN`` generation budget). The returned point is at least
+    as good as every probe and is never within duplicate tolerance of a
+    training input.
     """
-    lb, ub = ctx.search_lb, ctx.search_ub
-    probes = rng.uniform(lb, ub, size=(n_probes, lb.size))
-    seeds = np.vstack([probes, np.clip(ctx.vp.mu, lb, ub)])
-    values = log_acquisition(ctx, seeds)
+    probes = rng.uniform(lb, ub, size=(N_PROBES, lb.size))
+    seeds = np.vstack([probes, np.clip(vp.mu, lb, ub)])
+    values = log_acquisition(samples, vp, seeds, kind)
     order = np.argsort(values)[::-1]
 
     if not np.isfinite(values[order[0]]):
         raise AcquisitionError("acquisition is zero everywhere in the search box")
 
     def f_batch(X):
-        return log_acquisition(ctx, X)
+        return log_acquisition(samples, vp, X, kind)
 
     best_x = seeds[order[0]]
     best_val = values[order[0]]
@@ -113,12 +103,12 @@ def optimize_acquisition(ctx, rng, n_probes=1000, max_gen=200, patience=20):
     for start in starts:
         x_cand, v_cand = cma_maximize(
             f_batch, start, lb, ub, rng,
-            max_gen=max_gen // len(starts), patience=patience,
+            max_gen=CMA_MAX_GEN // len(starts), patience=CMA_PATIENCE,
         )
         if v_cand > best_val:
             best_x, best_val = x_cand, v_cand
 
-    train = ctx.samples.train
+    train = samples.train
     if not train.is_duplicate(best_x):
         return best_x
     for idx in order:

@@ -39,6 +39,9 @@ __all__ = [
 
 PRIOR_SD_MULTIPLIER = 3.5
 FAMILIES = ("lumpy", "student", "cigar")
+N_GRID = 220  # grid points per axis of the D = 2 ground-truth check
+N_BOOT = 1000  # bootstrap resamples of each summary interval
+CI_LEVEL = 0.95  # coverage of the summary intervals
 
 
 @dataclass
@@ -292,23 +295,19 @@ def make_problem(family, D, seed=0):
 # -- metrics -----------------------------------------------------------
 
 
-def metric_lml_error(result, problem):
-    """Absolute error of the evidence estimate."""
-    return abs(result.elbo_mean - problem.lml_true)
+def metric_lml_error(elbo_mean, problem):
+    """Absolute error of the evidence estimate ``elbo_mean``."""
+    return abs(elbo_mean - problem.lml_true)
 
 
-def metric_gskl(result, problem):
+def metric_gskl(mean, cov, problem):
     """Symmetrized KL between moment-matched Gaussians, original space.
 
-    This is ``gaussian_skl`` of the original-space moments, so it is the
-    mean of the two directed KLs (half the sum convention).
+    ``mean`` and ``cov`` are the posterior moments in original coordinates.
+    This is ``gaussian_skl`` of them against the true moments, so it is the
+    mean of the two directed KLs (half the sum convention). A singular
+    covariance gives ``inf``.
     """
-    mean, cov = result.moments_original()
-    return float(gaussian_skl(mean, cov, problem.post_mean, problem.post_cov))
-
-
-def _gskl_from_internal(moments, transform, problem):
-    mean, cov = transform.moments_to_original(*moments)
     try:
         return float(gaussian_skl(mean, cov, problem.post_mean, problem.post_cov))
     except np.linalg.LinAlgError:
@@ -325,23 +324,24 @@ def _log_joint_chunked(problem, X):
     )
 
 
-def verify_ground_truth(problem, rng=None, n_grid=220, n_is=200_000):
+def verify_ground_truth(problem, rng=None, n_is=200_000):
     """Cross-check stored ground truth with an independent estimator.
 
-    Uses dense grid quadrature for D = 2 and self-normalized importance
-    sampling from an inflated moment-matched Gaussian for D > 2. Returns a
-    report dict including the effective sample size for the IS branch.
+    Uses dense grid quadrature (``N_GRID`` points per axis) for D = 2 and
+    self-normalized importance sampling from an inflated moment-matched
+    Gaussian for D > 2. Returns a report dict including the effective
+    sample size for the IS branch.
     """
     D = problem.D
     if D == 2:
         half = 8.0 * np.sqrt(np.diag(problem.post_cov))
         axes = [
-            np.linspace(problem.post_mean[d] - half[d], problem.post_mean[d] + half[d], n_grid)
+            np.linspace(problem.post_mean[d] - half[d], problem.post_mean[d] + half[d], N_GRID)
             for d in range(2)
         ]
         xx, yy = np.meshgrid(*axes, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
-        logj = _log_joint_chunked(problem, pts).reshape(n_grid, n_grid)
+        logj = _log_joint_chunked(problem, pts).reshape(N_GRID, N_GRID)
         from numpy import trapezoid
 
         pj = np.exp(logj - logj.max())
@@ -353,7 +353,7 @@ def verify_ground_truth(problem, rng=None, n_grid=220, n_is=200_000):
                 for d in range(2)
             ]
         ) / mass
-        return {"method": "grid", "lml": lml, "mean": mean, "ess": float(n_grid**2)}
+        return {"method": "grid", "lml": lml, "mean": mean, "ess": float(N_GRID**2)}
     rng = np.random.default_rng(0) if rng is None else rng
     cov = 1.5 * problem.post_cov
     L = np.linalg.cholesky(cov)
@@ -446,16 +446,16 @@ def execute_run(family, D, problem_seed, run_seed, acq, budget_multiplier, meta_
     checkpoints = [
         (
             r.fevals,
-            abs(r.elbo_mean - problem.lml_true),
-            _gskl_from_internal(r.moments, transform, problem),
+            metric_lml_error(r.elbo_mean, problem),
+            metric_gskl(*transform.moments_to_original(*r.moments), problem),
         )
         for r in result.history
     ]
     final = {
         "elbo_mean": result.elbo_mean,
         "elbo_sd": result.elbo_sd,
-        "lml_err": metric_lml_error(result, problem),
-        "gskl": metric_gskl(result, problem),
+        "lml_err": metric_lml_error(result.elbo_mean, problem),
+        "gskl": metric_gskl(*result.moments_original(), problem),
         "stable": result.stable,
         "iterations": result.iterations,
         "fevals": result.fevals,
@@ -513,12 +513,13 @@ def run_benchmark(config, progress=None):
     return records
 
 
-def _bootstrap_ci(values, rng, n_boot=1000, level=0.95):
+def _bootstrap_ci(values, rng):
+    """``CI_LEVEL`` interval of the median over ``N_BOOT`` bootstrap resamples."""
     values = np.asarray(values, dtype=float)
     medians = np.median(
-        rng.choice(values, size=(n_boot, values.size), replace=True), axis=1
+        rng.choice(values, size=(N_BOOT, values.size), replace=True), axis=1
     )
-    alpha = 0.5 * (1.0 - level)
+    alpha = 0.5 * (1.0 - CI_LEVEL)
     return (
         float(np.quantile(medians, alpha)),
         float(np.quantile(medians, 1.0 - alpha)),

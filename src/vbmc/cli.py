@@ -19,6 +19,7 @@ from .benchmark import (
     write_summary_csv,
 )
 from .core import VBMC, VBMCOptions
+from .transforms import ParameterTransform
 
 
 def _add_generate(sub):
@@ -164,23 +165,22 @@ def _cmd_infer(args):
             file=sys.stderr,
         )
         return 2
+    # a bad options, problem or bounds block ends here, before any evaluation
     try:
         options = VBMCOptions(**given)
+        pspec = config["problem"]
+        problem = make_problem(
+            pspec["family"], int(pspec["D"]), int(pspec.get("seed", 0))
+        )
+        x0 = config.get("x0")
+        spec = problem.problem_spec(x0=np.asarray(x0, float) if x0 else None)
+        if "bounds" in config:
+            tr = ParameterTransform.from_config(config["bounds"])
+            spec.lb, spec.ub, spec.plb, spec.pub = tr.lb, tr.ub, tr.plb, tr.pub
+        engine = VBMC(spec, options)
     except ValueError as err:
         print(f"vbmc infer: {err} in {args.config}", file=sys.stderr)
         return 2
-    pspec = config["problem"]
-    problem = make_problem(
-        pspec["family"], int(pspec["D"]), int(pspec.get("seed", 0))
-    )
-    x0 = config.get("x0")
-    spec = problem.problem_spec(x0=np.asarray(x0, float) if x0 else None)
-    if "bounds" in config:
-        from .transforms import ParameterTransform
-
-        tr = ParameterTransform.from_config(config["bounds"])
-        spec.lb, spec.ub, spec.plb, spec.pub = tr.lb, tr.ub, tr.plb, tr.pub
-    engine = VBMC(spec, options)
     result = engine.run(seed=int(config.get("seed", 0)), diagnostics=args.diagnostics)
     out = {
         "problem_id": problem.problem_id,

@@ -12,23 +12,17 @@ import numpy as np
 
 __all__ = ["cma_maximize"]
 
+SIGMA0 = 0.25  # initial step size, in box-width units
+FTOL = 1e-3  # gain below which a generation does not count as an improvement
 
-def cma_maximize(
-    f_batch,
-    x0,
-    lb,
-    ub,
-    rng,
-    sigma0=0.25,
-    popsize=None,
-    max_gen=100,
-    ftol=1e-3,
-    patience=30,
-):
+
+def cma_maximize(f_batch, x0, lb, ub, rng, max_gen=100, patience=30):
     """Maximize ``f_batch`` over the box ``[lb, ub]`` starting near ``x0``.
 
     ``f_batch`` maps an (m, D) array to m values (may contain ``-inf``).
-    Returns ``(x_best, f_best)``. ``sigma0`` is in box-width units.
+    Returns ``(x_best, f_best)``. The search stops after ``max_gen``
+    generations, or after ``patience`` generations without a gain above
+    ``FTOL``. The population size is the standard 4 + floor(3 ln n).
     """
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
@@ -39,9 +33,9 @@ def cma_maximize(
         return lb + u * span
 
     u_mean = np.clip((np.asarray(x0, dtype=float) - lb) / span, 0.0, 1.0)
-    sigma = float(sigma0)
+    sigma = SIGMA0
 
-    lam = popsize or (4 + int(3 * math.log(max(n, 2))))
+    lam = 4 + int(3 * math.log(max(n, 2)))
     mu = lam // 2
     weights = math.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
     weights /= weights.sum()
@@ -76,7 +70,7 @@ def cma_maximize(
         f = f_batch(to_x(u))
         f = np.where(np.isfinite(f), f, -np.inf)
         order = np.argsort(f)[::-1]
-        if f[order[0]] > f_best + ftol:
+        if f[order[0]] > f_best + FTOL:
             last_improved = gen
         if f[order[0]] > f_best:
             f_best = float(f[order[0]])

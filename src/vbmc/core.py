@@ -16,7 +16,6 @@ import numpy as np
 
 from .acquisition import (
     ACQUISITION_KINDS,
-    AcquisitionContext,
     AcquisitionError,
     optimize_acquisition,
     search_box,
@@ -61,6 +60,8 @@ WARMUP_NGP_CAP = 8  # hyperparameter draws per iteration during warm-up
 TRIM_MULTIPLIER = 10.0  # the end of warm-up keeps y above max - TRIM_MULTIPLIER * D
 STOP_SAMPLING_FRAC = 0.1  # of DELTA_SD: between-draw ELBO SD that counts as settled
 STOP_SAMPLING_PATIENCE = 3  # settled iterations in a row before MAP hyperparameters
+N_MOMENT_SAMPLES = 2**16  # draws of the sampled original-space moments
+MOMENT_SEED = 0  # seed of those draws
 
 __all__ = [
     "ProblemSpec",
@@ -114,7 +115,8 @@ class VBMCOptions:
     spends an evaluation), and ``diag_gp_samples`` adds one diagnostics
     line per GP hyperparameter draw. Every other value of the reference
     configuration is a module constant of the one module that reads it
-    (``core``, ``optim``, ``acquisition``, ``gp``).
+    (``core``, ``optim``, ``acquisition``, ``cmaes``, ``gp``,
+    ``slice_sampler``, ``benchmark``).
     """
 
     max_fevals: int | None = None
@@ -187,16 +189,16 @@ class InferenceResult:
         """Posterior draws mapped back to original coordinates."""
         return self.transform.to_original(self.vp.sample(n, rng))
 
-    def moments_original(self, n_samples=2**16, rng=None):
+    def moments_original(self):
         """Posterior mean/covariance in original coordinates.
 
         Exact affine inversion when every dimension is unbounded;
-        otherwise estimated from mapped samples.
+        otherwise estimated from ``N_MOMENT_SAMPLES`` mapped draws seeded
+        with ``MOMENT_SEED``.
         """
         if not np.any(self.transform.bounded):
             return self.transform.moments_to_original(*self.vp.moments())
-        rng = np.random.default_rng(0) if rng is None else rng
-        xs = self.sample_original(n_samples, rng)
+        xs = self.sample_original(N_MOMENT_SAMPLES, np.random.default_rng(MOMENT_SEED))
         return xs.mean(axis=0), np.cov(xs.T).reshape(self.vp.D, self.vp.D)
 
 
@@ -339,12 +341,13 @@ class VBMC:
             [0.5, 0.5], mu, [INIT_SIGMA, INIT_SIGMA], np.ones(self.D)
         )
 
-    def _active_sample_batch(self, train, samples, vp, rng):
+    def _active_sample_batch(self, samples, vp, rng):
+        """Add ``N_ACTIVE`` acquisition-chosen evaluations to ``samples``."""
         for _ in range(N_ACTIVE):
+            train = samples.train
             lo, hi = search_box(train)
-            ctx = AcquisitionContext(samples, vp, lo, hi, kind=self.options.acq)
             try:
-                u_next = optimize_acquisition(ctx, rng)
+                u_next = optimize_acquisition(samples, vp, lo, hi, self.options.acq, rng)
             except AcquisitionError:
                 logger.warning("degenerate acquisition; falling back to a uniform draw")
                 u_next = rng.uniform(-0.5, 0.5, size=self.D)
@@ -355,7 +358,6 @@ class VBMC:
             y, ok = self._evaluate(u_next)
             if ok:
                 samples = samples.with_point(u_next, y)
-                train = samples.train
             else:
                 logger.error("excluding failed evaluation from the surrogate")
                 if self._consecutive_failures >= 2 * N_ACTIVE:
@@ -363,7 +365,7 @@ class VBMC:
                         "repeated log-joint failures during active sampling",
                         history=self._history,
                     )
-        return train, samples
+        return samples
 
     def _update_hyperparameters(self, train, warmup, stop_sampling, rng):
         if not stop_sampling:
@@ -440,7 +442,10 @@ class VBMC:
         while True:
             t += 1
             if t > 1 and not skip_active:
-                train, samples = self._active_sample_batch(train, samples, vp, rng)
+                # the warm-up trim changes train and skips this batch, so
+                # here train is always samples.train
+                samples = self._active_sample_batch(samples, vp, rng)
+                train = samples.train
             skip_active = False
 
             samples = self._update_hyperparameters(train, warmup, stop_sampling, rng)

@@ -47,6 +47,8 @@ SIGMA_OBS_FLOOR = 1e-5
 BURN_SWEEPS = 10  # slice-sampling sweeps discarded before the first draw
 THIN_SWEEPS = 3  # slice-sampling sweeps per retained draw
 N_RESTARTS = 3  # MAP restarts from hyperprior draws
+HPD_FRACTION = 0.8  # share of the training points, by value, in the highest-density subset
+HYPERPRIOR_DF = 3.0  # degrees of freedom of the Student-t hyperpriors
 
 # Diagnostics: number of times a numerically negative predictive variance
 # was clamped to zero.
@@ -89,10 +91,6 @@ class GPHyperparams:
             raise ValueError("scale hyperparameters must exponentiate to finite positives")
         object.__setattr__(self, "ell", np.exp(self.log_ell))
         object.__setattr__(self, "omega", np.exp(self.log_omega))
-
-    @property
-    def D(self):
-        return self.log_ell.size
 
     @property
     def sf2(self):
@@ -156,9 +154,9 @@ class TrainingSet:
     def subset(self, mask):
         return TrainingSet(self.X[mask], self.y[mask])
 
-    def hpd(self, fraction=0.8):
-        """Highest-density subset: top ``fraction`` of points by value."""
-        keep = max(1, math.ceil(fraction * self.n))
+    def hpd(self):
+        """Highest-density subset: top ``HPD_FRACTION`` of points by value."""
+        keep = max(1, math.ceil(HPD_FRACTION * self.n))
         order = np.argsort(self.y)[::-1][:keep]
         return self.subset(np.sort(order))
 
@@ -310,12 +308,9 @@ def log_marginal_likelihood_grad(train, hyp):
     return lml, grad
 
 
-def student_t_logpdf(x, mu, scale, df=3.0):
-    """Log density of a scaled Student-t distribution."""
-    return _student_t_log_norm(scale, df) - _student_t_log_kernel((x - mu) / scale, df)
-
-
-def _student_t_log_norm(scale, df=3.0):
+def _student_t_log_norm(scale):
+    """Log normalizer of a Student-t hyperprior with ``HYPERPRIOR_DF`` and ``scale``."""
+    df = HYPERPRIOR_DF
     return (
         math.lgamma(0.5 * (df + 1.0))
         - math.lgamma(0.5 * df)
@@ -324,25 +319,26 @@ def _student_t_log_norm(scale, df=3.0):
     )
 
 
-def _student_t_log_kernel(z, df=3.0):
+def _student_t_log_kernel(z):
+    """The part of the Student-t log density that depends on the standardized ``z``."""
+    df = HYPERPRIOR_DF
     return 0.5 * (df + 1.0) * np.log1p(z * z / df)
 
 
 class GPHyperprior:
     """Independent hyperparameter priors, partly empirical-Bayes.
 
-    Student-t (3 degrees of freedom) priors are placed on the log input
-    scales, the log observation noise, and the mean maximum, with means and
-    scales derived from the highest-density subset of the training data;
-    the remaining hyperparameters get flat priors. Wide hard bounds keep
-    flat directions from drifting during sampling.
+    Student-t priors with ``HYPERPRIOR_DF`` degrees of freedom are placed on
+    the log input scales, the log observation noise, and the mean maximum,
+    with means and scales derived from the highest-density subset of the
+    training data; the remaining hyperparameters get flat priors. Wide hard
+    bounds keep flat directions from drifting during sampling.
     """
 
-    HPD_FRACTION = 0.8
     SCALE_FLOOR = 1e-3
 
     def __init__(self, train):
-        hpd = train.hpd(self.HPD_FRACTION)
+        hpd = train.hpd()
         D = train.D
         m = 3 * D + 3
 
@@ -368,7 +364,6 @@ class GPHyperprior:
         scale[sl["m0"]] = diam_y
         has_prior[sl["m0"]] = True
 
-        self.D = D
         self.mean = mean
         self.scale = np.maximum(scale, self.SCALE_FLOOR)
         self.has_prior = has_prior
@@ -420,7 +415,8 @@ class GPHyperprior:
     def grad_logpdf(self, theta):
         g = np.zeros_like(theta)
         z = theta[self.has_prior] - self._mean_p
-        g[self.has_prior] = -4.0 * z / (3.0 * self._scale_p**2 + z * z)  # (df+1) = 4
+        df = HYPERPRIOR_DF
+        g[self.has_prior] = -(df + 1.0) * z / (df * self._scale_p**2 + z * z)
         return g
 
     def sample(self, center, rng):
@@ -428,7 +424,8 @@ class GPHyperprior:
         jittered ``center`` on the flat directions; clipped to bounds."""
         theta = np.array(center, dtype=float)
         p = self.has_prior
-        theta[p] = self.mean[p] + self.scale[p] * rng.standard_t(3.0, size=int(p.sum()))
+        draws = rng.standard_t(HYPERPRIOR_DF, size=int(p.sum()))
+        theta[p] = self.mean[p] + self.scale[p] * draws
         theta[~p] = theta[~p] + rng.normal(0.0, 1.0, size=int((~p).sum()))
         finite_lo = np.where(np.isfinite(self.lower), self.lower, theta - 1.0)
         finite_hi = np.where(np.isfinite(self.upper), self.upper, theta + 1.0)
@@ -514,7 +511,7 @@ def n_gp_schedule(n):
 
 def default_hyperparams(train):
     """Heuristic hyperparameters used to start the first chain."""
-    hpd = train.hpd(GPHyperprior.HPD_FRACTION)
+    hpd = train.hpd()
     sd_x = np.maximum(np.std(hpd.X, axis=0), 1e-3)
     sd_y = max(float(np.std(hpd.y)), 1e-3)
     top = train.X[int(np.argmax(train.y))]

@@ -38,6 +38,7 @@ TOL_PARAM = 0.001  # RMS parameter move per window below which Adam stops
 JITTER_MU = 0.1  # candidate jitter of the means, in component SDs
 JITTER_LOG_SIGMA = 0.2  # candidate jitter of the log scales
 JITTER_ETA = 0.2  # candidate jitter of the log weights
+SPLIT_JITTER = 0.5  # mean offset of a split-off component, in parent SDs
 N_ENTROPY = 100  # entropy draws per Adam step and per starting candidate
 N_ENTROPY_READOUT = 2**15  # entropy draws of the final ELBO estimate
 
@@ -52,8 +53,8 @@ class AdamState:
     alpha_max: float = ALPHA_MAX_MAIN
 
     @classmethod
-    def fresh(cls, n_params, **kw):
-        return cls(m=np.zeros(n_params), v=np.zeros(n_params), **kw)
+    def fresh(cls, size, **kw):
+        return cls(m=np.zeros(size), v=np.zeros(size), **kw)
 
 
 def learning_rate(state):
@@ -87,14 +88,14 @@ def _neg_elbo_and_grad(theta, K, D, samples, rng, freeze_weights):
     return -value, -grad
 
 
-def split_component(vp, rng, jitter=0.5):
+def split_component(vp, rng):
     """Add one component by splitting a weight-proportional choice.
 
     The child copies the parent's scale, jitters the mean by
-    ``jitter * sigma_k * lam``, and splits the parent's weight in half.
+    ``SPLIT_JITTER * sigma_k * lam``, and splits the parent's weight in half.
     """
     k = int(rng.choice(vp.K, p=vp.w))
-    mu_child = vp.mu[k] + jitter * vp.sigma[k] * vp.lam * rng.standard_normal(vp.D)
+    mu_child = vp.mu[k] + SPLIT_JITTER * vp.sigma[k] * vp.lam * rng.standard_normal(vp.D)
     w = np.append(vp.w, vp.w[k] / 2.0)
     w[k] /= 2.0
     return VariationalPosterior(

@@ -193,8 +193,6 @@ class ELBOEstimate:
     elbo_mean: float
     elbo_sd: float
     entropy: float
-    g_mean: float
-    g_var: float
     between_sample_var: float = 0.0
 
     def elcbo(self, beta_lcb):
@@ -214,7 +212,5 @@ def elbo(vp, samples, n_entropy, rng):
         elbo_mean=quad.g_mean + H,
         elbo_sd=math.sqrt(max(quad.g_var, 0.0)),
         entropy=H,
-        g_mean=quad.g_mean,
-        g_var=quad.g_var,
         between_sample_var=quad.between_sample_var,
     )

@@ -4,6 +4,8 @@ import numpy as np
 
 __all__ = ["SliceSamplingError", "slice_sample"]
 
+MAX_STEPS_OUT = 100  # bracket widenings per side and coordinate update at most
+
 
 class SliceSamplingError(RuntimeError):
     """Raised when the shrink loop collapses without acceptance.
@@ -16,7 +18,7 @@ class SliceSamplingError(RuntimeError):
         self.last_sample = np.asarray(last_sample)
 
 
-def _update_coord(log_density, x, i, logp_x, width, rng, max_steps_out, max_shrink):
+def _update_coord(log_density, x, i, logp_x, width, rng, max_shrink):
     """One slice-sampling update of coordinate ``i``; returns (x, logp)."""
     log_y = logp_x - rng.exponential()
 
@@ -29,11 +31,11 @@ def _update_coord(log_density, x, i, logp_x, width, rng, max_steps_out, max_shri
         return log_density(x)
 
     steps = 0
-    while logp_at(left) > log_y and steps < max_steps_out:
+    while logp_at(left) > log_y and steps < MAX_STEPS_OUT:
         left -= width
         steps += 1
     steps = 0
-    while logp_at(right) > log_y and steps < max_steps_out:
+    while logp_at(right) > log_y and steps < MAX_STEPS_OUT:
         right += width
         steps += 1
 
@@ -60,7 +62,6 @@ def slice_sample(
     rng,
     burn_sweeps=10,
     thin_sweeps=3,
-    max_steps_out=100,
     max_shrink=100,
 ):
     """Draw ``n_samples`` from ``log_density`` starting at ``x0``.
@@ -81,7 +82,7 @@ def slice_sample(
     def sweep(x, logp):
         for i in range(d):
             x, logp = _update_coord(
-                log_density, x, i, logp, widths[i], rng, max_steps_out, max_shrink
+                log_density, x, i, logp, widths[i], rng, max_shrink
             )
         return x, logp
 

@@ -84,9 +84,6 @@ class ParameterTransform:
         self._center = 0.5 * (t_plb + t_pub)
         self._width = t_pub - t_plb
 
-        self.internal_plb = np.full(self.D, -0.5)
-        self.internal_pub = np.full(self.D, 0.5)
-
     def _to_logit_space(self, x):
         with np.errstate(divide="ignore", invalid="ignore"):
             z = (x - self.lb) / (self.ub - self.lb)

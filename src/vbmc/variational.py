@@ -47,29 +47,26 @@ class VariationalPosterior:
     def D(self):
         return self.mu.shape[1]
 
-    @property
-    def n_params(self):
-        return self.K * (self.D + 2) + self.D
+    def log_components(self, X):
+        """Squared distances and weighted component log densities at rows of ``X``.
 
-    def component_logpdf(self, X):
-        """Log density of each component at rows of ``X``; shape (m, K)."""
+        Returns ``(d2, logwG)``, both (m, K): ``d2`` is each row's squared
+        distance to each mean in lambda units, and ``logwG`` is
+        log w_k + log N_k(x).
+        """
         X = np.atleast_2d(X)
         d2 = sq_dist(X / self.lam, self.mu / self.lam)
         base = -0.5 * self.D * _LOG_2PI - np.sum(np.log(self.lam))
-        return base - self.D * np.log(self.sigma)[None, :] - 0.5 * d2 / (
-            self.sigma**2
-        )[None, :]
+        with np.errstate(divide="ignore"):
+            logG = base - self.D * np.log(self.sigma)[None, :] - 0.5 * d2 / (
+                self.sigma**2
+            )[None, :]
+            return d2, logG + np.log(self.w)
 
     def logpdf(self, X):
         """Mixture log density at rows of ``X`` (max-shifted log-sum-exp)."""
-        with np.errstate(divide="ignore"):
-            comp = self.component_logpdf(X) + np.log(self.w)
-        shift = comp.max(axis=1)
-        out = shift + np.log(np.sum(np.exp(comp - shift[:, None]), axis=1))
+        out = _logsumexp_rows(self.log_components(X)[1])
         return out if np.ndim(X) > 1 else float(out[0])
-
-    def pdf(self, X):
-        return np.exp(self.logpdf(X))
 
     def sample(self, n, rng):
         """Draw ``n`` points: component by weight, then a Gaussian draw."""
@@ -124,16 +121,14 @@ class VariationalPosterior:
             "lambda": self.lam.tolist(),
         }
 
-    @classmethod
-    def from_json(cls, data):
-        K, D = int(data["K"]), int(data["D"])
-        return cls(
-            data["w"], np.asarray(data["mu"], dtype=float).reshape(K, D),
-            data["sigma"], data["lambda"],
-        )
+
+def _logsumexp_rows(a):
+    """Max-shifted log-sum-exp of each row of ``a``."""
+    shift = a.max(axis=1)
+    return shift + np.log(np.sum(np.exp(a - shift[:, None]), axis=1))
 
 
-def entropy_mc(vp, n_samples, rng, grad=True, eps=None):
+def entropy_mc(vp, n_samples, rng, grad=True):
     """Monte Carlo entropy estimate, optionally with its exact gradient.
 
     Draws ``n_samples`` standard-normal vectors per component and averages
@@ -160,21 +155,16 @@ def entropy_mc(vp, n_samples, rng, grad=True, eps=None):
             done += b
         return -total / n_samples, None
 
-    if eps is None:
-        eps = rng.standard_normal((n_samples, K, D))
-    Ns = eps.shape[0]
+    eps = rng.standard_normal((n_samples, K, D))
+    Ns = n_samples
     xi = mu + sigma[:, None] * (lam * eps)  # (Ns, K, D)
     P = Ns * K
     xif = xi.reshape(P, D)
     epsf = eps.reshape(P, D)
 
-    # component log densities: squared distances in lambda units, (P, K)
-    M0 = sq_dist(xif / lam, mu / lam)
-    base = -0.5 * D * _LOG_2PI - np.sum(np.log(lam))
-    logG = base - D * np.log(sigma)[None, :] - 0.5 * M0 / (sigma**2)[None, :]
-    logwG = logG + np.log(w)
-    shift = logwG.max(axis=1)
-    logq = shift + np.log(np.sum(np.exp(logwG - shift[:, None]), axis=1))  # (P,)
+    # squared distances in lambda units and weighted log densities, (P, K)
+    M0, logwG = vp.log_components(xif)
+    logq = _logsumexp_rows(logwG)  # (P,)
     r = np.exp(logwG - logq[:, None])  # responsibilities, rows sum to 1
 
     wk = np.tile(w, Ns)  # weight of the component each row was drawn from

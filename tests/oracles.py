@@ -30,7 +30,7 @@ def _grid_1d(vp, post, points):
 
 def oracle_g_mean_1d(vp, post, points=4001):
     g = _grid_1d(vp, post, points)
-    q = vp.pdf(g[:, None])
+    q = np.exp(vp.logpdf(g[:, None]))
     fbar, _ = marginal_predict(post, g[:, None])
     return np.trapezoid(q * fbar, g)
 
@@ -38,7 +38,7 @@ def oracle_g_mean_1d(vp, post, points=4001):
 def oracle_g_var_1d(vp, post, points=3001):
     g = _grid_1d(vp, post, points)
     h = g[1] - g[0]
-    wq = vp.pdf(g[:, None]) * h
+    wq = np.exp(vp.logpdf(g[:, None])) * h
     wq[0] *= 0.5
     wq[-1] *= 0.5
     hyp = post.hyps[0]
@@ -71,7 +71,7 @@ def oracle_g_mean_2d(vp, post, points=451):
     ax1, ax2 = _grid_2d(vp, post, points)
     xx, yy = np.meshgrid(ax1, ax2, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])
-    q = vp.pdf(pts)
+    q = np.exp(vp.logpdf(pts))
     fbar, _ = marginal_predict(post, pts)
     vals = (q * fbar).reshape(points, points)
     return np.trapezoid(np.trapezoid(vals, ax2, axis=1), ax1)
@@ -89,7 +89,7 @@ def oracle_g_var_2d(vp, post, points=351):
 
     xx, yy = np.meshgrid(ax1, ax2, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])
-    WQ = (vp.pdf(pts).reshape(points, points)) * np.outer(trap_w(ax1), trap_w(ax2))
+    WQ = np.exp(vp.logpdf(pts)).reshape(points, points) * np.outer(trap_w(ax1), trap_w(ax2))
 
     # separable kernel: the double integral over the tensor grid reduces to
     # two per-axis kernel contractions
@@ -127,7 +127,7 @@ def entropy_exact_single(vp):
         + D * math.log(vp.sigma[0])
         + np.sum(np.log(vp.lam))
     )
-    grad = np.zeros(vp.n_params)
+    grad = np.zeros(vp.K * (D + 2) + D)
     grad[D] = D  # d/d log sigma
     grad[D + 1 : 2 * D + 1] = 1.0  # d/d log lambda
     return float(H), grad

@@ -8,8 +8,8 @@ the batched path.
 
 ``vbmc.gp`` calls LAPACK directly. The ``scipy_*`` functions below compute
 the same quantities through ``scipy.linalg``'s wrappers (``cholesky``,
-``cho_solve``, ``solve_triangular``) and the summed ``student_t_logpdf``, so
-tests can demand the same bits from the direct calls.
+``cho_solve``, ``solve_triangular``) and the summed :func:`student_t_logpdf`,
+so tests can demand the same bits from the direct calls.
 """
 
 import math
@@ -23,9 +23,10 @@ from vbmc.gp import (
     HyperparamSampleSet,
     TrainingSet,
     gp_fit,
+    _student_t_log_kernel,
+    _student_t_log_norm,
     nq_mean,
     se_kernel_matrix,
-    student_t_logpdf,
 )
 from vbmc.quadrature import z_matrix
 
@@ -175,6 +176,11 @@ def scipy_lml_grad(train, hyp):
     grad[D + 3 : 2 * D + 3] = (diff / hyp.omega**2).T @ alpha
     grad[2 * D + 3 :] = (diff**2 / hyp.omega**2).T @ alpha
     return lml, grad
+
+
+def student_t_logpdf(x, mu, scale):
+    """Log density of the hyperpriors' scaled Student-t (``gp.HYPERPRIOR_DF``)."""
+    return _student_t_log_norm(scale) - _student_t_log_kernel((x - mu) / scale)
 
 
 def summed_prior_logpdf(prior, theta):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from vbmc.acquisition import (
-    AcquisitionContext,
     AcquisitionError,
     V_REG,
     log_acquisition,
@@ -20,8 +19,12 @@ from vbmc.gp import (
 from vbmc.variational import VariationalPosterior
 
 
-def fitted_context(kind="pro", gap=True):
-    """1-D GP with a visible gap in the training inputs around x = 0."""
+def fitted_context(gap=True):
+    """1-D GP with a visible gap in the training inputs around x = 0.
+
+    Returns ``(samples, vp, lo, hi)``: the GP posterior, the mixture and
+    the search box of ``search_box``.
+    """
     hyp = GPHyperparams(
         log_ell=[math.log(0.4)], log_sf=0.0, log_sobs=math.log(1e-3),
         m0=0.0, x_m=[0.0], log_omega=[math.log(3.0)],
@@ -34,7 +37,7 @@ def fitted_context(kind="pro", gap=True):
     samples = gp_fit(TrainingSet(xs[:, None], y), [hyp])
     vp = VariationalPosterior([1.0], [[0.0]], [1.0], [1.0])
     lo, hi = search_box(samples.train)
-    return AcquisitionContext(samples, vp, lo, hi, kind=kind)
+    return samples, vp, lo, hi
 
 
 def fixed_variance(var):
@@ -51,11 +54,9 @@ def fixed_variance(var):
     return samples
 
 
-def fixed_variance_context(var, kind="us"):
+def fixed_variance_context(var):
     vp = VariationalPosterior([1.0], [[0.0]], [1.0], [1.0])
-    return AcquisitionContext(
-        fixed_variance(var), vp, np.array([-2.0]), np.array([2.0]), kind
-    )
+    return fixed_variance(var), vp, np.array([-2.0]), np.array([2.0])
 
 
 class TestCMA:
@@ -98,24 +99,24 @@ class TestCMA:
 
 class TestAcquisitionValues:
     def test_nonnegative_and_zero_where_q_zero(self):
-        ctx = fitted_context("us")
+        samples, vp, _, _ = fitted_context()
         # far outside the mixture support the density underflows to zero
-        val = np.exp(log_acquisition(ctx, np.array([40.0])[None])[0])
+        val = np.exp(log_acquisition(samples, vp, np.array([40.0])[None], "us")[0])
         assert val == 0.0
-        assert np.exp(log_acquisition(ctx, np.array([0.2])[None])[0]) >= 0.0
+        assert np.exp(log_acquisition(samples, vp, np.array([0.2])[None], "us")[0]) >= 0.0
 
     def test_dense_data_scores_near_zero(self):
-        ctx = fitted_context("us", gap=False)
-        at_data = np.exp(log_acquisition(ctx, np.array([0.0])[None])[0])
-        ctx_gap = fitted_context("us", gap=True)
-        in_gap = np.exp(log_acquisition(ctx_gap, np.array([0.0])[None])[0])
+        samples, vp, _, _ = fitted_context(gap=False)
+        at_data = np.exp(log_acquisition(samples, vp, np.array([0.0])[None], "us")[0])
+        samples_gap, vp_gap, _, _ = fitted_context(gap=True)
+        in_gap = np.exp(log_acquisition(samples_gap, vp_gap, np.array([0.0])[None], "us")[0])
         assert at_data < 1e-4 * in_gap
 
     def test_log_monotone_transform_preserves_argmax(self):
-        ctx = fitted_context("us")
+        samples, vp, _, _ = fitted_context()
         xs = np.linspace(-2.5, 2.5, 301)[:, None]
-        logs = log_acquisition(ctx, xs)
-        lins = np.array([np.exp(log_acquisition(ctx, x[None])[0]) for x in xs])
+        logs = log_acquisition(samples, vp, xs, "us")
+        lins = np.array([np.exp(log_acquisition(samples, vp, x[None], "us")[0]) for x in xs])
         assert np.argmax(logs) == np.argmax(lins)
 
     def test_pro_rewards_high_mean_regions(self):
@@ -127,17 +128,15 @@ class TestAcquisitionValues:
         y = np.array([1.5, 1.5, -1.5, -1.5])  # high mean on the left
         samples = gp_fit(TrainingSet(xs[:, None], y), [hyp])
         vp = VariationalPosterior([1.0], [[0.0]], [1.5], [1.0])
-        lo, hi = search_box(samples.train)
-        ctx = AcquisitionContext(samples, vp, lo, hi, "pro")
-        left = np.exp(log_acquisition(ctx, np.array([-0.5])[None])[0])
-        right = np.exp(log_acquisition(ctx, np.array([0.5])[None])[0])
+        left = np.exp(log_acquisition(samples, vp, np.array([-0.5])[None], "pro")[0])
+        right = np.exp(log_acquisition(samples, vp, np.array([0.5])[None], "pro")[0])
         assert left > right
 
     def test_log_and_linear_paths_agree(self):
-        ctx = fitted_context("pro")
+        samples, vp, _, _ = fitted_context()
         for x in [np.array([0.0]), np.array([0.7]), np.array([-1.2])]:
-            log_val = log_acquisition(ctx, x[None, :])[0]
-            lin_val = np.exp(log_acquisition(ctx, x[None])[0])
+            log_val = log_acquisition(samples, vp, x[None, :], "pro")[0]
+            lin_val = np.exp(log_acquisition(samples, vp, x[None], "pro")[0])
             if np.isfinite(log_val):
                 assert math.log(lin_val) == pytest.approx(log_val, abs=1e-10)
 
@@ -153,9 +152,9 @@ class TestRegularize:
 
     def log_values(self, var):
         """(damped, undamped) log acquisition at ``X`` for variance ``var``."""
-        ctx = fixed_variance_context(var)
-        undamped = np.log(np.full(1, var)) + 2.0 * ctx.vp.logpdf(self.X)
-        return log_acquisition(ctx, self.X)[0], undamped[0]
+        samples, vp, _, _ = fixed_variance_context(var)
+        undamped = np.log(np.full(1, var)) + 2.0 * vp.logpdf(self.X)
+        return log_acquisition(samples, vp, self.X, "us")[0], undamped[0]
 
     def test_boundary_continuous(self):
         damped, undamped = self.log_values(V_REG)
@@ -170,8 +169,8 @@ class TestRegularize:
         assert damped == undamped
 
     def test_zero_variance_limit(self):
-        ctx = fixed_variance_context(0.0)
-        assert np.exp(log_acquisition(ctx, self.X)[0]) == 0.0
+        samples, vp, _, _ = fixed_variance_context(0.0)
+        assert np.exp(log_acquisition(samples, vp, self.X, "us")[0]) == 0.0
 
     def test_only_decreases(self):
         rng = np.random.default_rng(3)
@@ -183,37 +182,35 @@ class TestRegularize:
 
 class TestOptimizeAcquisition:
     def test_finds_variance_gap(self):
-        ctx = fitted_context("pro")
-        x = optimize_acquisition(ctx, np.random.default_rng(4))
+        samples, vp, lo, hi = fitted_context()
+        x = optimize_acquisition(samples, vp, lo, hi, "pro", np.random.default_rng(4))
         # dense argmax oracle over the gap region
-        grid = np.linspace(ctx.search_lb[0], ctx.search_ub[0], 4001)[:, None]
-        oracle = grid[np.argmax(log_acquisition(ctx, grid)), 0]
+        grid = np.linspace(lo[0], hi[0], 4001)[:, None]
+        oracle = grid[np.argmax(log_acquisition(samples, vp, grid, "pro")), 0]
         assert abs(x[0]) < 1.0  # inside the data gap
         assert abs(x[0] - oracle) < 0.2
 
     def test_beats_random_probes(self):
-        ctx = fitted_context("pro")
+        samples, vp, lo, hi = fitted_context()
         rng = np.random.default_rng(5)
-        x = optimize_acquisition(ctx, rng)
-        probes = np.random.default_rng(6).uniform(
-            ctx.search_lb, ctx.search_ub, size=(1000, 1)
-        )
-        best_probe = np.max(log_acquisition(ctx, probes))
-        assert log_acquisition(ctx, x[None, :])[0] >= best_probe - 1e-9
+        x = optimize_acquisition(samples, vp, lo, hi, "pro", rng)
+        probes = np.random.default_rng(6).uniform(lo, hi, size=(1000, 1))
+        best_probe = np.max(log_acquisition(samples, vp, probes, "pro"))
+        assert log_acquisition(samples, vp, x[None, :], "pro")[0] >= best_probe - 1e-9
 
     def test_never_duplicates_training_point(self):
-        ctx = fitted_context("pro")
-        X = ctx.samples.train.X
+        samples, vp, lo, hi = fitted_context()
+        X = samples.train.X
         for seed in range(5):
-            x = optimize_acquisition(ctx, np.random.default_rng(seed))
+            x = optimize_acquisition(samples, vp, lo, hi, "pro", np.random.default_rng(seed))
             d2 = np.min(np.sum((X - x) ** 2, axis=1))
             assert d2 > 1e-12
 
     def test_degenerate_space_raises(self):
         # zero predictive variance everywhere (clamped GP): acquisition is
         # -inf over the whole box and the search must refuse to pick
-        bad = fixed_variance_context(0.0, kind="pro")
+        samples, vp, lo, hi = fixed_variance_context(0.0)
         grid = np.linspace(-2, 2, 50)[:, None]
-        assert np.all(np.isneginf(log_acquisition(bad, grid)))
+        assert np.all(np.isneginf(log_acquisition(samples, vp, grid, "pro")))
         with pytest.raises(AcquisitionError):
-            optimize_acquisition(bad, np.random.default_rng(7))
+            optimize_acquisition(samples, vp, lo, hi, "pro", np.random.default_rng(7))

@@ -118,13 +118,13 @@ class TestGroundTruthChecks:
     @pytest.mark.parametrize("D", [2, 3])
     def test_batched_report_matches_per_point_loop(self, family, D, monkeypatch):
         # more rows than one chunk, so the chunks are joined in order
-        kwargs = {"n_grid": 70, "n_is": 6000}
+        monkeypatch.setattr(benchmark, "N_GRID", 70)
         p = make_problem(family, D, 0)
-        batched = verify_ground_truth(p, rng=np.random.default_rng(3), **kwargs)
+        batched = verify_ground_truth(p, rng=np.random.default_rng(3), n_is=6000)
         monkeypatch.setattr(
             p, "log_joint_rows", lambda X: np.array([p.log_joint(x) for x in X])
         )
-        looped = verify_ground_truth(p, rng=np.random.default_rng(3), **kwargs)
+        looped = verify_ground_truth(p, rng=np.random.default_rng(3), n_is=6000)
         assert batched["method"] == looped["method"]
         for key in ("lml", "ess"):
             assert batched[key] == pytest.approx(looped[key], rel=1e-12, abs=1e-12)
@@ -132,20 +132,10 @@ class TestGroundTruthChecks:
 
 
 class TestMetrics:
-    class FakeResult:
-        def __init__(self, elbo_mean, mean, cov):
-            self.elbo_mean = elbo_mean
-            self._m = np.asarray(mean)
-            self._c = np.asarray(cov)
-
-        def moments_original(self):
-            return self._m, self._c
-
     def test_perfect_recovery(self):
         p = make_cigar(2, 0)
-        res = self.FakeResult(p.lml_true, p.post_mean, p.post_cov)
-        assert metric_lml_error(res, p) == 0.0
-        assert metric_gskl(res, p) == pytest.approx(0.0, abs=1e-10)
+        assert metric_lml_error(p.lml_true, p) == 0.0
+        assert metric_gskl(p.post_mean, p.post_cov, p) == pytest.approx(0.0, abs=1e-10)
 
     def test_unit_shift_gskl(self):
         p = make_cigar(2, 0)
@@ -153,17 +143,21 @@ class TestMetrics:
         # one column of chol(Sigma) is one SD along a whitened direction, so
         # delta' inv(Sigma) delta = 1 even though Sigma is strongly correlated.
         L = np.linalg.cholesky(p.post_cov)
-        res = self.FakeResult(p.lml_true, p.post_mean + L[:, 0], p.post_cov)
-        assert metric_gskl(res, p) == pytest.approx(0.5)
+        assert metric_gskl(p.post_mean + L[:, 0], p.post_cov, p) == pytest.approx(0.5)
         # A shift by one marginal SD along axis 0 is not a unit shift here:
         # it gives Sigma_00 * inv(Sigma)_00 / 2, far above 1/2.
         sd0 = math.sqrt(p.post_cov[0, 0])
-        res = self.FakeResult(
-            p.lml_true, p.post_mean + np.array([sd0, 0.0]), p.post_cov
-        )
+        shifted = p.post_mean + np.array([sd0, 0.0])
         expected = 0.5 * p.post_cov[0, 0] * np.linalg.inv(p.post_cov)[0, 0]
         assert expected > 100
-        assert metric_gskl(res, p) == pytest.approx(expected)
+        assert metric_gskl(shifted, p.post_cov, p) == pytest.approx(expected)
+
+    def test_singular_covariance_gives_inf(self):
+        # a collapsed posterior (rank-one covariance) cannot be Gaussianized
+        p = make_cigar(2, 0)
+        singular = np.outer([1.0, 2.0], [1.0, 2.0])
+        assert metric_gskl(p.post_mean, singular, p) == math.inf
+        assert metric_gskl(p.post_mean, np.zeros((2, 2)), p) == math.inf
 
 
 class TestRunner:

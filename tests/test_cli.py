@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vbmc.cli import main
+from vbmc.core import VBMC
 
 
 def test_generate_writes_problems(tmp_path, capsys):
@@ -122,3 +123,38 @@ def test_infer_rejects_unknown_acquisition(tmp_path, capsys):
     assert len(err) == 1
     assert "'ucb'" in err[0]
     assert "allowed: us, pro" in err[0]
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ({"problem": {"family": "gauss", "D": 2}}, "unknown family 'gauss'"),
+        ({"problem": {"family": "cigar", "D": 1}}, "needs D >= 2"),
+        (
+            {
+                "problem": {"family": "lumpy", "D": 2},
+                "bounds": {"lb": [0.0, None], "ub": [None, None],
+                           "plb": [0.2, 0.2], "pub": [0.8, 0.8]},
+            },
+            "half-bounded",
+        ),
+    ],
+    ids=["unknown_family", "cigar_d1", "half_bounded"],
+)
+def test_infer_rejects_bad_problem_or_bounds(tmp_path, capsys, monkeypatch, block, message):
+    # the engine must not start: no log-joint evaluation happens
+    def no_evaluation(self, u):
+        raise AssertionError("log joint evaluated")
+
+    monkeypatch.setattr(VBMC, "_evaluate", no_evaluation)
+    config = {"options": {"max_fevals": 40}, **block}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "result.json"
+    code = main(["infer", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert message in err[0]
+    assert str(cfg_path) in err[0]

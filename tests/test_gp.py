@@ -14,6 +14,7 @@ from per_draw import (
     scipy_factor_gram,
     scipy_lml_grad,
     scipy_solve_lower,
+    student_t_logpdf,
     summed_prior_logpdf,
 )
 from vbmc import gp as gpm
@@ -32,7 +33,6 @@ from vbmc.gp import (
     sample_hyperparameters,
     se_kernel_matrix,
     sq_dist,
-    student_t_logpdf,
 )
 
 
@@ -48,7 +48,7 @@ def simple_hyp(D=1, log_ell=0.0, log_sf=0.0, log_sobs=-4.0, m0=0.0):
 
 
 def draw_gp_data(hyp, n, rng, box=3.0):
-    D = hyp.D
+    D = hyp.log_ell.size
     X = rng.uniform(-box, box, size=(n, D))
     K = se_kernel_matrix(X, X, hyp) + (hyp.sobs**2 + 1e-10) * np.eye(n)
     y = nq_mean(X, hyp) + np.linalg.cholesky(K) @ rng.standard_normal(n)
@@ -449,6 +449,25 @@ class TestHyperprior:
             ours = student_t_logpdf(x, mu, scale)
             ref = stats.t.logpdf(x, df=3, loc=mu, scale=scale)
             assert ours == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("D", [1, 2, 6])
+    def test_grad_logpdf_matches_central_differences(self, D):
+        # logpdf and grad_logpdf read the same HYPERPRIOR_DF
+        rng = np.random.default_rng(40 + D)
+        train = draw_gp_data(simple_hyp(D=D), 20, rng)
+        prior = GPHyperprior(train)
+        center = default_hyperparams(train).to_vector()
+        h = 1e-6
+        for _ in range(5):
+            # keep every central-difference step inside the hard bounds
+            theta = np.clip(prior.sample(center, rng), prior.lower + 1e-3, prior.upper - 1e-3)
+            fd = np.empty_like(theta)
+            for i in range(theta.size):
+                tp, tm = theta.copy(), theta.copy()
+                tp[i] += h
+                tm[i] -= h
+                fd[i] = (prior.logpdf(tp) - prior.logpdf(tm)) / (2 * h)
+            assert np.allclose(prior.grad_logpdf(theta), fd, rtol=1e-5, atol=1e-7)
 
     def test_uniform_directions_do_not_change_prior(self):
         rng = np.random.default_rng(8)

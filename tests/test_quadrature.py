@@ -199,8 +199,8 @@ class TestELBO:
         est = elbo(vp, post, 2**12, np.random.default_rng(7))
         mean, _, _ = one_draw(vp, post)
         var = one_draw_variance(vp, post)
-        assert est.g_mean == pytest.approx(mean)
-        assert est.g_var == pytest.approx(var)
+        assert est.elbo_mean - est.entropy == pytest.approx(mean)
+        assert est.elbo_sd**2 == pytest.approx(var)
         assert est.elbo_mean == pytest.approx(mean + est.entropy)
 
     def test_marginalization_combines_samples(self):

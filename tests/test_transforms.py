@@ -192,8 +192,8 @@ def test_moments_to_original_rejects_bounded_dimensions():
 
 def test_internal_plausible_box_is_unit_centered():
     tr = make_mixed()
-    assert np.allclose(tr.internal_plb, -0.5)
-    assert np.allclose(tr.internal_pub, 0.5)
+    assert np.allclose(tr.to_internal(tr.plb), -0.5)
+    assert np.allclose(tr.to_internal(tr.pub), 0.5)
     # plausible bounds map onto the internal box exactly
     u = tr.to_internal(np.array([[-1.0, 0.25], [1.0, 0.75]]))
     assert np.allclose(u, [[-0.5, -0.5], [0.5, 0.5]])
