@@ -103,7 +103,6 @@ class SyntheticProblem:
             plb=self.prior_mean - self.prior_sd,
             pub=self.prior_mean + self.prior_sd,
             x0=x0,
-            name=self.problem_id,
         )
 
     def draw_x0(self, rng):
@@ -308,10 +307,7 @@ def metric_gskl(mean, cov, problem):
     mean of the two directed KLs (half the sum convention). A singular
     covariance gives ``inf``.
     """
-    try:
-        return float(gaussian_skl(mean, cov, problem.post_mean, problem.post_cov))
-    except np.linalg.LinAlgError:
-        return float("inf")
+    return float(gaussian_skl(mean, cov, problem.post_mean, problem.post_cov))
 
 
 VERIFY_CHUNK_ROWS = 4096  # rows per log_joint_rows call: bounds the (rows, 12, D) lumpy array

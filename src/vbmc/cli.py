@@ -173,11 +173,14 @@ def _cmd_infer(args):
             pspec["family"], int(pspec["D"]), int(pspec.get("seed", 0))
         )
         x0 = config.get("x0")
-        spec = problem.problem_spec(x0=np.asarray(x0, float) if x0 else None)
+        spec = problem.problem_spec(x0=None if x0 is None else np.asarray(x0, float))
         if "bounds" in config:
             tr = ParameterTransform.from_config(config["bounds"])
             spec.lb, spec.ub, spec.plb, spec.pub = tr.lb, tr.ub, tr.plb, tr.pub
         engine = VBMC(spec, options)
+    except KeyError as err:
+        print(f"vbmc infer: missing key {err} in {args.config}", file=sys.stderr)
+        return 2
     except ValueError as err:
         print(f"vbmc infer: {err} in {args.config}", file=sys.stderr)
         return 2

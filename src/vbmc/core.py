@@ -96,7 +96,6 @@ class ProblemSpec:
     plb: np.ndarray
     pub: np.ndarray
     x0: np.ndarray | None = None
-    name: str = ""
 
     def transform(self):
         return ParameterTransform(self.lb, self.ub, self.plb, self.pub)
@@ -129,9 +128,6 @@ class VBMCOptions:
                 f"unknown acquisition {self.acq!r}; allowed: {', '.join(ACQUISITION_KINDS)}"
             )
 
-    def resolve_max_fevals(self, D):
-        return self.max_fevals if self.max_fevals is not None else 50 * (D + 2)
-
 
 @dataclass
 class IterationRecord:
@@ -144,7 +140,6 @@ class IterationRecord:
     elbo_mean: float
     elbo_sd: float
     elcbo: float
-    entropy: float
     rho: float | None
     rho_features: tuple | None
     warmup: bool
@@ -182,7 +177,6 @@ class InferenceResult:
     stable: bool
     iterations: int
     fevals: int
-    reliability_trace: list
     history: list = field(repr=False, default_factory=list)
 
     def sample_original(self, n, rng):
@@ -210,11 +204,7 @@ def reliability_features(history, D):
     rho1 = abs(cur.elbo_mean - prev.elbo_mean) / DELTA_SD
     rho2 = cur.elbo_sd / DELTA_SD
     delta_kl = DELTA_KL_UNIT * math.sqrt(D)
-    try:
-        skl = gaussian_skl(*cur.moments, *prev.moments)
-    except np.linalg.LinAlgError:
-        skl = np.inf
-    rho3 = skl / delta_kl
+    rho3 = gaussian_skl(*cur.moments, *prev.moments) / delta_kl
     feats = (rho1, rho2, rho3)
     return float(np.mean(feats)), feats
 
@@ -274,12 +264,22 @@ class VBMC:
         self.options = options or VBMCOptions()
         self.transform = problem.transform()
         self.D = self.transform.D
-        self.max_fevals = self.options.resolve_max_fevals(self.D)
+        self.max_fevals = self.options.max_fevals
+        if self.max_fevals is None:
+            self.max_fevals = 50 * (self.D + 2)
         if self.max_fevals < N_INIT:
             raise ValueError(
                 f"max_fevals={self.max_fevals} is below n_init={N_INIT}, "
                 "the evaluations of the initial design"
             )
+        # x0 in internal coordinates, checked here so that a bad one ends
+        # the run before any evaluation; None draws it in the initial design
+        self._u0 = None
+        if problem.x0 is not None:
+            x0 = np.atleast_1d(np.asarray(problem.x0, float))
+            if x0.shape != (self.D,):
+                raise ValueError(f"x0 has {x0.size} values; the problem has D={self.D}")
+            self._u0 = self.transform.to_internal(x0)
         self.fevals = 0
         self._consecutive_failures = 0
         self._history = []
@@ -317,10 +317,8 @@ class VBMC:
     # -- iteration pieces ----------------------------------------------
 
     def _initial_design(self, rng):
-        if self.problem.x0 is not None:
-            u0 = self.transform.to_internal(np.asarray(self.problem.x0, float))
-        else:
-            u0 = rng.uniform(-0.5, 0.5, size=self.D)
+        """Evaluate ``N_INIT`` points; returns the training set and the first point."""
+        u0 = self._u0 if self._u0 is not None else rng.uniform(-0.5, 0.5, size=self.D)
         points = [u0] + [
             rng.uniform(-0.5, 0.5, size=self.D) for _ in range(N_INIT - 1)
         ]
@@ -332,11 +330,10 @@ class VBMC:
                 y.append(val)
         if len(X) < 2:
             raise VBMCError(f"only {len(X)} initial-design values were finite; the GP needs 2")
-        self._x0_internal = u0
-        return TrainingSet(np.array(X), np.array(y))
+        return TrainingSet(np.array(X), np.array(y)), u0
 
-    def _initial_vp(self, rng):
-        mu = self._x0_internal + INIT_MU_JITTER * rng.standard_normal((2, self.D))
+    def _initial_vp(self, u0, rng):
+        mu = u0 + INIT_MU_JITTER * rng.standard_normal((2, self.D))
         return VariationalPosterior(
             [0.5, 0.5], mu, [INIT_SIGMA, INIT_SIGMA], np.ones(self.D)
         )
@@ -426,27 +423,26 @@ class VBMC:
         """The main loop of :meth:`run`; returns the assembled result."""
         self._history = []
 
-        train = self._initial_design(rng)
+        train, u0 = self._initial_design(rng)
         self._last_hyp = default_hyperparams(train)
-        vp = self._initial_vp(rng)
+        vp = self._initial_vp(u0, rng)
 
         warmup = True
         stop_sampling = False
         stop_strikes = 0
-        skip_active = False
-        boost_fast = False
+        # true on the first iteration and after warm-up's trim: no active
+        # sampling, and N_FAST_FIRST starting candidates
+        fresh = True
         samples = None
         t = 0
-        stable_done = False
 
         while True:
             t += 1
-            if t > 1 and not skip_active:
-                # the warm-up trim changes train and skips this batch, so
-                # here train is always samples.train
+            if not fresh:
+                # warm-up's trim replaces train and makes the next
+                # iteration fresh, so here train is always samples.train
                 samples = self._active_sample_batch(samples, vp, rng)
                 train = samples.train
-            skip_active = False
 
             samples = self._update_hyperparameters(train, warmup, stop_sampling, rng)
 
@@ -456,8 +452,8 @@ class VBMC:
                 # growth only; shrinking happens through pruning
                 K_target = max(vp.K, k_schedule(self._history, vp.K, train.n))
 
-            n_fast = N_FAST_FIRST if (t == 1 or boost_fast) else N_FAST
-            boost_fast = False
+            n_fast = N_FAST_FIRST if fresh else N_FAST
+            fresh = False
             vp_init = select_starting_points(
                 vp, K_target, n_fast, samples, rng, warmup=warmup
             )
@@ -475,7 +471,6 @@ class VBMC:
                 elbo_mean=est.elbo_mean,
                 elbo_sd=est.elbo_sd,
                 elcbo=est.elcbo(BETA_LCB),
-                entropy=est.entropy,
                 rho=None,
                 rho_features=None,
                 warmup=warmup,
@@ -492,12 +487,11 @@ class VBMC:
             if warmup and warmup_should_end([r.elcbo for r in self._history]):
                 warmup = False
                 train = self._trim(train)
-                skip_active = True
-                boost_fast = True
+                fresh = True
                 logger.info("warm-up ended at iteration %d (n=%d after trim)",
                             t, train.n)
 
-            if not warmup and not stop_sampling and record.warmup is False:
+            if not record.warmup and not stop_sampling:
                 threshold = STOP_SAMPLING_FRAC * DELTA_SD
                 if record.between_sample_sd < threshold:
                     stop_strikes += 1
@@ -507,13 +501,11 @@ class VBMC:
                     stop_sampling = True
                     logger.info("switching to MAP hyperparameters at iteration %d", t)
 
-            done, stable_done = termination_status(
+            done, stable = termination_status(
                 self._history, self.fevals, self.max_fevals, warmup
             )
             if done:
-                break
-
-        return self._assemble_result(stable_done)
+                return self._assemble_result(stable)
 
     def _trim(self, train):
         cutoff = train.y.max() - TRIM_MULTIPLIER * self.D
@@ -546,7 +538,6 @@ class VBMC:
             stable=stable,
             iterations=len(self._history),
             fevals=self.fevals,
-            reliability_trace=[r.rho for r in self._history],
             history=self._history,
         )
 

@@ -440,8 +440,10 @@ class HyperparamSampleSet:
     ``jitter`` (S,); the weights ``alpha`` (S, n) and log marginal
     likelihoods ``lml`` (S,); and what prediction and quadrature read:
     ``ell``, ``x_m`` and ``omega`` (S, D), ``sf2`` and ``m0`` (S,), and the
-    length-scaled inputs ``Xs = X / ell`` (S, n, D). Built by :func:`gp_fit`
-    and :meth:`with_point`; immutable.
+    length-scaled inputs ``Xs = X / ell`` (S, n, D). :meth:`cross_kernel`
+    gives every draw's kernel between the training inputs and new rows in
+    one batched pass, for the update and for prediction. Built by
+    :func:`gp_fit` and :meth:`with_point`; immutable.
 
     ``L`` has one of two memory orders: :func:`gp_fit` stacks Fortran-ordered
     blocks, as LAPACK returns them, and :meth:`with_point` builds a C-ordered
@@ -472,6 +474,11 @@ class HyperparamSampleSet:
     def __len__(self):
         return len(self.hyps)
 
+    def cross_kernel(self, X):
+        """Each draw's SE kernel between the training inputs and the rows of ``X``: (S, n, m)."""
+        d2 = sq_dist(self.Xs, X / self.ell[:, None, :])
+        return self.sf2[:, None, None] * np.exp(-0.5 * d2)
+
     def with_point(self, x_new, y_new):
         """Rank-1 update of every draw with one observation; O(S n^2).
 
@@ -483,9 +490,7 @@ class HyperparamSampleSet:
         n = self.train.n
         if n == 0:
             return gp_fit(train, self.hyps)
-        d2 = sq_dist(self.Xs, x_new / self.ell[:, None, :])
-        k = self.sf2[:, None, None] * np.exp(-0.5 * d2)  # (S, n, 1)
-        c = _solve_lower(self.L, k)
+        c = _solve_lower(self.L, self.cross_kernel(x_new[None, :]))
         # per-draw Python floats, summed in the order of one draw's update
         noise = np.array([h.sf2 + h.sobs**2 for h in self.hyps])
         pivot = noise + self.jitter - (np.swapaxes(c, -1, -2) @ c)[:, 0, 0]
@@ -624,8 +629,7 @@ def marginal_predict(samples, X):
     means = nq_mean(X, samples)
     variances = np.repeat(samples.sf2[:, None], X.shape[0], axis=1)
     if samples.train.n > 0:
-        d2 = sq_dist(samples.Xs, X / samples.ell[:, None, :])
-        Ks = samples.sf2[:, None, None] * np.exp(-0.5 * d2)  # (S, n, rows)
+        Ks = samples.cross_kernel(X)
         means = means + (np.swapaxes(Ks, -1, -2) @ samples.alpha[..., None])[..., 0]
         # U's blocks come back Fortran-ordered, as for a single draw, so each
         # column is summed over contiguous memory in the same order

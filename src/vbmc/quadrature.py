@@ -192,7 +192,6 @@ class ELBOEstimate:
 
     elbo_mean: float
     elbo_sd: float
-    entropy: float
     between_sample_var: float = 0.0
 
     def elcbo(self, beta_lcb):
@@ -211,6 +210,5 @@ def elbo(vp, samples, n_entropy, rng):
     return ELBOEstimate(
         elbo_mean=quad.g_mean + H,
         elbo_sd=math.sqrt(max(quad.g_var, 0.0)),
-        entropy=H,
         between_sample_var=quad.between_sample_var,
     )

@@ -138,8 +138,16 @@ def test_infer_rejects_unknown_acquisition(tmp_path, capsys):
             },
             "half-bounded",
         ),
+        ({"problem": {"family": "lumpy"}}, "missing key 'D'"),
+        ({"problem": {"D": 2}}, "missing key 'family'"),
+        (
+            {"problem": {"family": "lumpy", "D": 2}, "x0": [0.5, 0.5, 0.5]},
+            "x0 has 3 values; the problem has D=2",
+        ),
+        ({"problem": {"family": "lumpy", "D": 2}, "x0": []}, "x0 has 0 values"),
     ],
-    ids=["unknown_family", "cigar_d1", "half_bounded"],
+    ids=["unknown_family", "cigar_d1", "half_bounded", "missing_D", "missing_family",
+         "x0_wrong_length", "x0_empty"],
 )
 def test_infer_rejects_bad_problem_or_bounds(tmp_path, capsys, monkeypatch, block, message):
     # the engine must not start: no log-joint evaluation happens

@@ -6,6 +6,8 @@ import pytest
 from vbmc import core as core_mod
 from vbmc.core import (
     N_ACTIVE,
+    N_FAST,
+    N_FAST_FIRST,
     N_INIT,
     WARMUP_NGP_CAP,
     InferenceResult,
@@ -48,7 +50,7 @@ def fake_record(t, elbo_mean=0.0, elbo_sd=0.01, elcbo=None, rho=0.5,
         moments = (np.zeros(1), np.eye(1))
     return IterationRecord(
         t=t, n_train=10 + 5 * t, fevals=10 + 5 * t, K=2,
-        elbo_mean=elbo_mean, elbo_sd=elbo_sd, elcbo=elcbo, entropy=1.0,
+        elbo_mean=elbo_mean, elbo_sd=elbo_sd, elcbo=elcbo,
         rho=rho, rho_features=feats, warmup=False, stop_sampling=False,
         pruned=pruned, between_sample_sd=0.0,
         vp=VariationalPosterior([1.0], [[0.0]], [1.0], [1.0]),
@@ -61,7 +63,7 @@ class TestInitialDesign:
         spec, *_ = conjugate_problem()
         eng = VBMC(spec)
         rng = np.random.default_rng(0)
-        train = eng._initial_design(rng)
+        train, _ = eng._initial_design(rng)
         assert eng.fevals == 10
         assert train.n == 10
         # all points except possibly x0 lie inside the internal box
@@ -70,8 +72,8 @@ class TestInitialDesign:
 
     def test_deterministic(self):
         spec, *_ = conjugate_problem()
-        t1 = VBMC(spec)._initial_design(np.random.default_rng(7))
-        t2 = VBMC(spec)._initial_design(np.random.default_rng(7))
+        t1, _ = VBMC(spec)._initial_design(np.random.default_rng(7))
+        t2, _ = VBMC(spec)._initial_design(np.random.default_rng(7))
         assert np.array_equal(t1.X, t2.X)
         assert np.array_equal(t1.y, t2.y)
 
@@ -120,7 +122,7 @@ class TestInitialDesign:
     def test_jacobian_corrected_values(self):
         spec, *_ = conjugate_problem()
         eng = VBMC(spec)
-        train = eng._initial_design(np.random.default_rng(2))
+        train, _ = eng._initial_design(np.random.default_rng(2))
         u = train.X[3]
         x = eng.transform.to_original(u)
         expected = spec.log_joint(x) - eng.transform.log_jacobian(x)
@@ -264,7 +266,6 @@ class TestPruning:
                 self.val = val
                 self.elbo_mean = val
                 self.elbo_sd = 0.0
-                self.entropy = 0.0
                 self.between_sample_var = 0.0
 
             def elcbo(self, beta):
@@ -369,6 +370,54 @@ class TestFailureInjection:
             assert np.isfinite(res.elbo_mean) and res.elbo_sd >= 0.0
             assert res.fevals <= 40
         assert eng.fevals <= 40
+
+
+class TestFreshIterations:
+    def test_first_and_post_warmup_iterations_skip_sampling(self, monkeypatch):
+        # iteration 1 and the iteration after warm-up's trim add no
+        # evaluations and start from N_FAST_FIRST candidates per component
+        n_fast = []
+        select = core_mod.select_starting_points
+
+        def recording(vp, K, n, *args, **kwargs):
+            n_fast.append(n)
+            return select(vp, K, n, *args, **kwargs)
+
+        monkeypatch.setattr(core_mod, "select_starting_points", recording)
+        spec, *_ = conjugate_problem()
+        res = VBMC(spec, VBMCOptions(max_fevals=80)).run(seed=0)
+        hist = res.history
+        first_after_warmup = next(i for i, r in enumerate(hist) if not r.warmup)
+        assert first_after_warmup > 0
+        fresh = {0, first_after_warmup}
+        new_fevals = np.diff([N_INIT] + [r.fevals for r in hist])
+        assert len(n_fast) == len(hist)
+        for i in range(len(hist)):
+            if i in fresh:
+                assert (new_fevals[i], n_fast[i]) == (0, N_FAST_FIRST)
+            else:
+                assert (new_fevals[i], n_fast[i]) == (N_ACTIVE, N_FAST)
+
+
+class TestX0:
+    @pytest.mark.parametrize(
+        "bounds, x0, message",
+        [
+            ((-np.inf, np.inf), [0.1, 0.2, 0.3], "x0 has 3 values; the problem has D=1"),
+            ((-2.0, 2.0), [2.5], "out of bounds on bounded dimension 0"),
+        ],
+        ids=["wrong_length", "outside_bounds"],
+    )
+    def test_bad_x0_raises_when_built(self, bounds, x0, message):
+        spec, *_ = conjugate_problem()
+        calls = []
+        inner = spec.log_joint
+        spec.log_joint = lambda x: calls.append(x) or inner(x)
+        spec.lb, spec.ub = [bounds[0]], [bounds[1]]
+        spec.x0 = x0
+        with pytest.raises(ValueError, match=message):
+            VBMC(spec)
+        assert calls == []
 
 
 class TestFullRun:
