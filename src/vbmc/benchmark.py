@@ -20,7 +20,7 @@ from scipy.integrate import quad as scipy_quad
 from scipy.stats import t as student_t
 
 from .core import VBMC, ProblemSpec, VBMCOptions
-from .variational import gaussian_skl
+from .variational import _logsumexp_rows, gaussian_skl
 
 __all__ = [
     "SyntheticProblem",
@@ -62,32 +62,21 @@ class SyntheticProblem:
     def problem_id(self):
         return f"{self.family}_D{self.D}_s{self.seed}"
 
-    def log_likelihood(self, x):
-        raise NotImplementedError
-
-    def log_prior(self, x):
-        x = np.asarray(x, dtype=float)
-        z = (x - self.prior_mean) / self.prior_sd
-        return float(
-            -0.5 * z @ z
-            - np.sum(np.log(self.prior_sd))
-            - 0.5 * self.D * math.log(2 * math.pi)
-        )
-
     def log_joint(self, x):
-        return self.log_likelihood(x) + self.log_prior(x)
+        return float(self.log_joint_rows(np.asarray(x, dtype=float)[None, :])[0])
 
     def log_likelihood_rows(self, X):
         raise NotImplementedError
 
     def log_joint_rows(self, X):
-        """``log_joint`` of each row of ``X`` (N, D) in one pass, for
-        :func:`verify_ground_truth`; agrees with the per-point value to
-        rounding, and the inference engine calls only ``log_joint``."""
+        """Log joint of each row of ``X`` (N, D): the one formula behind
+        ``log_joint`` (the engine's target) and :func:`verify_ground_truth`."""
         X = np.asarray(X, dtype=float)
         z = (X - self.prior_mean) / self.prior_sd
+        # a stacked matmul rounds each row as the one-point BLAS dot does
+        zz = (z[:, None, :] @ z[:, :, None])[:, 0, 0]
         log_prior = (
-            -0.5 * np.sum(z * z, axis=1)
+            -0.5 * zz
             - np.sum(np.log(self.prior_sd))
             - 0.5 * self.D * math.log(2 * math.pi)
         )
@@ -124,21 +113,6 @@ class SyntheticProblem:
 
 
 class LumpyProblem(SyntheticProblem):
-    def log_likelihood(self, x):
-        x = np.asarray(x, dtype=float)
-        mu = self.params["mu"]
-        sd = self.params["sd"]
-        w = self.params["w"]
-        z = (x[None, :] - mu) / sd
-        logs = (
-            np.log(w)
-            - 0.5 * np.sum(z * z, axis=1)
-            - np.sum(np.log(sd), axis=1)
-            - 0.5 * self.D * math.log(2 * math.pi)
-        )
-        m = logs.max()
-        return float(m + math.log(np.sum(np.exp(logs - m))))
-
     def log_likelihood_rows(self, X):
         mu, sd, w = self.params["mu"], self.params["sd"], self.params["w"]
         z = (X[:, None, :] - mu) / sd
@@ -148,28 +122,20 @@ class LumpyProblem(SyntheticProblem):
             - np.sum(np.log(sd), axis=1)
             - 0.5 * self.D * math.log(2 * math.pi)
         )
-        m = logs.max(axis=1)
-        return m + np.log(np.sum(np.exp(logs - m[:, None]), axis=1))
+        return _logsumexp_rows(logs)
 
 
 class StudentProblem(SyntheticProblem):
-    def log_likelihood(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(np.sum(student_t.logpdf(x, df=self.params["dof"])))
-
     def log_likelihood_rows(self, X):
         return np.sum(student_t.logpdf(X, df=self.params["dof"]), axis=1)
 
 
 class CigarProblem(SyntheticProblem):
-    def log_likelihood(self, x):
-        x = np.asarray(x, dtype=float)
-        sol = self.params["chol_inv"] @ x
-        return float(-0.5 * sol @ sol - self.params["log_norm"])
-
     def log_likelihood_rows(self, X):
-        sol = X @ self.params["chol_inv"].T
-        return -0.5 * np.sum(sol * sol, axis=1) - self.params["log_norm"]
+        # stacked matmuls round each row as the one-point gemv and dot do
+        sol = (self.params["chol_inv"] @ X[:, :, None])[:, :, 0]
+        sol_sq = (sol[:, None, :] @ sol[:, :, None])[:, 0, 0]
+        return -0.5 * sol_sq - self.params["log_norm"]
 
 
 def _diag_gaussian_product_posterior(w, mu, sd, prior_mean, prior_sd):
@@ -282,6 +248,8 @@ def make_cigar(D, seed):
 
 
 def make_problem(family, D, seed=0):
+    if D < 1:
+        raise ValueError(f"D={D}; a problem needs D >= 1")
     if family == "lumpy":
         return make_lumpy(D, seed)
     if family == "student":
@@ -474,28 +442,31 @@ def execute_run(family, D, problem_seed, run_seed, acq, budget_multiplier, meta_
 def run_benchmark(config, progress=None):
     """Execute the sweep and append records to ``config.out`` (JSON lines).
 
-    Ground truth is cross-checked once per problem before any run. Runs
-    go one after another in task order, and each record is appended as its
-    run ends, so a failing run keeps the earlier records.
-    A sweep is sharded by starting several processes with disjoint
-    ``seeds``.
+    Every problem is built first, so a bad (family, D) pair raises
+    ``ValueError`` before any check; then ground truth is cross-checked once
+    per problem before any run. Runs go one after another in task order,
+    and each record is appended as its run ends, so a failing run keeps the
+    earlier records. A sweep is sharded by starting several processes with
+    disjoint ``seeds``.
     """
+    problems = [
+        make_problem(family, D, config.problem_seed)
+        for family in config.families for D in config.dims
+    ]
     tasks = []
-    for family in config.families:
-        for D in config.dims:
-            problem = make_problem(family, D, config.problem_seed)
-            report = verify_ground_truth(problem)
-            if abs(report["lml"] - problem.lml_true) > 0.05:
-                raise RuntimeError(
-                    f"ground-truth cross-check failed for {problem.problem_id}: "
-                    f"{problem.lml_true:.4f} vs {report['lml']:.4f} "
-                    f"({report['method']})"
-                )
-            for seed in config.seeds:
-                tasks.append(
-                    (family, D, config.problem_seed, seed, config.acq,
-                     config.budget_multiplier, config.meta_seed)
-                )
+    for problem in problems:
+        report = verify_ground_truth(problem)
+        if abs(report["lml"] - problem.lml_true) > 0.05:
+            raise RuntimeError(
+                f"ground-truth cross-check failed for {problem.problem_id}: "
+                f"{problem.lml_true:.4f} vs {report['lml']:.4f} "
+                f"({report['method']})"
+            )
+        for seed in config.seeds:
+            tasks.append(
+                (problem.family, problem.D, config.problem_seed, seed, config.acq,
+                 config.budget_multiplier, config.meta_seed)
+            )
 
     records = []
     for task in tasks:

@@ -89,28 +89,44 @@ def _open_out(path):
     return sys.stdout if path == "-" else open(path, "w")
 
 
+def _build_problems(command, pairs, seed):
+    """The problem of each (family, D) pair, built before any ground-truth
+    check; None after one stderr line when a pair is rejected."""
+    try:
+        return [make_problem(family, D, seed) for family, D in pairs]
+    except ValueError as err:
+        print(f"vbmc {command}: {err}", file=sys.stderr)
+        return None
+
+
 def _cmd_generate(args):
+    pairs = [
+        (family, D) for family in args.family for D in args.dims
+        if not (family == "cigar" and D == 1)
+    ]
+    problems = _build_problems("generate", pairs, args.problem_seed)
+    if problems is None:
+        return 2
     fh = _open_out(args.out)
-    for family in args.family:
-        for D in args.dims:
-            if family == "cigar" and D < 2:
-                continue
-            problem = make_problem(family, D, args.problem_seed)
-            entry = problem.to_json()
-            if args.check:
-                report = verify_ground_truth(problem)
-                entry["check"] = {
-                    "method": report["method"],
-                    "lml": report["lml"],
-                    "ess": report["ess"],
-                }
-            fh.write(json.dumps(entry) + "\n")
+    for problem in problems:
+        entry = problem.to_json()
+        if args.check:
+            report = verify_ground_truth(problem)
+            entry["check"] = {
+                "method": report["method"],
+                "lml": report["lml"],
+                "ess": report["ess"],
+            }
+        fh.write(json.dumps(entry) + "\n")
     if fh is not sys.stdout:
         fh.close()
     return 0
 
 
 def _cmd_run(args):
+    pairs = [(family, D) for family in args.family for D in args.dims]
+    if _build_problems("run", pairs, args.problem_seed) is None:
+        return 2
     config = RunConfig(
         families=tuple(args.family),
         dims=tuple(args.dims),
@@ -146,6 +162,9 @@ def _cmd_run(args):
 def _cmd_summarize(args):
     with open(args.records) as fh:
         records = [json.loads(line) for line in fh if line.strip()]
+    if not records:
+        print(f"vbmc summarize: no records in {args.records}", file=sys.stderr)
+        return 2
     rows = summarize_records(records, boot_seed=args.boot_seed)
     write_summary_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -16,7 +16,7 @@ SIGMA0 = 0.25  # initial step size, in box-width units
 FTOL = 1e-3  # gain below which a generation does not count as an improvement
 
 
-def cma_maximize(f_batch, x0, lb, ub, rng, max_gen=100, patience=30):
+def cma_maximize(f_batch, x0, lb, ub, rng, max_gen, patience):
     """Maximize ``f_batch`` over the box ``[lb, ub]`` starting near ``x0``.
 
     ``f_batch`` maps an (m, D) array to m values (may contain ``-inf``).

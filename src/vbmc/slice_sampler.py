@@ -5,6 +5,7 @@ import numpy as np
 __all__ = ["SliceSamplingError", "slice_sample"]
 
 MAX_STEPS_OUT = 100  # bracket widenings per side and coordinate update at most
+MAX_SHRINK = 100  # bracket shrinks per coordinate update before giving up
 
 
 class SliceSamplingError(RuntimeError):
@@ -18,7 +19,7 @@ class SliceSamplingError(RuntimeError):
         self.last_sample = np.asarray(last_sample)
 
 
-def _update_coord(log_density, x, i, logp_x, width, rng, max_shrink):
+def _update_coord(log_density, x, i, logp_x, width, rng):
     """One slice-sampling update of coordinate ``i``; returns (x, logp)."""
     log_y = logp_x - rng.exponential()
 
@@ -39,7 +40,7 @@ def _update_coord(log_density, x, i, logp_x, width, rng, max_shrink):
         right += width
         steps += 1
 
-    for _ in range(max_shrink):
+    for _ in range(MAX_SHRINK):
         prop = left + (right - left) * rng.uniform()
         logp = logp_at(prop)
         if logp > log_y:
@@ -54,16 +55,7 @@ def _update_coord(log_density, x, i, logp_x, width, rng, max_shrink):
     )
 
 
-def slice_sample(
-    log_density,
-    x0,
-    n_samples,
-    widths,
-    rng,
-    burn_sweeps=10,
-    thin_sweeps=3,
-    max_shrink=100,
-):
+def slice_sample(log_density, x0, n_samples, widths, rng, burn_sweeps, thin_sweeps):
     """Draw ``n_samples`` from ``log_density`` starting at ``x0``.
 
     Runs a single chain of full coordinate sweeps: ``burn_sweeps`` sweeps
@@ -81,9 +73,7 @@ def slice_sample(
 
     def sweep(x, logp):
         for i in range(d):
-            x, logp = _update_coord(
-                log_density, x, i, logp, widths[i], rng, max_shrink
-            )
+            x, logp = _update_coord(log_density, x, i, logp, widths[i], rng)
         return x, logp
 
     for _ in range(burn_sweeps):

@@ -53,6 +53,8 @@ class ParameterTransform:
         if not (self.lb.shape == self.ub.shape == self.plb.shape == self.pub.shape):
             raise ValueError("lb, ub, plb, pub must have identical shapes")
         self.D = self.lb.size
+        if self.D == 0:
+            raise ValueError("the bounds are empty; a problem needs D >= 1")
 
         lb_fin = np.isfinite(self.lb)
         ub_fin = np.isfinite(self.ub)

@@ -68,7 +68,7 @@ class TestCMA:
 
         x, v = cma_maximize(
             f, np.zeros(2), np.array([-2.0, -2.0]), np.array([2.0, 2.0]),
-            np.random.default_rng(0), max_gen=150,
+            np.random.default_rng(0), max_gen=150, patience=30,
         )
         assert np.max(np.abs(x - target)) < 1e-3
 
@@ -78,7 +78,7 @@ class TestCMA:
 
         x, _ = cma_maximize(
             f, np.zeros(1), np.array([-1.0]), np.array([1.0]),
-            np.random.default_rng(1), max_gen=80,
+            np.random.default_rng(1), max_gen=80, patience=30,
         )
         assert x[0] <= 1.0
         assert x[0] > 0.99
@@ -90,7 +90,7 @@ class TestCMA:
         out = [
             cma_maximize(
                 f, np.full(3, 0.5), -np.ones(3), np.ones(3),
-                np.random.default_rng(2), max_gen=50,
+                np.random.default_rng(2), max_gen=50, patience=30,
             )[0]
             for _ in range(2)
         ]

@@ -106,6 +106,13 @@ class TestCigar:
             make_cigar(1, 0)
 
 
+@pytest.mark.parametrize("family", ["lumpy", "student", "cigar"])
+@pytest.mark.parametrize("D", [0, -1])
+def test_no_dimensions_rejected(family, D):
+    with pytest.raises(ValueError, match=f"D={D}; a problem needs D >= 1"):
+        make_problem(family, D, 0)
+
+
 class TestGroundTruthChecks:
     def test_importance_sampling_reports_ess(self):
         p = make_lumpy(4, 0)
@@ -121,14 +128,29 @@ class TestGroundTruthChecks:
         monkeypatch.setattr(benchmark, "N_GRID", 70)
         p = make_problem(family, D, 0)
         batched = verify_ground_truth(p, rng=np.random.default_rng(3), n_is=6000)
+        rows = p.log_joint_rows
         monkeypatch.setattr(
-            p, "log_joint_rows", lambda X: np.array([p.log_joint(x) for x in X])
+            p, "log_joint_rows", lambda X: np.concatenate([rows(x[None, :]) for x in X])
         )
         looped = verify_ground_truth(p, rng=np.random.default_rng(3), n_is=6000)
         assert batched["method"] == looped["method"]
         for key in ("lml", "ess"):
             assert batched[key] == pytest.approx(looped[key], rel=1e-12, abs=1e-12)
         assert np.allclose(batched["mean"], looped["mean"], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("family", ["lumpy", "student", "cigar"])
+    @pytest.mark.parametrize("D", [2, 3, 6])
+    def test_point_is_its_row_of_a_batch(self, family, D):
+        # the engine's single point and the check's batch share one formula
+        p = make_problem(family, D, 0)
+        rng = np.random.default_rng(4)
+        X = p.prior_mean + p.prior_sd * rng.standard_normal((500, D)) * rng.uniform(
+            0.01, 3.0, (500, 1)
+        )
+        batch = p.log_joint_rows(X)
+        points = np.array([p.log_joint(x) for x in X])
+        assert np.isfinite(batch).all()
+        assert np.array_equal(points, batch)
 
 
 class TestMetrics:
@@ -186,6 +208,17 @@ class TestRunner:
         for rec in records:
             evals = [c[0] for c in rec.checkpoints]
             assert all(a <= b for a, b in zip(evals, evals[1:]))
+
+    def test_bad_pair_raises_before_any_check(self, tmp_path, monkeypatch):
+        def no_check(problem, *args, **kwargs):
+            raise AssertionError("ground truth checked")
+
+        monkeypatch.setattr(benchmark, "verify_ground_truth", no_check)
+        out = tmp_path / "records.jsonl"
+        config = RunConfig(families=("lumpy", "cigar"), dims=(1,), out=str(out))
+        with pytest.raises(ValueError, match="needs D >= 2"):
+            run_benchmark(config)
+        assert not out.exists()
 
     def test_records_persisted_as_jsonl(self, small_sweep):
         _, records, out = small_sweep

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from vbmc import benchmark, cli
 from vbmc.cli import main
 from vbmc.core import VBMC
 
@@ -46,6 +47,56 @@ def test_run_and_summarize_round_trip(tmp_path, capsys):
     assert code == 0
     header = summary.read_text().splitlines()[0]
     assert header.startswith("family,D,runs,lml_err_median")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--family", "lumpy", "cigar", "--dims", "1"], "needs D >= 2"),
+        (["run", "--dims", "0"], "D=0"),
+        (["generate", "--family", "lumpy", "cigar", "--dims", "2", "0"], "D=0"),
+    ],
+    ids=["run_cigar_d1", "run_d0", "generate_d0"],
+)
+def test_run_and_generate_reject_bad_pair_before_any_check(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    def no_check(problem, *args, **kwargs):
+        raise AssertionError("ground truth checked")
+
+    monkeypatch.setattr(benchmark, "verify_ground_truth", no_check)
+    monkeypatch.setattr(cli, "verify_ground_truth", no_check)
+    out = tmp_path / "out.jsonl"
+    code = main([*argv, "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"vbmc {argv[0]}: ")
+    assert message in err[0]
+
+
+def test_generate_skips_cigar_d1(tmp_path):
+    out = tmp_path / "problems.jsonl"
+    code = main(["generate", "--family", "lumpy", "cigar", "--dims", "1",
+                 "--out", str(out)])
+    assert code == 0
+    lines = [json.loads(l) for l in out.read_text().splitlines()]
+    assert [(l["family"], l["D"]) for l in lines] == [("lumpy", 1)]
+
+
+def test_summarize_rejects_empty_records(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    records.write_text("\n")
+    summary = tmp_path / "summary.csv"
+    code = main(["summarize", str(records), "--out", str(summary)])
+    assert code == 2
+    assert not summary.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert str(records) in err[0]
 
 
 def test_infer_from_config(tmp_path):
@@ -145,9 +196,10 @@ def test_infer_rejects_unknown_acquisition(tmp_path, capsys):
             "x0 has 3 values; the problem has D=2",
         ),
         ({"problem": {"family": "lumpy", "D": 2}, "x0": []}, "x0 has 0 values"),
+        ({"problem": {"family": "lumpy", "D": 0}}, "D=0; a problem needs D >= 1"),
     ],
     ids=["unknown_family", "cigar_d1", "half_bounded", "missing_D", "missing_family",
-         "x0_wrong_length", "x0_empty"],
+         "x0_wrong_length", "x0_empty", "D0"],
 )
 def test_infer_rejects_bad_problem_or_bounds(tmp_path, capsys, monkeypatch, block, message):
     # the engine must not start: no log-joint evaluation happens

@@ -419,6 +419,17 @@ class TestX0:
             VBMC(spec)
         assert calls == []
 
+    def test_zero_dimensions_raise_when_built(self):
+        spec, *_ = conjugate_problem()
+        calls = []
+        inner = spec.log_joint
+        spec.log_joint = lambda x: calls.append(x) or inner(x)
+        spec.lb = spec.ub = spec.plb = spec.pub = []
+        spec.x0 = None
+        with pytest.raises(ValueError, match="bounds are empty"):
+            VBMC(spec)
+        assert calls == []
+
 
 class TestFullRun:
     @pytest.fixture(scope="class")

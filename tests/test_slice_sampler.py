@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vbmc import slice_sampler
 from vbmc.slice_sampler import SliceSamplingError, slice_sample
 
 COV = np.array([[1.0, 0.9], [0.9, 1.0]])
@@ -40,7 +41,7 @@ class TestSliceSample:
         # the sampler did propose across the bound and rejected it
         assert min(x[0] for x in evaluated) < 0.5
 
-    def test_failure_reports_last_valid_sample(self):
+    def test_failure_reports_last_valid_sample(self, monkeypatch):
         # the density lives on the line x1 = 0.5: coordinate 0 moves along
         # it, then no proposal for coordinate 1 hits 0.5 exactly
         evaluated = []
@@ -49,10 +50,11 @@ class TestSliceSample:
             evaluated.append(x.copy())
             return 0.0 if 0.0 <= x[0] <= 1.0 and x[1] == 0.5 else -np.inf
 
+        monkeypatch.setattr(slice_sampler, "MAX_SHRINK", 10)
         with pytest.raises(SliceSamplingError) as info:
             slice_sample(
                 on_line, [0.3, 0.5], 1, 1.0, np.random.default_rng(2),
-                burn_sweeps=0, thin_sweeps=1, max_shrink=10,
+                burn_sweeps=0, thin_sweeps=1,
             )
         first_off_line = next(i for i, x in enumerate(evaluated) if x[1] != 0.5)
         accepted = evaluated[first_off_line - 1]  # coordinate 0's accepted move
@@ -63,5 +65,6 @@ class TestSliceSample:
     def test_requires_finite_start(self):
         with pytest.raises(ValueError, match="finite starting density"):
             slice_sample(
-                lambda x: -np.inf, [0.0], 1, 1.0, np.random.default_rng(3)
+                lambda x: -np.inf, [0.0], 1, 1.0, np.random.default_rng(3),
+                burn_sweeps=10, thin_sweeps=3,
             )
