@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad as scipy_quad
-from scipy.stats import t as student_t
 
-from .core import VBMC, ProblemSpec, VBMCOptions
+from .core import N_INIT, VBMC, ProblemSpec, VBMCOptions
 from .variational import _logsumexp_rows, gaussian_skl
 
 __all__ = [
@@ -32,6 +31,7 @@ __all__ = [
     "metric_gskl",
     "verify_ground_truth",
     "RunConfig",
+    "run_budget",
     "BenchmarkRecord",
     "run_benchmark",
     "summarize_records",
@@ -127,7 +127,22 @@ class LumpyProblem(SyntheticProblem):
 
 class StudentProblem(SyntheticProblem):
     def log_likelihood_rows(self, X):
-        return np.sum(student_t.logpdf(X, df=self.params["dof"]), axis=1)
+        kernel = _student_t_log_kernel(X, self.params["dof"])
+        return np.sum(self.params["log_norm"] - kernel, axis=1)
+
+
+def _student_t_log_norm(dof):
+    """Log normalizer of the standard Student-t with ``dof`` degrees of freedom."""
+    return (
+        math.lgamma(0.5 * (dof + 1.0))
+        - math.lgamma(0.5 * dof)
+        - 0.5 * math.log(dof * math.pi)
+    )
+
+
+def _student_t_log_kernel(x, dof):
+    """The part of the standard Student-t log density that depends on ``x``."""
+    return 0.5 * (dof + 1.0) * np.log1p(x * x / dof)
 
 
 class CigarProblem(SyntheticProblem):
@@ -189,13 +204,15 @@ def make_student(D, seed=0):
     sd_t = np.sqrt(dof / (dof - 2.0))
     prior_mean = np.zeros(D)
     prior_sd = PRIOR_SD_MULTIPLIER * sd_t
+    log_norm = np.array([_student_t_log_norm(v) for v in dof])
     log_z = np.empty(D)
     var = np.empty(D)
     for i in range(D):
         def joint(x, i=i):
-            return student_t.pdf(x, df=dof[i]) * math.exp(
-                -0.5 * (x / prior_sd[i]) ** 2
-            ) / (prior_sd[i] * math.sqrt(2 * math.pi))
+            log_t = log_norm[i] - _student_t_log_kernel(x, dof[i])
+            return math.exp(log_t - 0.5 * (x / prior_sd[i]) ** 2) / (
+                prior_sd[i] * math.sqrt(2 * math.pi)
+            )
 
         z, err_z = scipy_quad(joint, -np.inf, np.inf, epsabs=1e-12, epsrel=1e-10)
         m2, err_m = scipy_quad(
@@ -212,7 +229,7 @@ def make_student(D, seed=0):
         lml_true=float(np.sum(log_z)),
         post_mean=np.zeros(D),
         post_cov=np.diag(var),
-        params={"dof": dof},
+        params={"dof": dof, "log_norm": log_norm},
     )
 
 
@@ -392,6 +409,21 @@ class BenchmarkRecord:
         return a == b
 
 
+def run_budget(D, budget_multiplier):
+    """Evaluations of one run at dimension ``D``: ``budget_multiplier`` x 50 (D + 2).
+
+    Raises ``ValueError`` when that is fewer than the ``N_INIT`` evaluations
+    of the initial design.
+    """
+    budget = int(round(budget_multiplier * 50 * (D + 2)))
+    if budget < N_INIT:
+        raise ValueError(
+            f"budget {budget} at D={D} is below the {N_INIT} evaluations "
+            "of the initial design"
+        )
+    return budget
+
+
 def execute_run(family, D, problem_seed, run_seed, acq, budget_multiplier, meta_seed):
     """One seeded benchmark run; fully deterministic given its arguments."""
     problem = make_problem(family, D, problem_seed)
@@ -400,7 +432,7 @@ def execute_run(family, D, problem_seed, run_seed, acq, budget_multiplier, meta_
     x0_child, run_child = ss.spawn(2)
     x0 = problem.draw_x0(np.random.default_rng(x0_child))
     spec = problem.problem_spec(x0=x0)
-    budget = int(round(budget_multiplier * 50 * (D + 2)))
+    budget = run_budget(D, budget_multiplier)
     options = VBMCOptions(max_fevals=budget, acq=acq)
     engine = VBMC(spec, options)
     t0 = time.perf_counter()
@@ -442,8 +474,9 @@ def execute_run(family, D, problem_seed, run_seed, acq, budget_multiplier, meta_
 def run_benchmark(config, progress=None):
     """Execute the sweep and append records to ``config.out`` (JSON lines).
 
-    Every problem is built first, so a bad (family, D) pair raises
-    ``ValueError`` before any check; then ground truth is cross-checked once
+    Every problem and budget is built first, so a bad (family, D) pair or a
+    budget below the initial design raises ``ValueError`` before any check
+    (see :func:`run_budget`); then ground truth is cross-checked once
     per problem before any run. Runs go one after another in task order,
     and each record is appended as its run ends, so a failing run keeps the
     earlier records. A sweep is sharded by starting several processes with
@@ -453,6 +486,8 @@ def run_benchmark(config, progress=None):
         make_problem(family, D, config.problem_seed)
         for family in config.families for D in config.dims
     ]
+    for D in config.dims:
+        run_budget(D, config.budget_multiplier)
     tasks = []
     for problem in problems:
         report = verify_ground_truth(problem)

@@ -13,6 +13,7 @@ from .benchmark import (
     RunConfig,
     make_problem,
     run_benchmark,
+    run_budget,
     summarize_records,
     verify_ground_truth,
     write_long_csv,
@@ -126,6 +127,12 @@ def _cmd_generate(args):
 def _cmd_run(args):
     pairs = [(family, D) for family in args.family for D in args.dims]
     if _build_problems("run", pairs, args.problem_seed) is None:
+        return 2
+    try:
+        for D in args.dims:
+            run_budget(D, args.budget_multiplier)
+    except ValueError as err:
+        print(f"vbmc run: {err}", file=sys.stderr)
         return 2
     config = RunConfig(
         families=tuple(args.family),

@@ -6,6 +6,11 @@ functions here redo the solve-dependent parts one draw at a time, on each
 draw's own Cholesky factor, so tests can demand bit-identical results from
 the batched path.
 
+:func:`per_draw_sample_hyperparameters` runs the slice chain of
+``gp.sample_hyperparameters`` on a target that factors the Gram matrix on
+every evaluation (:func:`per_draw_lml`), so tests can demand the bits of
+the memoized target.
+
 ``vbmc.gp`` calls LAPACK directly. The ``scipy_*`` functions below compute
 the same quantities through ``scipy.linalg``'s wrappers (``cholesky``,
 ``cho_solve``, ``solve_triangular``) and the summed :func:`student_t_logpdf`,
@@ -18,16 +23,23 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from vbmc.gp import (
+    BURN_SWEEPS,
+    THIN_SWEEPS,
     GPHyperparams,
+    GPHyperprior,
     GPTrainingError,
     HyperparamSampleSet,
     TrainingSet,
+    default_hyperparams,
     gp_fit,
+    _factor_gram,
+    _fit_draw,
     _student_t_log_kernel,
     _student_t_log_norm,
     nq_mean,
     se_kernel_matrix,
 )
+from vbmc.slice_sampler import slice_sample
 from vbmc.quadrature import z_matrix
 
 
@@ -187,3 +199,38 @@ def summed_prior_logpdf(prior, theta):
     """``GPHyperprior.logpdf`` inside the bounds: the summed Student-t densities."""
     p = prior.has_prior
     return float(np.sum(student_t_logpdf(theta[p], prior.mean[p], prior.scale[p])))
+
+
+def per_draw_lml(train, hyp):
+    """One draw's log marginal likelihood, its Gram matrix factored afresh.
+
+    Bound at import, so a test that counts ``gp._factor_gram`` calls does
+    not count these.
+    """
+    L, _ = _factor_gram(train, hyp)
+    return _fit_draw(train, hyp, L)[1]
+
+
+def per_draw_sample_hyperparameters(train, n_gp, init, rng):
+    """``gp.sample_hyperparameters`` with a target that keeps no factor."""
+    prior = GPHyperprior(train)
+    D = train.D
+
+    def target(theta):
+        lp = prior.logpdf(theta)
+        if not np.isfinite(lp):
+            return -np.inf
+        try:
+            lml = per_draw_lml(train, GPHyperparams.from_vector(theta, D))
+        except (GPTrainingError, FloatingPointError):
+            return -np.inf
+        return lml + lp
+
+    theta0 = np.clip(init.to_vector(), prior.lower, prior.upper)
+    if not np.isfinite(target(theta0)):
+        theta0 = np.clip(default_hyperparams(train).to_vector(), prior.lower, prior.upper)
+    thetas = slice_sample(
+        target, theta0, n_gp, prior.widths, rng,
+        burn_sweeps=BURN_SWEEPS, thin_sweeps=THIN_SWEEPS,
+    )
+    return gp_fit(train, [GPHyperparams.from_vector(t, D) for t in thetas])

@@ -71,6 +71,16 @@ class TestStudent:
             total += math.log(z)
         assert p.lml_true == pytest.approx(total, abs=1e-8)
 
+    def test_closed_form_matches_scipy(self):
+        p = make_student(6)
+        xs = np.concatenate([np.linspace(-50.0, 50.0, 401), [1e-8, 1e3, -1e5]])
+        for log_norm, dof in zip(p.params["log_norm"], p.params["dof"]):
+            closed = log_norm - benchmark._student_t_log_kernel(xs, dof)
+            assert np.allclose(closed, student_t.logpdf(xs, df=dof), rtol=1e-13, atol=0.0)
+        X = np.random.default_rng(0).standard_t(3.0, size=(50, 6))
+        ref = student_t.logpdf(X, df=p.params["dof"]).sum(axis=1)
+        assert np.allclose(p.log_likelihood_rows(X), ref, rtol=1e-13, atol=0.0)
+
     def test_quadrature_matches_monte_carlo(self):
         p = make_student(1)
         rng = np.random.default_rng(0)
@@ -217,6 +227,18 @@ class TestRunner:
         out = tmp_path / "records.jsonl"
         config = RunConfig(families=("lumpy", "cigar"), dims=(1,), out=str(out))
         with pytest.raises(ValueError, match="needs D >= 2"):
+            run_benchmark(config)
+        assert not out.exists()
+
+    def test_budget_below_initial_design_raises_before_any_check(self, tmp_path, monkeypatch):
+        def no_check(problem, *args, **kwargs):
+            raise AssertionError("ground truth checked")
+
+        monkeypatch.setattr(benchmark, "verify_ground_truth", no_check)
+        out = tmp_path / "records.jsonl"
+        config = RunConfig(dims=(2, 6), budget_multiplier=0.03, out=str(out))
+        # 0.03 x 50 (D + 2) is 6 at D = 2 and 12 at D = 6
+        with pytest.raises(ValueError, match="budget 6 at D=2"):
             run_benchmark(config)
         assert not out.exists()
 

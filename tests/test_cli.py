@@ -76,6 +76,24 @@ def test_run_and_generate_reject_bad_pair_before_any_check(
     assert message in err[0]
 
 
+def test_run_rejects_budget_below_initial_design(tmp_path, capsys, monkeypatch):
+    def no_check(problem, *args, **kwargs):
+        raise AssertionError("ground truth checked")
+
+    monkeypatch.setattr(benchmark, "verify_ground_truth", no_check)
+    monkeypatch.setattr(cli, "verify_ground_truth", no_check)
+    out = tmp_path / "records.jsonl"
+    # 0.01 x 50 (D + 2) = 2 evaluations, fewer than the initial design's 10
+    code = main(["run", "--seeds", "1", "--budget-multiplier", "0.01", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("vbmc run: budget 2 at D=2")
+
+
 def test_generate_skips_cigar_d1(tmp_path):
     out = tmp_path / "problems.jsonl"
     code = main(["generate", "--family", "lumpy", "cigar", "--dims", "1",

@@ -6,7 +6,9 @@ from scipy import stats
 
 from per_draw import (
     draws,
+    per_draw_lml,
     per_draw_predict,
+    per_draw_sample_hyperparameters,
     per_draw_update,
     prior_set,
     random_hyp,
@@ -319,7 +321,7 @@ class TestMarginalLikelihood:
         rng = np.random.default_rng(23)
         hyp = simple_hyp(D=2, log_sobs=-2.0, m0=0.3)
         train = draw_gp_data(hyp, 12, rng)
-        lml = log_marginal_likelihood(train, hyp)
+        lml = log_marginal_likelihood(train, hyp.to_vector(), {})
         assert lml == gp_fit(train, [hyp]).lml[0]
         cov = se_kernel_matrix(train.X, train.X, hyp) + hyp.sobs**2 * np.eye(12)
         ref = stats.multivariate_normal(nq_mean(train.X, hyp), cov).logpdf(train.y)
@@ -328,7 +330,7 @@ class TestMarginalLikelihood:
     def test_empty_training_set(self):
         hyp = simple_hyp(D=2)
         empty = TrainingSet(np.empty((0, 2)), np.empty(0))
-        assert log_marginal_likelihood(empty, hyp) == 0.0
+        assert log_marginal_likelihood(empty, hyp.to_vector(), {}) == 0.0
         assert gp_fit(empty, [hyp]).lml[0] == 0.0
 
     def test_jitter_escalation_reports_largest_jitter(self, monkeypatch):
@@ -371,8 +373,8 @@ class TestMarginalLikelihood:
             tp[i] += h
             tm[i] -= h
             fd = (
-                log_marginal_likelihood(train, GPHyperparams.from_vector(tp, 2))
-                - log_marginal_likelihood(train, GPHyperparams.from_vector(tm, 2))
+                log_marginal_likelihood(train, tp, {})
+                - log_marginal_likelihood(train, tm, {})
             ) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
@@ -427,7 +429,7 @@ class TestDirectLapackMatchesScipy:
             cases += [(train, random_hyp(rng, D)) for _ in range(5)]
         for train, hyp in cases:
             lml_ref, grad_ref = scipy_lml_grad(train, hyp)
-            assert log_marginal_likelihood(train, hyp) == lml_ref
+            assert log_marginal_likelihood(train, hyp.to_vector(), {}) == lml_ref
             lml, grad = log_marginal_likelihood_grad(train, hyp)
             assert lml == lml_ref
             assert np.array_equal(grad, grad_ref)
@@ -444,6 +446,21 @@ class TestDirectLapackMatchesScipy:
 
 
 class TestHyperprior:
+    def test_hard_bounds(self):
+        rng = np.random.default_rng(34)
+        train = draw_gp_data(simple_hyp(D=2), 20, rng)
+        prior = GPHyperprior(train)
+        center = default_hyperparams(train).to_vector()
+        for i in range(center.size):
+            for bound, step in ((prior.lower[i], -1e-9), (prior.upper[i], 1e-9)):
+                if not np.isfinite(bound):
+                    continue
+                theta = center.copy()
+                theta[i] = bound
+                assert np.isfinite(prior.logpdf(theta)), i
+                theta[i] = bound + step * max(1.0, abs(bound))
+                assert prior.logpdf(theta) == -np.inf, i
+
     def test_student_t_matches_scipy(self):
         for mu, scale, x in [(0.0, 1.0, 0.0), (-6.9, 0.5, -6.9), (2.0, 3.0, -1.0)]:
             ours = student_t_logpdf(x, mu, scale)
@@ -521,10 +538,11 @@ class TestHyperparameterInference:
         true = simple_hyp(D=1, log_sobs=math.log(0.05))
         train = draw_gp_data(true, 25, rng)
 
+        prior = GPHyperprior(train)
+
         def objective(h):
-            return log_marginal_likelihood(train, h) + GPHyperprior(train).logpdf(
-                h.to_vector()
-            )
+            theta = h.to_vector()
+            return log_marginal_likelihood(train, theta, {}) + prior.logpdf(theta)
 
         opt = optimize_hyperparameters(train, default_hyperparams(train), rng)
         opt2 = optimize_hyperparameters(train, opt, rng)
@@ -550,6 +568,143 @@ class TestHyperparameterInference:
         train = draw_gp_data(true, 50, rng)
         opt = optimize_hyperparameters(train, default_hyperparams(train), rng)
         assert abs(opt.log_ell[0] - true.log_ell[0]) < 0.5
+
+
+class TestHyperparamsChecks:
+    @pytest.mark.parametrize("block", ["log_ell", "log_sf", "log_sobs", "log_omega"])
+    @pytest.mark.parametrize("log_scale", [1e3, -np.inf, np.nan])
+    def test_each_scale_block_rejected(self, block, log_scale):
+        fields = dict(
+            log_ell=[0.1, 0.2], log_sf=0.0, log_sobs=-3.0, m0=0.0, x_m=[0.0, 0.0],
+            log_omega=[1.0, 1.0],
+        )
+        fields[block] = [0.1, log_scale] if block in ("log_ell", "log_omega") else log_scale
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="finite positives"):
+                GPHyperparams(**fields)
+
+
+def capture_target(monkeypatch, train, init):
+    """The slice target of ``sample_hyperparameters(train, 2, init, ...)``.
+
+    ``slice_sample`` is replaced by a stub that keeps the target and its
+    start and returns the start as every draw.
+    """
+    captured = {}
+
+    def stub(log_density, x0, n_samples, *args, **kwargs):
+        captured.update(target=log_density, theta0=np.array(x0))
+        return np.repeat(np.asarray(x0)[None, :], n_samples, axis=0)
+
+    monkeypatch.setattr(gpm, "slice_sample", stub)
+    sample_hyperparameters(train, 2, init, np.random.default_rng(0))
+    monkeypatch.undo()
+    return captured["target"], captured["theta0"]
+
+
+def count_factorizations(monkeypatch, fail=lambda hyp: False):
+    """Count ``_factor_gram`` calls; a call on a draw where ``fail`` holds raises."""
+    factor_gram = gpm._factor_gram
+    calls = []
+
+    def spy(train, hyp, K=None):
+        calls.append(hyp.to_vector())
+        if fail(hyp):
+            raise gpm.GPTrainingError("forced")
+        return factor_gram(train, hyp, K)
+
+    monkeypatch.setattr(gpm, "_factor_gram", spy)
+    return calls
+
+
+class TestSliceTargetMemo:
+    """The slice target factors only when the covariance block changes."""
+
+    def fixture(self, D, n, seed):
+        rng = np.random.default_rng(seed)
+        train = draw_gp_data(random_hyp(rng, D, log_sobs=math.log(0.05)), n, rng)
+        return train, default_hyperparams(train)
+
+    @pytest.mark.parametrize("D, n, n_gp", [(2, 25, 6), (6, 30, 3)])
+    def test_chain_matches_per_draw_target(self, D, n, n_gp):
+        train, init = self.fixture(D, n, 40 + D)
+        got = sample_hyperparameters(train, n_gp, init, np.random.default_rng(D))
+        ref = per_draw_sample_hyperparameters(train, n_gp, init, np.random.default_rng(D))
+        assert np.array_equal(
+            [h.to_vector() for h in got.hyps], [h.to_vector() for h in ref.hyps]
+        )
+        for name in ("L", "jitter", "alpha", "lml"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+    def test_fewer_factorizations_than_evaluations(self, monkeypatch):
+        train, init = self.fixture(2, 25, 42)
+        evaluations = []
+        slice_sample = gpm.slice_sample
+
+        def counting(log_density, *args, **kwargs):
+            def counted(theta):
+                evaluations.append(len(calls))
+                return log_density(theta)
+
+            return slice_sample(counted, *args, **kwargs)
+
+        monkeypatch.setattr(gpm, "slice_sample", counting)
+        calls = count_factorizations(monkeypatch)
+        sample_hyperparameters(train, 4, init, np.random.default_rng(1))
+        # factorizations inside the chain, not counting the final fit's four
+        factored = len(calls) - 4 - evaluations[0]
+        assert 0 < factored < len(evaluations) / 2
+
+    def test_single_coordinate_changes(self, monkeypatch):
+        D = 2
+        train, init = self.fixture(D, 25, 42)
+        target, theta0 = capture_target(monkeypatch, train, init)
+        calls = count_factorizations(monkeypatch)
+        prior = GPHyperprior(train)
+
+        def expected(theta):
+            hyp = GPHyperparams.from_vector(theta, D)
+            return per_draw_lml(train, hyp) + prior.logpdf(theta)
+
+        assert target(theta0) == expected(theta0)
+        assert calls == []  # the start's block was factored before the chain
+        for i in range(3 * D + 3):
+            theta = theta0.copy()
+            theta[i] += 0.01
+            assert np.isfinite(prior.logpdf(theta))
+            before = len(calls)
+            assert target(theta) == expected(theta)
+            assert len(calls) - before == (1 if i < D + 2 else 0), i
+            assert target(theta) == expected(theta)  # the same block again
+            assert target(theta0) == expected(theta0)
+            assert len(calls) - before == (2 if i < D + 2 else 0), i
+
+    def test_failed_block_is_not_retried(self, monkeypatch):
+        D = 2
+        train, init = self.fixture(D, 25, 42)
+        target, theta0 = capture_target(monkeypatch, train, init)
+        bad_sf = theta0[D] + 0.5
+        calls = count_factorizations(monkeypatch, fail=lambda hyp: hyp.log_sf == bad_sf)
+        theta = theta0.copy()
+        theta[D] = bad_sf
+        assert target(theta) == -np.inf
+        assert target(theta) == -np.inf
+        theta[D + 2] += 0.3  # a mean coordinate: the same failed block
+        assert target(theta) == -np.inf
+        assert len(calls) == 1
+        assert np.isfinite(target(theta0))
+        assert len(calls) == 2
+
+    def test_mean_block_scale_checked_on_a_hit(self):
+        D = 2
+        train, init = self.fixture(D, 25, 42)
+        theta = init.to_vector()
+        memo = {}
+        log_marginal_likelihood(train, theta, memo)
+        theta[2 * D + 3] = 1e3
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="finite positives"):
+                log_marginal_likelihood(train, theta, memo)
 
 
 class TestMarginalPredict:

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from oracles import entropy_exact_single
-from vbmc.variational import VariationalPosterior, entropy_mc, gaussian_skl
+from vbmc.gp import sq_dist
+from vbmc.variational import (
+    LOGPDF_BLOCK,
+    VariationalPosterior,
+    _logsumexp_rows,
+    entropy_mc,
+    gaussian_skl,
+)
 
 
 def random_vp(K, D, rng, spread=2.0):
@@ -36,6 +43,62 @@ class TestDensity:
         pts = np.column_stack([xx.ravel(), yy.ravel()])
         mass = np.sum(np.exp(vp.logpdf(pts))) * (g[1] - g[0]) ** 2
         assert mass == pytest.approx(1.0, abs=1e-4)
+
+
+def log_components_expression(vp, X):
+    """``log_components`` as one expression with a fresh array per operation."""
+    a, b = X / vp.lam, vp.mu / vp.lam
+    d2 = (a * a).sum(-1)[:, None] - 2.0 * (a @ b.T) + (b * b).sum(-1)[None, :]
+    d2 = np.maximum(d2, 0.0)
+    base = -0.5 * vp.D * math.log(2.0 * math.pi) - np.sum(np.log(vp.lam))
+    with np.errstate(divide="ignore"):
+        logG = base - vp.D * np.log(vp.sigma)[None, :] - 0.5 * d2 / (vp.sigma**2)[None, :]
+        return d2, logG + np.log(vp.w)
+
+
+class TestInPlaceBlocks:
+    """The (m, K) blocks built in place give the bits of the plain expressions."""
+
+    @pytest.mark.parametrize("K, D", [(1, 1), (3, 2), (20, 2), (7, 6)])
+    def test_log_components_bits(self, K, D):
+        rng = np.random.default_rng(K + 10 * D)
+        vp = random_vp(K, D, rng)
+        X = rng.normal(0.0, 3.0, size=(257, D))
+        for got, ref in zip(vp.log_components(X), log_components_expression(vp, X)):
+            assert np.array_equal(got, ref)
+
+    def test_zero_weight_component(self):
+        vp = VariationalPosterior([1.0, 0.0], [[0.0], [5.0]], [1.0, 1.0], [1.0])
+        X = np.array([[0.5], [4.0]])
+        _, logwG = vp.log_components(X)
+        assert np.all(logwG[:, 1] == -np.inf)
+        assert np.array_equal(logwG, log_components_expression(vp, X)[1])
+
+    @pytest.mark.parametrize("K, D", [(1, 2), (20, 2), (7, 6)])
+    def test_logpdf_blocks_give_the_one_pass_bits(self, K, D):
+        rng = np.random.default_rng(K * D)
+        vp = random_vp(K, D, rng)
+        rows = max(1, LOGPDF_BLOCK // K)
+        X = rng.normal(0.0, 3.0, size=(2 * rows + 17, D))
+        one_pass = _logsumexp_rows(log_components_expression(vp, X)[1])
+        assert np.array_equal(vp.logpdf(X), one_pass)
+        assert vp.logpdf(X[5]) == one_pass[5]
+
+    def test_batched_sq_dist_bits(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(5, 11, 3)), rng.normal(size=(7, 3))
+        ref = (a * a).sum(-1)[..., :, None] - 2.0 * (a @ b.T) + (b * b).sum(-1)[None, :]
+        assert np.array_equal(sq_dist(a, b), np.maximum(ref, 0.0))
+
+    def test_logsumexp_rows_leaves_input_and_matches_expression(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(0.0, 30.0, size=(100, 12))
+        a[3, :5] = -np.inf
+        before = a.copy()
+        got = _logsumexp_rows(a)
+        assert np.array_equal(a, before)
+        shift = a.max(axis=1)
+        assert np.array_equal(got, shift + np.log(np.sum(np.exp(a - shift[:, None]), axis=1)))
 
 
 class TestSampling:
