@@ -166,21 +166,64 @@ def _cmd_run(args):
     return 0
 
 
+def _read_json(command, path, lines=False):
+    """The JSON value in ``path``, or with ``lines`` the list of the values
+    of its nonblank lines; None after one stderr line when the file cannot
+    be read or a value is not JSON."""
+    number = 0
+    try:
+        with open(path) as fh:
+            if not lines:
+                return json.load(fh)
+            values = []
+            for number, line in enumerate(fh, 1):
+                if line.strip():
+                    values.append(json.loads(line))
+            return values
+    except OSError as err:
+        message = f"cannot read {path}: {err.strerror or err}"
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
+        where = f"line {number} of {path}" if lines else path
+        message = f"{where} is not JSON: {err}"
+    print(f"vbmc {command}: {message}", file=sys.stderr)
+    return None
+
+
 def _cmd_summarize(args):
-    with open(args.records) as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+    records = _read_json("summarize", args.records, lines=True)
+    if records is None:
+        return 2
     if not records:
         print(f"vbmc summarize: no records in {args.records}", file=sys.stderr)
         return 2
-    rows = summarize_records(records, boot_seed=args.boot_seed)
+    if not all(isinstance(rec, dict) for rec in records):
+        print(f"vbmc summarize: a line of {args.records} is not a JSON object",
+              file=sys.stderr)
+        return 2
+    try:
+        rows = summarize_records(records, boot_seed=args.boot_seed)
+    except KeyError as err:
+        print(f"vbmc summarize: a record in {args.records} has no key {err}",
+              file=sys.stderr)
+        return 2
     write_summary_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def _cmd_infer(args):
-    with open(args.config) as fh:
-        config = json.load(fh)
+    config = _read_json("infer", args.config)
+    if config is None:
+        return 2
+    blocks = [("config", config)]
+    if isinstance(config, dict):
+        blocks += [(key, config[key]) for key in ("options", "problem", "bounds")
+                   if key in config]
+    for name, block in blocks:
+        if not isinstance(block, dict):
+            print(f"vbmc infer: the {name} in {args.config} is not a JSON object",
+                  file=sys.stderr)
+            return 2
     given = config.get("options", {})
     allowed = [f.name for f in dataclasses.fields(VBMCOptions)]
     unknown = sorted(set(given) - set(allowed))
@@ -191,7 +234,7 @@ def _cmd_infer(args):
             file=sys.stderr,
         )
         return 2
-    # a bad options, problem or bounds block ends here, before any evaluation
+    # a bad options, problem, bounds or seed entry ends here, before any evaluation
     try:
         options = VBMCOptions(**given)
         pspec = config["problem"]
@@ -204,13 +247,14 @@ def _cmd_infer(args):
             tr = ParameterTransform.from_config(config["bounds"])
             spec.lb, spec.ub, spec.plb, spec.pub = tr.lb, tr.ub, tr.plb, tr.pub
         engine = VBMC(spec, options)
+        seed = int(config.get("seed", 0))
     except KeyError as err:
         print(f"vbmc infer: missing key {err} in {args.config}", file=sys.stderr)
         return 2
     except ValueError as err:
         print(f"vbmc infer: {err} in {args.config}", file=sys.stderr)
         return 2
-    result = engine.run(seed=int(config.get("seed", 0)), diagnostics=args.diagnostics)
+    result = engine.run(seed=seed, diagnostics=args.diagnostics)
     out = {
         "problem_id": problem.problem_id,
         "elbo_mean": result.elbo_mean,

@@ -10,6 +10,7 @@ posterior into the high-density region before the machinery unlocks.
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,10 +110,11 @@ class ProblemSpec:
 class VBMCOptions:
     """Per-run settings: the budget, the acquisition and the diagnostics.
 
-    ``max_fevals`` defaults to 50 (D + 2) evaluations, ``acq`` is ``"pro"``
-    or ``"us"`` (any other value raises ``ValueError`` here, before a run
-    spends an evaluation), and ``diag_gp_samples`` adds one diagnostics
-    line per GP hyperparameter draw. Every other value of the reference
+    ``max_fevals`` is a positive integer and defaults to 50 (D + 2)
+    evaluations, ``acq`` is ``"pro"`` or ``"us"`` (any other value of
+    either raises ``ValueError`` here, before a run spends an evaluation),
+    and ``diag_gp_samples`` adds one diagnostics line per GP
+    hyperparameter draw. Every other value of the reference
     configuration is a module constant of the one module that reads it
     (``core``, ``optim``, ``acquisition``, ``cmaes``, ``gp``,
     ``slice_sampler``, ``benchmark``).
@@ -123,6 +125,11 @@ class VBMCOptions:
     diag_gp_samples: bool = False
 
     def __post_init__(self):
+        m = self.max_fevals
+        if m is not None and (
+            isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1
+        ):
+            raise ValueError(f"max_fevals must be a positive integer, got {m!r}")
         if self.acq not in ACQUISITION_KINDS:
             raise ValueError(
                 f"unknown acquisition {self.acq!r}; allowed: {', '.join(ACQUISITION_KINDS)}"

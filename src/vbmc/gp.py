@@ -180,14 +180,34 @@ def sq_dist(a, b):
     expansion slightly negative, so it is clamped at zero. Axes before the
     last two are batch axes: one distance matrix per hyperparameter draw.
     The three terms are combined in the buffer of the product ``a b^T``.
+    The row norms |a|^2 and |b|^2 are :func:`_sq_norms`: the bits of
+    ``(a * a).sum(-1)`` without NumPy's slow reduction over short rows.
     """
     d2 = a @ b.swapaxes(-1, -2)
     # |a|^2 - 2 a.b + |b|^2, left to right, with no (m, k) temporary
     np.multiply(d2, 2.0, out=d2)
-    np.subtract((a * a).sum(-1)[..., :, None], d2, out=d2)
-    np.add(d2, (b * b).sum(-1)[..., None, :], out=d2)
+    np.subtract(_sq_norms(a)[..., :, None], d2, out=d2)
+    np.add(d2, _sq_norms(b)[..., None, :], out=d2)
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+def _sq_norms(a):
+    """``(a * a).sum(-1)`` with the same bits.
+
+    NumPy sums a row shorter than 8 left to right, one value at a time, but
+    over a long stack of such rows its reduction is slow: for 32,768 rows
+    of D = 2 it took 600 µs, against 60 µs for adding the D columns left to
+    right, which gives the same bits and is done here. Rows of 8 or more
+    keep ``.sum(-1)``, whose pairwise order a column loop would not follow.
+    """
+    sq = a * a
+    if sq.shape[-1] >= 8:
+        return sq.sum(-1)
+    out = sq[..., 0].copy()
+    for j in range(1, sq.shape[-1]):
+        out += sq[..., j]
+    return out
 
 
 def se_kernel_matrix(X1, X2, hyp):

@@ -117,6 +117,69 @@ def test_summarize_rejects_empty_records(tmp_path, capsys):
     assert str(records) in err[0]
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read"),
+        ('{"family": "lumpy"}\nnot json\n', "line 2 of"),
+        ("[1, 2]\n", "is not a JSON object"),
+        ('{"family": "lumpy", "D": 2}\n', "has no key 'final'"),
+    ],
+    ids=["missing_file", "line_not_json", "line_not_object", "not_a_record"],
+)
+def test_summarize_rejects_bad_records_file(tmp_path, capsys, content, message):
+    records = tmp_path / "records.jsonl"
+    if content is not None:
+        records.write_text(content)
+    summary = tmp_path / "summary.csv"
+    code = main(["summarize", str(records), "--out", str(summary)])
+    assert code == 2
+    assert not summary.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert message in err[0]
+    assert str(records) in err[0]
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read"),
+        ('{"problem": ', "is not JSON"),
+        ("[1, 2]", "the config in"),
+        ('{"problem": {"family": "lumpy", "D": 2}, "options": [60]}', "the options in"),
+        ('{"problem": "lumpy"}', "the problem in"),
+        ('{"problem": {"family": "lumpy", "D": 2}, "bounds": null}', "the bounds in"),
+        ('{"problem": {"family": "lumpy", "D": 2}, "options": {"max_fevals": "abc"}}',
+         "max_fevals must be a positive integer, got 'abc'"),
+        ('{"problem": {"family": "lumpy", "D": 2}, "options": {"max_fevals": 12.5}}',
+         "got 12.5"),
+        ('{"problem": {"family": "lumpy", "D": 2}, "options": {"max_fevals": true}}',
+         "got True"),
+        ('{"problem": {"family": "lumpy", "D": 2}, "seed": "abc"}', "invalid literal"),
+    ],
+    ids=["missing_file", "not_json", "config_array", "options_array", "problem_string",
+         "bounds_null", "max_fevals_string", "max_fevals_float", "max_fevals_bool",
+         "seed_string"],
+)
+def test_infer_rejects_bad_config_file(tmp_path, capsys, monkeypatch, content, message):
+    def no_evaluation(self, u):
+        raise AssertionError("log joint evaluated")
+
+    monkeypatch.setattr(VBMC, "_evaluate", no_evaluation)
+    cfg_path = tmp_path / "config.json"
+    if content is not None:
+        cfg_path.write_text(content)
+    out = tmp_path / "result.json"
+    code = main(["infer", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert message in err[0]
+    assert str(cfg_path) in err[0]
+
+
 def test_infer_from_config(tmp_path):
     config = {
         "problem": {"family": "lumpy", "D": 2, "seed": 0},

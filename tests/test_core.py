@@ -105,6 +105,14 @@ class TestInitialDesign:
             VBMC(spec, VBMCOptions(max_fevals=max_fevals))
         assert calls == []
 
+    @pytest.mark.parametrize("max_fevals", ["abc", "60", 12.5, 40.0, True, 0, -5, [60]])
+    def test_budget_not_a_positive_integer_raises(self, max_fevals):
+        with pytest.raises(ValueError, match="max_fevals must be a positive integer"):
+            VBMCOptions(max_fevals=max_fevals)
+
+    def test_numpy_integer_budget_accepted(self):
+        assert VBMCOptions(max_fevals=np.int64(40)).max_fevals == 40
+
     def test_unknown_acquisition_raises_before_any_evaluation(self):
         spec, *_ = conjugate_problem()
         calls = []

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from oracles import entropy_exact_single
-from vbmc.gp import sq_dist
+from vbmc import variational
+from vbmc.gp import _sq_norms, sq_dist
 from vbmc.variational import (
+    _EXP_FAST_MIN,
+    _EXP_ZERO_MAX,
     LOGPDF_BLOCK,
     VariationalPosterior,
+    _exp_inplace,
     _logsumexp_rows,
+    _row_max,
     entropy_mc,
     gaussian_skl,
 )
@@ -56,6 +61,17 @@ def log_components_expression(vp, X):
         return d2, logG + np.log(vp.w)
 
 
+def logsumexp_rows_expression(a):
+    """The plain row log-sum-exp: NumPy's row max, ``np.exp`` and row sum."""
+    shift = a.max(axis=1)
+    return shift + np.log(np.sum(np.exp(a - shift[:, None]), axis=1))
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
 class TestInPlaceBlocks:
     """The (m, K) blocks built in place give the bits of the plain expressions."""
 
@@ -86,9 +102,11 @@ class TestInPlaceBlocks:
 
     def test_batched_sq_dist_bits(self):
         rng = np.random.default_rng(3)
-        a, b = rng.normal(size=(5, 11, 3)), rng.normal(size=(7, 3))
-        ref = (a * a).sum(-1)[..., :, None] - 2.0 * (a @ b.T) + (b * b).sum(-1)[None, :]
-        assert np.array_equal(sq_dist(a, b), np.maximum(ref, 0.0))
+        for D in range(1, 10):  # the row norms add columns for D < 8
+            a, b = rng.normal(size=(5, 11, D)), rng.normal(size=(7, D))
+            for x in (a, a[0]):
+                ref = (x * x).sum(-1)[..., :, None] - 2.0 * (x @ b.T) + (b * b).sum(-1)[None, :]
+                assert same_bits(sq_dist(x, b), np.maximum(ref, 0.0))
 
     def test_logsumexp_rows_leaves_input_and_matches_expression(self):
         rng = np.random.default_rng(4)
@@ -97,8 +115,150 @@ class TestInPlaceBlocks:
         before = a.copy()
         got = _logsumexp_rows(a)
         assert np.array_equal(a, before)
-        shift = a.max(axis=1)
-        assert np.array_equal(got, shift + np.log(np.sum(np.exp(a - shift[:, None]), axis=1)))
+        assert np.array_equal(got, logsumexp_rows_expression(a))
+
+    def test_logsumexp_rows_of_a_fortran_array(self):
+        # the shifted copy is made C-ordered for the in-place exp
+        a = np.asfortranarray(np.random.default_rng(7).normal(0.0, 400.0, size=(300, 10)))
+        assert same_bits(_logsumexp_rows(a), logsumexp_rows_expression(a))
+
+
+# exp(x) is a normal double for x >= log(DBL_MIN) and subnormal or 0 below
+LOG_DBL_MIN = math.log(np.finfo(float).tiny)
+
+
+def mixed_lanes(n, rng):
+    """Values that reach every lane kind of ``exp``: normal results, the
+    subnormal band, underflow to 0, NaN, +-inf, +-0 and both cut points with
+    their neighbours, in random order."""
+    edges = []
+    for cut in (_EXP_FAST_MIN, LOG_DBL_MIN, _EXP_ZERO_MAX):
+        edges += [cut, np.nextafter(cut, -np.inf), np.nextafter(cut, np.inf)]
+    edges += [np.nan, np.inf, -np.inf, 0.0, -0.0, -1e308]
+    parts = [
+        rng.uniform(-700.0, 0.0, n),
+        rng.uniform(_EXP_ZERO_MAX, LOG_DBL_MIN, n // 4),
+        rng.uniform(LOG_DBL_MIN, _EXP_FAST_MIN, n // 4),
+        rng.uniform(-3000.0, _EXP_ZERO_MAX, n // 2),
+        np.repeat(edges, 5),
+    ]
+    return rng.permutation(np.concatenate(parts))
+
+
+class TestExpLanes:
+    """``_exp_inplace`` gives ``np.exp``'s bits, and the premise it rests on."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_np_exp_on_mixed_lanes(self, seed):
+        rng = np.random.default_rng(seed)
+        x = mixed_lanes(20_000 + seed, rng)[: 7 * 3000]
+        ref = np.exp(x)
+        for part in [x, x.reshape(3000, 7), x[:1000]]:  # below 1024 lanes: np.exp
+            got = part.copy()
+            assert _exp_inplace(got) is got
+            assert same_bits(got.reshape(-1), ref[: part.size])
+
+    def test_cut_points_and_neighbours(self):
+        for cut in (_EXP_FAST_MIN, LOG_DBL_MIN, _EXP_ZERO_MAX):
+            x = np.tile([np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)], 400)
+            ref = np.exp(x)
+            assert same_bits(_exp_inplace(x.copy()), ref)
+        tiny = np.finfo(float).tiny
+        assert np.exp(_EXP_FAST_MIN) >= 2 * tiny
+        assert LOG_DBL_MIN == -708.3964185322641
+        assert np.exp(LOG_DBL_MIN) >= tiny > np.exp(np.nextafter(LOG_DBL_MIN, -np.inf))
+        assert np.exp(np.nextafter(_EXP_ZERO_MAX, np.inf)) > 0.0
+
+    def test_no_underflow_lane(self):
+        x = np.random.default_rng(5).uniform(-700.0, 5.0, size=(300, 7))
+        ref = np.exp(x)
+        got = _exp_inplace(x)
+        assert got is x
+        assert same_bits(got, ref)
+
+    def test_np_exp_is_zero_at_and_below_the_zero_cut(self):
+        x = np.linspace(-800.0, _EXP_ZERO_MAX, 200_001)
+        assert x[-1] == _EXP_ZERO_MAX
+        assert same_bits(np.exp(x), np.zeros_like(x))
+
+    def test_np_exp_lane_does_not_depend_on_its_vector(self):
+        # the premise of _exp_inplace: the same bits for a value whether its
+        # SIMD vector holds slow-lane neighbours, is shuffled, or is compacted
+        rng = np.random.default_rng(6)
+        x = mixed_lanes(400_000, rng)
+        ref = np.exp(x)
+        perm = rng.permutation(x.size)
+        shuffled = np.empty_like(x)
+        shuffled[perm] = np.exp(x[perm])
+        assert same_bits(shuffled, ref)
+        for keep in (x >= _EXP_FAST_MIN, (x < _EXP_FAST_MIN) & (x > _EXP_ZERO_MAX)):
+            assert same_bits(np.exp(x[keep]), ref[keep])
+        assert same_bits(np.exp(x[1:]), ref[1:])
+
+
+class TestRowMax:
+    @pytest.mark.parametrize("K", range(1, 31))
+    def test_matches_numpy_row_max(self, K):
+        # 1001 rows take the column loop, 11 rows NumPy's reduction (K > 1)
+        rng = np.random.default_rng(K)
+        a = rng.normal(0.0, 50.0, size=(1001, K))
+        a[7, rng.integers(K)] = np.nan
+        a[8, :] = np.nan
+        a[9, :] = -np.inf
+        a[10, 0] = np.inf
+        for rows in (a, a[:11]):
+            assert same_bits(_row_max(rows), rows.max(axis=1))
+
+    @pytest.mark.parametrize("K", range(1, 31))
+    def test_signed_zero_ties(self, K):
+        # on a tie of +0 and -0 the sign of the zero may differ from NumPy's
+        # row max; the value does not, nor do the log-sum-exp's bits
+        rng = np.random.default_rng(100 + K)
+        choices = np.array([0.0, -0.0, -1.0, -3.5, -800.0])
+        a = rng.choice(choices, size=(2000, K), p=[0.3, 0.3, 0.2, 0.1, 0.1])
+        assert np.array_equal(_row_max(a), a.max(axis=1))
+        assert same_bits(_logsumexp_rows(a), logsumexp_rows_expression(a))
+
+
+class TestSqNorms:
+    @pytest.mark.parametrize("D", range(1, 10))
+    def test_bits_of_the_plain_sum(self, D):
+        rng = np.random.default_rng(D)
+        for shape in [(1, D), (3, D), (4097, D), (5, 1, D), (6, 301, D)]:
+            a = rng.normal(size=shape) * rng.lognormal(0.0, 6.0, size=shape)
+            assert same_bits(_sq_norms(a), (a * a).sum(-1))
+
+
+def far_separated_vp(K=20, D=2):
+    """Narrow components spread far apart, so most mixture lanes underflow."""
+    mu = np.zeros((K, D))
+    mu[:, 0] = 6.0 * np.arange(K)
+    w = np.random.default_rng(30).dirichlet(np.ones(K))
+    return VariationalPosterior(w, mu, np.full(K, 0.15), np.ones(D))
+
+
+class TestEntropyBits:
+    """``entropy_mc`` gives the bits of the plain log-sum-exp and ``np.exp``."""
+
+    def test_lanes_underflow(self):
+        vp = far_separated_vp()
+        x = vp.sample(2000, np.random.default_rng(31))
+        logwG = vp.log_components(x)[1]
+        shifted = logwG - logwG.max(axis=1)[:, None]
+        assert np.mean(shifted <= _EXP_ZERO_MAX) >= 0.15
+        assert np.any((shifted > _EXP_ZERO_MAX) & (shifted < LOG_DBL_MIN))
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_value_and_gradient_bits(self, grad, monkeypatch):
+        vp = far_separated_vp()
+        n = 300 if grad else 5000
+        H, g = entropy_mc(vp, n, np.random.default_rng(32), grad=grad)
+        monkeypatch.setattr(variational, "_logsumexp_rows", logsumexp_rows_expression)
+        monkeypatch.setattr(variational, "_exp_inplace", lambda x: np.exp(x, out=x))
+        H_ref, g_ref = entropy_mc(vp, n, np.random.default_rng(32), grad=grad)
+        assert same_bits(H, H_ref)
+        if grad:
+            assert same_bits(g, g_ref)
 
 
 class TestSampling:

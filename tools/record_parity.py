@@ -10,6 +10,12 @@ by default) at their run seeds, or at ``--run-seeds``. Each run prints
 the first checkpoint that differs with both sides' ``lml_err``, ``gskl``
 and variance-clamp counts (GP predictive / quadrature). Exits 1 on any
 difference.
+
+Before the verdicts it prints one ``env`` line: the BLAS thread settings
+of the children, the numpy and scipy versions, and the SIMD target numpy
+dispatches float64 ``exp`` to. Parity holds for one thread count, and the
+mixture log-sum-exp relies on numpy's ``exp`` giving a value the same bits
+in every SIMD lane of that target.
 """
 
 import argparse
@@ -17,6 +23,8 @@ import json
 import os
 import subprocess
 import sys
+
+THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def child(root, names, seeds):
@@ -37,11 +45,28 @@ def child(root, names, seeds):
 
 def start(root, args):
     env = dict(os.environ)
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.update(THREADS)
     cmd = [sys.executable, os.path.abspath(__file__), "--child", os.path.abspath(root)]
     cmd += ["--workload", *args.workload] if args.workload else []
     cmd += ["--run-seeds", ",".join(map(str, args.run_seeds))] if args.run_seeds else []
     return subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, env=env)
+
+
+def env_line():
+    """The settings and builds that parity depends on, as one JSON line."""
+    import numpy
+    import scipy
+
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy < 2.0 does not report its dispatch
+        target = "unknown"
+    else:
+        (exp,) = opt_func_info(func_name="^exp$", signature="float64")["exp"].values()
+        target = exp["current"]
+    env = {**THREADS, "numpy": numpy.__version__, "scipy": scipy.__version__,
+           "numpy_exp_float64": target}
+    return "env " + json.dumps(env)
 
 
 def compare(a, b):
@@ -84,6 +109,7 @@ def main(argv=None):
         for name in a
         for seed in a[name]
     ]
+    print(env_line())
     for name, seed, verdict in verdicts:
         print(f"{name} seed {seed}: {verdict}")
     return 0 if all(v == "content_equal" for *_, v in verdicts) else 1
