@@ -529,7 +529,8 @@ def _bootstrap_ci(values, rng):
 
 
 def summarize_records(records, boot_seed=0):
-    """Per-problem medians of the final metrics with bootstrap 95% CIs."""
+    """Per-problem medians of the final metrics with bootstrap 95% CIs, and
+    the shares of runs that end stable and whose final ELBO SD is exactly 0."""
     groups = {}
     for rec in records:
         rec = rec.to_json() if isinstance(rec, BenchmarkRecord) else rec
@@ -552,6 +553,8 @@ def summarize_records(records, boot_seed=0):
                 "gskl_median": float(np.median(gskl)),
                 "gskl_ci_lo": gskl_ci[0],
                 "gskl_ci_hi": gskl_ci[1],
+                "stable_share": float(np.mean([r["final"]["stable"] for r in recs])),
+                "sd_zero_share": float(np.mean([r["final"]["elbo_sd"] == 0.0 for r in recs])),
             }
         )
     return rows

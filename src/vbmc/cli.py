@@ -211,6 +211,13 @@ def _cmd_summarize(args):
     return 0
 
 
+def _integer(value, name):
+    """``value`` when it is a JSON integer (of type int, so not a bool); else ``ValueError``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _cmd_infer(args):
     config = _read_json("infer", args.config)
     if config is None:
@@ -224,6 +231,11 @@ def _cmd_infer(args):
             print(f"vbmc infer: the {name} in {args.config} is not a JSON object",
                   file=sys.stderr)
             return 2
+    x0 = config.get("x0")
+    if x0 is not None and not (isinstance(x0, list) and all(type(v) in (int, float) for v in x0)):
+        print(f"vbmc infer: the x0 in {args.config} is not a JSON array of numbers",
+              file=sys.stderr)
+        return 2
     given = config.get("options", {})
     allowed = [f.name for f in dataclasses.fields(VBMCOptions)]
     unknown = sorted(set(given) - set(allowed))
@@ -238,16 +250,14 @@ def _cmd_infer(args):
     try:
         options = VBMCOptions(**given)
         pspec = config["problem"]
-        problem = make_problem(
-            pspec["family"], int(pspec["D"]), int(pspec.get("seed", 0))
-        )
-        x0 = config.get("x0")
+        problem = make_problem(pspec["family"], _integer(pspec["D"], "problem.D"),
+                               _integer(pspec.get("seed", 0), "problem.seed"))
         spec = problem.problem_spec(x0=None if x0 is None else np.asarray(x0, float))
         if "bounds" in config:
             tr = ParameterTransform.from_config(config["bounds"])
             spec.lb, spec.ub, spec.plb, spec.pub = tr.lb, tr.ub, tr.plb, tr.pub
         engine = VBMC(spec, options)
-        seed = int(config.get("seed", 0))
+        seed = _integer(config.get("seed", 0), "seed")
     except KeyError as err:
         print(f"vbmc infer: missing key {err} in {args.config}", file=sys.stderr)
         return 2

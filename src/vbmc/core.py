@@ -22,7 +22,6 @@ from .acquisition import (
     search_box,
 )
 from .gp import (
-    GPHyperparams,
     TrainingSet,
     default_hyperparams,
     gp_fit,
@@ -380,12 +379,10 @@ class VBMC:
                 samples = sample_hyperparameters(train, n_gp, self._last_hyp, rng)
             except SliceSamplingError as err:
                 logger.warning("slice sampling failed (%s); using last valid sample", err)
-                hyp = GPHyperparams.from_vector(err.last_sample, train.D)
-                samples = gp_fit(train, [hyp])
+                samples = gp_fit(train, err.last_sample)
         else:
-            hyp = optimize_hyperparameters(train, self._last_hyp, rng)
-            samples = gp_fit(train, [hyp])
-        self._last_hyp = samples.hyps[-1]
+            samples = gp_fit(train, optimize_hyperparameters(train, self._last_hyp, rng))
+        self._last_hyp = samples.theta[-1]
         return samples
 
     def _prune(self, vp, est, samples, rng):
@@ -568,11 +565,11 @@ class _DiagnosticsWriter:
             return
         self.fh.write(json.dumps(record.to_json()) + "\n")
         if self.include_gp and samples is not None:
-            for hyp, lml in zip(samples.hyps, samples.lml):
+            for theta, lml in zip(samples.theta, samples.lml):
                 line = {
                     "gp_sample": {
                         "iteration": record.t,
-                        "psi": hyp.to_vector().tolist(),
+                        "psi": theta.tolist(),
                         "lml": float(lml),
                     }
                 }

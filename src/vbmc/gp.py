@@ -4,6 +4,15 @@ Squared-exponential kernel, negative-quadratic mean (so the exponentiated
 predictive mean is integrable), Gaussian observation noise, empirical-Bayes
 hyperpriors, and either slice-sampled or MAP hyperparameters.
 
+A hyperparameter draw is a row ``theta`` of 3D+3 numbers, and draws stack
+as rows (S, 3D+3). :func:`_layout` alone says which slice holds which block:
+``log_ell``, ``log_sf``, ``log_sobs`` (the covariance block), then ``m0``,
+``x_m``, ``log_omega`` (the mean block). :func:`_unpack` is the one checked
+unpacking. Two rules keep its bits: ``sf2`` and ``sobs`` come from
+``math.exp`` on each draw's Python floats (``np.exp`` rounds a few inputs
+differently), and ``sobs**2`` is a scalar ``**``, libm's ``pow`` (an array
+``**2`` is x*x, which differs on a few inputs).
+
 The GP posterior has one type, :class:`HyperparamSampleSet`: S
 hyperparameter draws on one training set, with their Cholesky factors,
 weights and log marginal likelihoods stacked along a leading axis S.
@@ -22,7 +31,6 @@ pass, so they give the same bits without the wrappers' per-call overhead.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -33,7 +41,6 @@ from .slice_sampler import slice_sample
 
 __all__ = [
     "GPTrainingError",
-    "GPHyperparams",
     "TrainingSet",
     "GPHyperprior",
     "HyperparamSampleSet",
@@ -62,61 +69,47 @@ class GPTrainingError(RuntimeError):
     """Gram matrix not positive definite after jitter escalation."""
 
 
-@dataclass(frozen=True)
-class GPHyperparams:
-    """Kernel, noise, and mean hyperparameters (3D+3 values).
+_LAYOUTS = {}  # D -> _layout(D), built once: every slice-target evaluation reads it
 
-    Scales are stored in log space: input length scales ``log_ell`` and
-    output scale ``log_sf`` for the kernel, observation noise ``log_sobs``,
-    and the negative-quadratic mean's maximum ``m0``, location ``x_m`` and
-    log length scales ``log_omega``. The scales ``ell`` and ``omega`` are
-    exponentiated once, on construction.
+
+def _layout(D):
+    """Where each block of a hyperparameter row sits: the layout, written only here.
+
+    One-value blocks are integer indices, so a stack of rows (S, 3D+3) gives
+    one value per row. The dict is shared; do not change it.
     """
+    if D not in _LAYOUTS:
+        _LAYOUTS[D] = {
+            "log_ell": slice(0, D), "log_sf": D, "log_sobs": D + 1, "m0": D + 2,
+            "x_m": slice(D + 3, 2 * D + 3), "log_omega": slice(2 * D + 3, 3 * D + 3),
+            "covariance": slice(0, D + 2),
+        }
+    return _LAYOUTS[D]
 
-    log_ell: np.ndarray
-    log_sf: float
-    log_sobs: float
-    m0: float
-    x_m: np.ndarray
-    log_omega: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "log_ell", np.atleast_1d(np.asarray(self.log_ell, float)))
-        object.__setattr__(self, "x_m", np.atleast_1d(np.asarray(self.x_m, float)))
-        object.__setattr__(self, "log_omega", np.atleast_1d(np.asarray(self.log_omega, float)))
-        D = self.log_ell.size
-        if self.x_m.size != D or self.log_omega.size != D:
-            raise ValueError("hyperparameter blocks disagree on dimension")
-        object.__setattr__(self, "ell", np.exp(self.log_ell))
-        object.__setattr__(self, "omega", np.exp(self.log_omega))
-        _check_scales(self.ell, np.exp([self.log_sf, self.log_sobs]), self.omega)
+def _unpack(theta, D):
+    """``(ell, sf2, sobs, m0, x_m, omega)`` of a stack of rows (S, 3D+3), checked.
 
-    @property
-    def sf2(self):
-        return math.exp(2.0 * self.log_sf)
+    ``sf2`` = exp(2 log_sf) and ``sobs`` = max(exp(log_sobs),
+    ``SIGMA_OBS_FLOOR``) take ``math.exp`` per draw; ``ell`` and ``omega`` are
+    ``np.exp`` of their blocks. The scales are checked first, on ``np.exp``,
+    which gives inf where ``math.exp`` would raise ``OverflowError``.
+    """
+    if theta.ndim != 2 or theta.shape[1] != 3 * D + 3:
+        raise ValueError(f"expected rows of {3 * D + 3} hyperparameters, got {theta.shape}")
+    sl = _layout(D)
+    log_sf, log_sobs = theta[:, sl["log_sf"]].tolist(), theta[:, sl["log_sobs"]].tolist()
+    ell, omega = np.exp(theta[:, sl["log_ell"]]), np.exp(theta[:, sl["log_omega"]])
+    _check_scales(ell.ravel(), np.exp(log_sf + log_sobs), omega.ravel())
+    sf2 = np.array([math.exp(2.0 * v) for v in log_sf])
+    sobs = np.array([max(math.exp(v), SIGMA_OBS_FLOOR) for v in log_sobs])
+    m0, x_m = theta[:, sl["m0"]].copy(), theta[:, sl["x_m"]].copy()  # contiguous, as read
+    return ell, sf2, sobs, m0, x_m, omega
 
-    @property
-    def sobs(self):
-        return max(math.exp(self.log_sobs), SIGMA_OBS_FLOOR)
 
-    def to_vector(self):
-        return np.concatenate(
-            [self.log_ell, [self.log_sf, self.log_sobs, self.m0], self.x_m, self.log_omega]
-        )
-
-    @classmethod
-    def from_vector(cls, theta, D):
-        theta = np.asarray(theta, dtype=float)
-        if theta.size != 3 * D + 3:
-            raise ValueError(f"expected {3 * D + 3} hyperparameters, got {theta.size}")
-        return cls(
-            log_ell=theta[:D],
-            log_sf=float(theta[D]),
-            log_sobs=float(theta[D + 1]),
-            m0=float(theta[D + 2]),
-            x_m=theta[D + 3 : 2 * D + 3],
-            log_omega=theta[2 * D + 3 :],
-        )
+def _unpack_row(theta, D):
+    """:func:`_unpack` of one row; ``sobs`` is a float64 scalar, whose ``**`` is ``pow``."""
+    return [block[0] for block in _unpack(theta[None], D)]
 
 
 def _check_scales(*scales):
@@ -210,44 +203,41 @@ def _sq_norms(a):
     return out
 
 
-def se_kernel_matrix(X1, X2, hyp):
-    """Squared-exponential kernel; ``sf2`` on the diagonal."""
-    ell = hyp.ell
+def se_kernel_matrix(X1, X2, ell, sf2):
+    """Squared-exponential kernel with length scales ``ell``; ``sf2`` on the diagonal."""
     d2 = sq_dist(np.atleast_2d(X1) / ell, np.atleast_2d(X2) / ell)
-    return hyp.sf2 * np.exp(-0.5 * d2)
+    return sf2 * np.exp(-0.5 * d2)
 
 
-def nq_mean(X, hyp):
-    """Negative-quadratic mean function, maximum ``m0`` at ``x_m``.
+def nq_mean(X, m0, x_m, omega):
+    """Negative-quadratic mean function of the mean block at the rows of ``X`` (m, D).
 
-    For a :class:`HyperparamSampleSet` the result has one row per draw.
+    Maximum ``m0`` at ``x_m``, widths ``omega``. Stacked ``m0`` (S,), ``x_m``
+    and ``omega`` (S, D) give one row per draw.
     """
-    return _nq_mean(np.atleast_2d(X), hyp.m0, hyp.x_m, hyp.omega)
-
-
-def _nq_mean(X, m0, x_m, omega):
-    """:func:`nq_mean` from the mean block's values: the formula, written once."""
     quad = ((X - x_m[..., None, :]) / omega[..., None, :]) ** 2
     return np.asarray(m0)[..., None] - 0.5 * quad.sum(axis=-1)
 
 
-def _factor_gram(train, hyp, K=None):
-    """Cholesky of the noisy Gram matrix with escalating jitter.
+def _factor_gram(train, theta):
+    """:func:`_factor_kernel` of the row ``theta`` on ``train``; no data gives an empty factor."""
+    ell, sf2, sobs, *_ = _unpack_row(theta, train.D)
+    if train.n == 0:
+        return np.empty((0, 0)), 0.0
+    return _factor_kernel(se_kernel_matrix(train.X, train.X, ell, sf2), sobs)
+
+
+def _factor_kernel(K, sobs):
+    """Cholesky of ``K + sobs^2 I`` with escalating jitter; the diagonal of ``K`` is overwritten.
 
     Returns ``(L, jitter)``; ``L`` is Fortran-ordered, as LAPACK returns it.
     The factorization is tried without jitter, then with five jitters from
     ``1e-10`` to ``1e-6`` times ``tr(K)/n``, before giving up with
-    :class:`GPTrainingError`. No data gives an empty factor (the prior).
-    ``K``, when given, is the noise-free kernel matrix of the training
-    inputs, and its diagonal is overwritten.
+    :class:`GPTrainingError`.
     """
-    n = train.n
-    if n == 0:
-        return np.empty((0, 0)), 0.0
-    if K is None:
-        K = se_kernel_matrix(train.X, train.X, hyp)
+    n = K.shape[0]
     diag = K.reshape(-1)[:: n + 1]
-    diag += hyp.sobs**2
+    diag += sobs**2
     L, info = dpotrf(K, lower=1, clean=1, overwrite_a=0)
     if info == 0:
         return L, 0.0
@@ -276,9 +266,17 @@ def _weights_and_lml(resid, L, log_det):
     return alpha, lml
 
 
-def _fit_draw(train, hyp, L):
-    """:func:`_weights_and_lml` of the draw ``hyp`` on its factor ``L``."""
-    return _weights_and_lml(train.y - nq_mean(train.X, hyp), L, np.log(np.diag(L)).sum())
+def _residual(train, theta):
+    """``y - m(X)`` under the mean block of the row ``theta``; exp(``log_omega``) is checked."""
+    sl = _layout(train.D)
+    omega = np.exp(theta[sl["log_omega"]])
+    _check_scales(omega)
+    return train.y - nq_mean(train.X, theta[sl["m0"]], theta[sl["x_m"]], omega)
+
+
+def _fit_draw(train, theta, L):
+    """:func:`_weights_and_lml` of the row ``theta`` on its factor ``L``."""
+    return _weights_and_lml(_residual(train, theta), L, np.log(np.diag(L)).sum())
 
 
 def _solve_lower(L, B):
@@ -304,18 +302,19 @@ def _solve_lower(L, B):
     return np.stack(out)
 
 
-def gp_fit(train, hyps):
-    """Factor the Gram matrix of each draw in ``hyps``: a :class:`HyperparamSampleSet`.
+def gp_fit(train, theta):
+    """Factor the Gram matrix of each row of ``theta``: a :class:`HyperparamSampleSet`.
 
-    An empty training set gives the prior. Raises :class:`GPTrainingError`
-    when a draw's Gram matrix stays indefinite under the largest jitter.
+    ``theta`` is one row or a stack of rows (S, 3D+3), copied. An empty
+    training set gives the prior. Raises :class:`GPTrainingError` when a
+    draw's Gram matrix stays indefinite under the largest jitter.
     """
-    hyps = tuple(hyps)
-    factors = [_factor_gram(train, hyp) for hyp in hyps]
-    fits = [_fit_draw(train, hyp, L) for hyp, (L, _) in zip(hyps, factors)]
+    theta = np.array(theta, dtype=float, ndmin=2)
+    factors = [_factor_gram(train, row) for row in theta]
+    fits = [_fit_draw(train, row, L) for row, (L, _) in zip(theta, factors)]
     return HyperparamSampleSet(
         train,
-        hyps,
+        theta,
         np.array([L.T for L, _ in factors]).transpose(0, 2, 1),  # Fortran blocks
         np.array([jitter for _, jitter in factors]),
         np.array([alpha for alpha, _ in fits]),
@@ -328,53 +327,51 @@ def log_marginal_likelihood(train, theta, memo):
 
     ``memo`` is a dict that one slice chain on ``train`` owns (an empty dict
     for a single call). It holds one entry, keyed by the exact bytes of the
-    last covariance block ``theta[:D+2]`` (``log_ell``, ``log_sf``,
-    ``log_sobs``) seen: the block's factor as ``(L, sum log diag L)``, or the
+    last covariance block (``log_ell``, ``log_sf``, ``log_sobs``) seen: the
+    block's factor as ``(L, sum log diag L)``, or the
     :class:`GPTrainingError` it raised, which is raised again. Only a new
-    block builds a :class:`GPHyperparams`, whose scale check stays, and
-    factors the Gram matrix. Otherwise the mean block (``m0``, ``x_m``,
-    ``log_omega``) costs one residual and one ``dpotrs``; exp(``log_omega``)
-    gets the same check.
+    block is unpacked, with its scale check, and factors the Gram matrix.
+    Otherwise the mean block (``m0``, ``x_m``, ``log_omega``) costs one
+    residual and one ``dpotrs``; exp(``log_omega``) gets the same check.
     """
-    D = train.D
-    key = theta[: D + 2].tobytes()
+    key = theta[_layout(train.D)["covariance"]].tobytes()
     factor = memo.get(key)
     if factor is None:
         memo.clear()
         try:
-            L, _ = _factor_gram(train, GPHyperparams.from_vector(theta, D))
+            L, _ = _factor_gram(train, theta)
             factor = memo[key] = (L, np.log(np.diag(L)).sum())
         except GPTrainingError as err:
             factor = memo[key] = err
     if isinstance(factor, GPTrainingError):
         raise factor.with_traceback(None)
-    omega = np.exp(theta[2 * D + 3 :])
-    _check_scales(omega)
-    resid = train.y - _nq_mean(train.X, theta[D + 2], theta[D + 3 : 2 * D + 3], omega)
-    return _weights_and_lml(resid, *factor)[1]
+    return _weights_and_lml(_residual(train, theta), *factor)[1]
 
 
-def log_marginal_likelihood_grad(train, hyp):
-    """Log marginal likelihood and its gradient in the 3D+3 vector order."""
+def log_marginal_likelihood_grad(train, theta):
+    """Log marginal likelihood at the row ``theta`` and its gradient, laid out as a row."""
     X, n, D = train.X, train.n, train.D
-    Kk = se_kernel_matrix(X, X, hyp)
-    L, _ = _factor_gram(train, hyp, Kk.copy())
-    alpha, lml = _fit_draw(train, hyp, L)
+    ell, sf2, sobs, _, x_m, omega = _unpack_row(theta, D)
+    Kk = se_kernel_matrix(X, X, ell, sf2)
+    L, _ = _factor_kernel(Kk.copy(), sobs)
+    alpha, lml = _fit_draw(train, theta, L)
     Kinv = dpotrs(L, np.eye(n), lower=1)[0]
     A = np.outer(alpha, alpha) - Kinv
 
+    sl = _layout(D)
     grad = np.empty(3 * D + 3)
-    # covariance block: log input scales, then log output scale
-    for i in range(D):
-        Dist = (X[:, i, None] - X[None, :, i]) ** 2 / hyp.ell[i] ** 2
-        grad[i] = 0.5 * np.sum(A * (Kk * Dist))
-    grad[D] = np.sum(A * Kk)  # d K / d log_sf = 2 K, halved by the 1/2
-    grad[D + 1] = hyp.sobs**2 * np.trace(A)
+    # covariance block: log input scales, log output scale, log noise
+    grad[sl["log_ell"]] = [
+        0.5 * np.sum(A * (Kk * ((X[:, i, None] - X[None, :, i]) ** 2 / ell[i] ** 2)))
+        for i in range(D)
+    ]
+    grad[sl["log_sf"]] = np.sum(A * Kk)  # d K / d log_sf = 2 K, halved by the 1/2
+    grad[sl["log_sobs"]] = sobs**2 * np.trace(A)
     # mean block: d lml / d theta = (d m / d theta)^T alpha
-    grad[D + 2] = np.sum(alpha)
-    diff = X - hyp.x_m
-    grad[D + 3 : 2 * D + 3] = (diff / hyp.omega**2).T @ alpha
-    grad[2 * D + 3 :] = (diff**2 / hyp.omega**2).T @ alpha
+    grad[sl["m0"]] = np.sum(alpha)
+    diff = X - x_m
+    grad[sl["x_m"]] = (diff / omega**2).T @ alpha
+    grad[sl["log_omega"]] = (diff**2 / omega**2).T @ alpha
     return lml, grad
 
 
@@ -421,7 +418,7 @@ class GPHyperprior:
         scale = np.ones(m)
         has_prior = np.zeros(m, dtype=bool)
 
-        sl = self._slices(D)
+        sl = _layout(D)
         mean[sl["log_ell"]] = np.log(sd_x)
         scale[sl["log_ell"]] = np.maximum(2.0, np.log(diam_x / sd_x))
         has_prior[sl["log_ell"]] = True
@@ -467,17 +464,6 @@ class GPHyperprior:
         # clipped so huge empirical scales do not inflate the shrink loop
         self.widths = np.clip(np.where(self.has_prior, self.scale, 1.0), 0.1, 2.0)
 
-    @staticmethod
-    def _slices(D):
-        return {
-            "log_ell": slice(0, D),
-            "log_sf": slice(D, D + 1),
-            "log_sobs": slice(D + 1, D + 2),
-            "m0": slice(D + 2, D + 3),
-            "x_m": slice(D + 3, 2 * D + 3),
-            "log_omega": slice(2 * D + 3, 3 * D + 3),
-        }
-
     def logpdf(self, theta):
         theta = np.asarray(theta)
         for value, (lo, hi) in zip(theta.tolist(), self._bounds):
@@ -509,13 +495,14 @@ class GPHyperprior:
 class HyperparamSampleSet:
     """The GP posterior: hyperparameter draws on one training set, stacked along axis S.
 
-    Holds the training set ``train`` and the draws ``hyps``; the lower
-    Cholesky factors ``L`` (S, n, n) of ``K + sobs^2 I`` plus each draw's
-    ``jitter`` (S,); the weights ``alpha`` (S, n) and log marginal
-    likelihoods ``lml`` (S,); and what prediction and quadrature read:
-    ``ell``, ``x_m`` and ``omega`` (S, D), ``sf2`` and ``m0`` (S,), and the
-    length-scaled inputs ``Xs = X / ell`` (S, n, D). :meth:`cross_kernel`
-    gives every draw's kernel between the training inputs and new rows in
+    Holds the training set ``train`` and the draws ``theta`` (S, 3D+3), rows
+    laid out as :func:`_layout` says; the lower Cholesky factors ``L`` (S, n,
+    n) of ``K + sobs^2 I`` plus each draw's ``jitter`` (S,); the weights
+    ``alpha`` (S, n) and log marginal likelihoods ``lml`` (S,); and, unpacked
+    from ``theta`` once by :func:`_unpack` (``math.exp`` per draw for ``sf2``
+    and ``sobs``), ``ell``, ``x_m`` and ``omega`` (S, D), ``sf2``, ``sobs``
+    and ``m0`` (S,), and the length-scaled inputs ``Xs = X / ell`` (S, n, D).
+    :meth:`cross_kernel` gives every draw's kernel between the training inputs and new rows in
     one batched pass, for the update and for prediction. Built by
     :func:`gp_fit` and :meth:`with_point`; immutable.
 
@@ -529,24 +516,20 @@ class HyperparamSampleSet:
     differently than on the Fortran factor the refit returned.
     """
 
-    def __init__(self, train, hyps, L, jitter, alpha, lml):
-        if len(hyps) < 1:
+    def __init__(self, train, theta, L, jitter, alpha, lml):
+        if len(theta) < 1:
             raise ValueError("need at least one hyperparameter sample")
         self.train = train
-        self.hyps = hyps
+        self.theta = theta
         self.L = L
         self.jitter = jitter
         self.alpha = alpha
         self.lml = lml
-        self.ell = np.array([h.ell for h in hyps])
-        self.x_m = np.array([h.x_m for h in hyps])
-        self.omega = np.array([h.omega for h in hyps])
-        self.sf2 = np.array([h.sf2 for h in hyps])
-        self.m0 = np.array([h.m0 for h in hyps])
+        self.ell, self.sf2, self.sobs, self.m0, self.x_m, self.omega = _unpack(theta, train.D)
         self.Xs = train.X / self.ell[:, None, :]
 
     def __len__(self):
-        return len(self.hyps)
+        return len(self.theta)
 
     def cross_kernel(self, X):
         """Each draw's SE kernel between the training inputs and the rows of ``X``: (S, n, m)."""
@@ -563,10 +546,10 @@ class HyperparamSampleSet:
         train = self.train.with_point(x_new, y_new)
         n = self.train.n
         if n == 0:
-            return gp_fit(train, self.hyps)
+            return gp_fit(train, self.theta)
         c = _solve_lower(self.L, self.cross_kernel(x_new[None, :]))
-        # per-draw Python floats, summed in the order of one draw's update
-        noise = np.array([h.sf2 + h.sobs**2 for h in self.hyps])
+        # per-draw Python floats: a scalar s**2 is libm's pow, an array's is x*x
+        noise = np.array([f + s**2 for f, s in zip(self.sf2.tolist(), self.sobs.tolist())])
         pivot = noise + self.jitter - (np.swapaxes(c, -1, -2) @ c)[:, 0, 0]
         L = np.zeros((len(self), n + 1, n + 1))
         L[:, :n, :n] = self.L
@@ -574,13 +557,13 @@ class HyperparamSampleSet:
         L[:, n, n] = np.sqrt(np.maximum(pivot, 0.0))
         jitter = self.jitter.copy()
         alpha, lml = np.empty((len(self), n + 1)), np.empty(len(self))
-        for s, hyp in enumerate(self.hyps):
+        for s, row in enumerate(self.theta):
             L_s = L[s]
             if pivot[s] <= 0:  # the bordered factor lost positive definiteness
-                L_s, jitter[s] = _factor_gram(train, hyp)
+                L_s, jitter[s] = _factor_gram(train, row)
                 L[s] = L_s
-            alpha[s], lml[s] = _fit_draw(train, hyp, L_s)
-        return HyperparamSampleSet(train, self.hyps, L, jitter, alpha, lml)
+            alpha[s], lml[s] = _fit_draw(train, row, L_s)
+        return HyperparamSampleSet(train, self.theta, L, jitter, alpha, lml)
 
 
 def n_gp_schedule(n):
@@ -589,20 +572,20 @@ def n_gp_schedule(n):
 
 
 def default_hyperparams(train):
-    """Heuristic hyperparameters used to start the first chain."""
+    """Heuristic hyperparameter row used to start the first chain."""
     hpd = train.hpd()
     sd_x = np.maximum(np.std(hpd.X, axis=0), 1e-3)
     sd_y = max(float(np.std(hpd.y)), 1e-3)
-    top = train.X[int(np.argmax(train.y))]
     span = np.maximum(train.X.max(axis=0) - train.X.min(axis=0), 1.0)
-    return GPHyperparams(
-        log_ell=np.log(sd_x),
-        log_sf=math.log(sd_y),
-        log_sobs=math.log(0.001),
-        m0=float(train.y.max()),
-        x_m=top.copy(),
-        log_omega=np.log(span),
-    )
+    sl = _layout(train.D)
+    theta = np.empty(3 * train.D + 3)
+    theta[sl["log_ell"]] = np.log(sd_x)
+    theta[sl["log_sf"]] = math.log(sd_y)
+    theta[sl["log_sobs"]] = math.log(0.001)
+    theta[sl["m0"]] = train.y.max()
+    theta[sl["x_m"]] = train.X[int(np.argmax(train.y))]
+    theta[sl["log_omega"]] = np.log(span)
+    return theta
 
 
 def _clip_to(theta, prior):
@@ -614,7 +597,8 @@ def sample_hyperparameters(train, n_gp, init, rng):
 
     The target is the GP log marginal likelihood plus the empirical-Bayes
     hyperprior; one chain runs ``BURN_SWEEPS`` sweeps of burn-in and keeps
-    a draw every ``THIN_SWEEPS`` sweeps. The draws are fitted as one set.
+    a draw every ``THIN_SWEEPS`` sweeps, starting from the row ``init``.
+    The draws are fitted as one set.
 
     The chain moves one coordinate at a time, and most moves leave the
     covariance block ``theta[:D+2]`` alone. So the target keeps a memo: the
@@ -627,7 +611,6 @@ def sample_hyperparameters(train, n_gp, init, rng):
     if train.n < 2:
         raise ValueError("hyperparameter sampling requires at least 2 points")
     prior = GPHyperprior(train)
-    D = train.D
     memo = {}
 
     def target(theta):
@@ -640,9 +623,9 @@ def sample_hyperparameters(train, n_gp, init, rng):
             return -np.inf
         return lml + lp
 
-    theta0 = _clip_to(init.to_vector(), prior)
+    theta0 = _clip_to(init, prior)
     if not np.isfinite(target(theta0)):
-        theta0 = _clip_to(default_hyperparams(train).to_vector(), prior)
+        theta0 = _clip_to(default_hyperparams(train), prior)
     thetas = slice_sample(
         target,
         theta0,
@@ -652,34 +635,32 @@ def sample_hyperparameters(train, n_gp, init, rng):
         burn_sweeps=BURN_SWEEPS,
         thin_sweeps=THIN_SWEEPS,
     )
-    return gp_fit(train, [GPHyperparams.from_vector(t, D) for t in thetas])
+    return gp_fit(train, thetas)
 
 
 def optimize_hyperparameters(train, init, rng):
     """MAP hyperparameters by quasi-Newton ascent with analytic gradients.
 
-    Restarts from ``N_RESTARTS`` hyperprior draws; returns the best local
-    maximizer seen, never worse than the initial point.
+    Starts from the row ``init`` and restarts from ``N_RESTARTS``
+    hyperprior draws; returns the best local maximizer seen as a row, never
+    worse than the initial point.
     """
     if train.n < 2:
         raise ValueError("hyperparameter optimization requires at least 2 points")
     prior = GPHyperprior(train)
-    D = train.D
 
     def neg_objective(theta):
         if np.any(theta < prior.lower) or np.any(theta > prior.upper):
             return np.inf, np.zeros_like(theta)
         try:
-            lml, grad = log_marginal_likelihood_grad(
-                train, GPHyperparams.from_vector(theta, D)
-            )
+            lml, grad = log_marginal_likelihood_grad(train, theta)
         except (GPTrainingError, FloatingPointError):
             return np.inf, np.zeros_like(theta)
         lp = prior.logpdf(theta)
         gp_prior = prior.grad_logpdf(theta)
         return -(lml + lp), -(grad + gp_prior)
 
-    theta0 = _clip_to(init.to_vector(), prior)
+    theta0 = _clip_to(init, prior)
     starts = [theta0] + [prior.sample(theta0, rng) for _ in range(N_RESTARTS)]
     bounds = list(zip(prior.lower, prior.upper))
 
@@ -695,7 +676,7 @@ def optimize_hyperparameters(train, init, rng):
         )
         if np.isfinite(res.fun) and res.fun < best_val:
             best_theta, best_val = res.x, res.fun
-    return GPHyperparams.from_vector(best_theta, D)
+    return best_theta
 
 
 def marginal_predict(samples, X):
@@ -709,7 +690,7 @@ def marginal_predict(samples, X):
     """
     global VARIANCE_CLAMP_COUNT
     X = np.atleast_2d(X)
-    means = nq_mean(X, samples)
+    means = nq_mean(X, samples.m0, samples.x_m, samples.omega)
     variances = np.repeat(samples.sf2[:, None], X.shape[0], axis=1)
     if samples.train.n > 0:
         Ks = samples.cross_kernel(X)

@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from vbmc.gp import marginal_predict, se_kernel_matrix
+from per_draw import row_kernel, scales
+from vbmc.gp import marginal_predict
 
 
 def _grid_1d(vp, post, points):
@@ -22,7 +23,7 @@ def _grid_1d(vp, post, points):
     lo = min(vp.mu.min() - 8.5 * s, -1.0)
     hi = max(vp.mu.max() + 8.5 * s, 1.0)
     if post.train.n > 0:
-        ell = post.hyps[0].ell.max()
+        ell = scales(post.theta[0])[0].max()
         lo = min(lo, post.train.X.min() - 5 * ell)
         hi = max(hi, post.train.X.max() + 5 * ell)
     return np.linspace(lo, hi, points)
@@ -41,15 +42,15 @@ def oracle_g_var_1d(vp, post, points=3001):
     wq = np.exp(vp.logpdf(g[:, None])) * h
     wq[0] *= 0.5
     wq[-1] *= 0.5
-    hyp = post.hyps[0]
-    Kg = se_kernel_matrix(g[:, None], g[:, None], hyp)
+    theta = post.theta[0]
+    Kg = row_kernel(g[:, None], g[:, None], theta)
     term1 = wq @ Kg @ wq
     if post.train.n == 0:
         return term1
     X = post.train.X
-    noise = hyp.sobs**2 + post.jitter[0]
-    Kxx = se_kernel_matrix(X, X, hyp) + noise * np.eye(post.train.n)
-    b = se_kernel_matrix(g[:, None], X, hyp).T @ wq
+    noise = scales(theta)[2] ** 2 + post.jitter[0]
+    Kxx = row_kernel(X, X, theta) + noise * np.eye(post.train.n)
+    b = row_kernel(g[:, None], X, theta).T @ wq
     return term1 - b @ np.linalg.inv(Kxx) @ b
 
 
@@ -60,7 +61,7 @@ def _grid_2d(vp, post, points):
         lo = vp.mu[:, d].min() - 8.5 * s
         hi = vp.mu[:, d].max() + 8.5 * s
         if post.train.n > 0:
-            ell = post.hyps[0].ell[d]
+            ell = scales(post.theta[0])[0][d]
             lo = min(lo, post.train.X[:, d].min() - 5 * ell)
             hi = max(hi, post.train.X[:, d].max() + 5 * ell)
         axes.append(np.linspace(lo, hi, points))
@@ -79,7 +80,8 @@ def oracle_g_mean_2d(vp, post, points=451):
 
 def oracle_g_var_2d(vp, post, points=351):
     ax1, ax2 = _grid_2d(vp, post, points)
-    hyp = post.hyps[0]
+    theta = post.theta[0]
+    ell, sf2, sobs = scales(theta)
 
     def trap_w(ax):
         w = np.full(ax.size, ax[1] - ax[0])
@@ -93,15 +95,15 @@ def oracle_g_var_2d(vp, post, points=351):
 
     # separable kernel: the double integral over the tensor grid reduces to
     # two per-axis kernel contractions
-    K1 = np.exp(-0.5 * (ax1[:, None] - ax1[None, :]) ** 2 / hyp.ell[0] ** 2)
-    K2 = np.exp(-0.5 * (ax2[:, None] - ax2[None, :]) ** 2 / hyp.ell[1] ** 2)
-    term1 = hyp.sf2 * float(np.sum(WQ * (K1 @ WQ @ K2.T)))
+    K1 = np.exp(-0.5 * (ax1[:, None] - ax1[None, :]) ** 2 / ell[0] ** 2)
+    K2 = np.exp(-0.5 * (ax2[:, None] - ax2[None, :]) ** 2 / ell[1] ** 2)
+    term1 = sf2 * float(np.sum(WQ * (K1 @ WQ @ K2.T)))
     if post.train.n == 0:
         return term1
     X = post.train.X
-    noise = hyp.sobs**2 + post.jitter[0]
-    Kxx = se_kernel_matrix(X, X, hyp) + noise * np.eye(post.train.n)
-    b = se_kernel_matrix(pts, X, hyp).T @ WQ.ravel()
+    noise = sobs**2 + post.jitter[0]
+    Kxx = row_kernel(X, X, theta) + noise * np.eye(post.train.n)
+    b = row_kernel(pts, X, theta).T @ WQ.ravel()
     return term1 - b @ np.linalg.inv(Kxx) @ b
 
 

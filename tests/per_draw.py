@@ -15,6 +15,11 @@ the memoized target.
 the same quantities through ``scipy.linalg``'s wrappers (``cholesky``,
 ``cho_solve``, ``solve_triangular``) and the summed :func:`student_t_logpdf`,
 so tests can demand the same bits from the direct calls.
+
+A GP hyperparameter draw is a row of 3D+3 numbers. :func:`hyp_row` builds
+one from named blocks and :func:`blocks` names them again; :func:`scales`
+and :func:`mean_block` exponentiate them here, with ``math.exp`` and
+``np.exp``, independently of ``vbmc.gp``'s own unpacking.
 """
 
 import math
@@ -24,8 +29,8 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from vbmc.gp import (
     BURN_SWEEPS,
+    SIGMA_OBS_FLOOR,
     THIN_SWEEPS,
-    GPHyperparams,
     GPHyperprior,
     GPTrainingError,
     HyperparamSampleSet,
@@ -43,13 +48,54 @@ from vbmc.slice_sampler import slice_sample
 from vbmc.quadrature import z_matrix
 
 
+def hyp_row(log_ell, log_sf, log_sobs, m0, x_m, log_omega):
+    """The row of 3D+3 numbers with these blocks, in ``vbmc.gp``'s order."""
+    return np.concatenate(
+        [np.ravel(log_ell), [log_sf, log_sobs, m0], np.ravel(x_m), np.ravel(log_omega)]
+    ).astype(float)
+
+
+def blocks(theta):
+    """The blocks of a row: ``(log_ell, log_sf, log_sobs, m0, x_m, log_omega)``."""
+    D = (len(theta) - 3) // 3
+    return (
+        theta[:D], theta[D], theta[D + 1], theta[D + 2], theta[D + 3 : 2 * D + 3],
+        theta[2 * D + 3 :],
+    )
+
+
+def scales(theta):
+    """``(ell, sf2, sobs)`` of a row: ``np.exp`` of the length scales, and
+    ``math.exp`` floats for the output scale and the floored noise."""
+    log_ell, log_sf, log_sobs, *_ = blocks(theta)
+    sf2, sobs = math.exp(2.0 * float(log_sf)), math.exp(float(log_sobs))
+    return np.exp(log_ell), sf2, max(sobs, SIGMA_OBS_FLOOR)
+
+
+def mean_block(theta):
+    """``(m0, x_m, omega)`` of a row, the arguments of ``nq_mean``."""
+    *_, m0, x_m, log_omega = blocks(theta)
+    return m0, x_m, np.exp(log_omega)
+
+
+def row_kernel(X1, X2, theta):
+    """``se_kernel_matrix`` at the length scales and output scale of a row."""
+    ell, sf2, _ = scales(theta)
+    return se_kernel_matrix(X1, X2, ell, sf2)
+
+
+def row_mean(X, theta):
+    """``nq_mean`` at the rows of ``X`` and the mean block of a row."""
+    return nq_mean(np.atleast_2d(X), *mean_block(theta))
+
+
 def prior_set(hyps, D=1):
-    """The draws ``hyps`` conditioned on no data (the prior predictive)."""
+    """The rows ``hyps`` conditioned on no data (the prior predictive)."""
     return gp_fit(TrainingSet(np.empty((0, D)), np.empty(0)), hyps)
 
 
 def random_hyp(rng, D, log_sobs=math.log(1e-3)):
-    return GPHyperparams(
+    return hyp_row(
         log_ell=rng.uniform(-1.0, 0.5, size=D),
         log_sf=rng.uniform(-0.5, 0.5),
         log_sobs=log_sobs,
@@ -75,7 +121,7 @@ def draws(samples):
     return [
         HyperparamSampleSet(
             samples.train,
-            samples.hyps[s : s + 1],
+            samples.theta[s : s + 1],
             samples.L[s : s + 1],
             samples.jitter[s : s + 1],
             samples.alpha[s : s + 1],
@@ -92,30 +138,31 @@ def per_draw_update(samples, s, x_new, y_new):
     refits the draw when the pivot is not positive. Returns
     ``(L, jitter, alpha, refit)``.
     """
-    hyp, L, jitter = samples.hyps[s], samples.L[s], samples.jitter[s]
+    theta, L, jitter = samples.theta[s], samples.L[s], samples.jitter[s]
     train = samples.train.with_point(x_new, y_new)
     n = samples.train.n
-    k = se_kernel_matrix(samples.train.X, x_new[None, :], hyp)[:, 0]
+    k = row_kernel(samples.train.X, x_new[None, :], theta)[:, 0]
     c = solve_triangular(L, k, lower=True)
-    d2 = hyp.sf2 + hyp.sobs**2 + jitter - c @ c
+    _, sf2, sobs = scales(theta)
+    d2 = sf2 + sobs**2 + jitter - c @ c
     if d2 <= 0:
-        refit = gp_fit(train, [hyp])
+        refit = gp_fit(train, theta)
         return refit.L[0], refit.jitter[0], refit.alpha[0], True
     L_new = np.zeros((n + 1, n + 1))
     L_new[:n, :n] = L
     L_new[n, :n] = c
     L_new[n, n] = math.sqrt(d2)
-    alpha = cho_solve((L_new, True), train.y - nq_mean(train.X, hyp))
+    alpha = cho_solve((L_new, True), train.y - row_mean(train.X, theta))
     return L_new, jitter, alpha, False
 
 
 def per_draw_predict(post, X):
     """A one-draw set's latent mean and clamped variance at rows of ``X``."""
     X = np.atleast_2d(X)
-    hyp = post.hyps[0]
-    mean, var = nq_mean(X, hyp), np.full(X.shape[0], hyp.sf2)
+    theta = post.theta[0]
+    mean, var = row_mean(X, theta), np.full(X.shape[0], scales(theta)[1])
     if post.train.n > 0:
-        Ks = se_kernel_matrix(post.train.X, X, hyp)
+        Ks = row_kernel(post.train.X, X, theta)
         mean = mean + Ks.T @ post.alpha[0]
         U = solve_triangular(post.L[0], Ks, lower=True, check_finite=False)
         var = var - np.sum(U * U, axis=0)
@@ -124,16 +171,16 @@ def per_draw_predict(post, X):
 
 def per_draw_variance(vp, post):
     """A one-draw set's clamped posterior variance of E_q[f]."""
-    hyp = post.hyps[0]
+    ell, sf2, _ = scales(post.theta[0])
     z = z_matrix(vp, post)[0][0]
-    lam_k = (2.0 * math.pi) ** (0.5 * vp.D) * float(np.prod(hyp.ell))
+    lam_k = (2.0 * math.pi) ** (0.5 * vp.D) * float(np.prod(ell))
     s2sum = vp.sigma[:, None] ** 2 + vp.sigma[None, :] ** 2
-    rho2 = hyp.ell**2 + s2sum[:, :, None] * vp.lam**2
+    rho2 = ell**2 + s2sum[:, :, None] * vp.lam**2
     diff = vp.mu[:, None, :] - vp.mu[None, :, :]
     logn = -0.5 * vp.D * math.log(2.0 * math.pi) - 0.5 * np.sum(
         np.log(rho2) + diff**2 / rho2, axis=2
     )
-    J = lam_k * hyp.sf2 * np.exp(logn)
+    J = lam_k * sf2 * np.exp(logn)
     if post.train.n > 0:
         U = lam_k * solve_triangular(post.L[0], z.T, lower=True)
         J = J - U.T @ U
@@ -145,12 +192,12 @@ def scipy_solve_lower(L, B):
     return solve_triangular(L, B, lower=True, check_finite=False)
 
 
-def scipy_factor_gram(train, hyp):
+def scipy_factor_gram(train, theta):
     """``(L, jitter)`` of the noisy Gram matrix through ``scipy.linalg.cholesky``,
     with the jitter ladder 0, then 1e-10 .. 1e-6 times ``tr(K)/n``."""
-    K = se_kernel_matrix(train.X, train.X, hyp)
+    K = row_kernel(train.X, train.X, theta)
     diag = np.diag_indices_from(K)
-    K[diag] += hyp.sobs**2
+    K[diag] += scales(theta)[2] ** 2
     diag0 = K[diag].copy()
     jitters = [0.0, 1e-10 * np.trace(K) / train.n]
     while len(jitters) < 6:
@@ -164,10 +211,10 @@ def scipy_factor_gram(train, hyp):
     raise GPTrainingError(f"Gram matrix not positive definite after jitter {jitter:g}")
 
 
-def scipy_lml_grad(train, hyp):
+def scipy_lml_grad(train, theta):
     """Log marginal likelihood and its gradient through ``cho_solve``."""
-    L, _ = scipy_factor_gram(train, hyp)
-    resid = train.y - nq_mean(train.X, hyp)
+    L, _ = scipy_factor_gram(train, theta)
+    resid = train.y - row_mean(train.X, theta)
     alpha = cho_solve((L, True), resid, check_finite=False)
     lml = float(
         -0.5 * resid @ alpha
@@ -176,17 +223,19 @@ def scipy_lml_grad(train, hyp):
     )
     X, n, D = train.X, train.n, train.D
     A = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(n))
-    Kk = se_kernel_matrix(X, X, hyp)
+    Kk = row_kernel(X, X, theta)
+    ell, _, sobs = scales(theta)
+    _, x_m, omega = mean_block(theta)
     grad = np.empty(3 * D + 3)
     for i in range(D):
-        Dist = (X[:, i, None] - X[None, :, i]) ** 2 / hyp.ell[i] ** 2
+        Dist = (X[:, i, None] - X[None, :, i]) ** 2 / ell[i] ** 2
         grad[i] = 0.5 * np.sum(A * (Kk * Dist))
     grad[D] = np.sum(A * Kk)
-    grad[D + 1] = hyp.sobs**2 * np.trace(A)
+    grad[D + 1] = sobs**2 * np.trace(A)
     grad[D + 2] = np.sum(alpha)
-    diff = X - hyp.x_m
-    grad[D + 3 : 2 * D + 3] = (diff / hyp.omega**2).T @ alpha
-    grad[2 * D + 3 :] = (diff**2 / hyp.omega**2).T @ alpha
+    diff = X - x_m
+    grad[D + 3 : 2 * D + 3] = (diff / omega**2).T @ alpha
+    grad[2 * D + 3 :] = (diff**2 / omega**2).T @ alpha
     return lml, grad
 
 
@@ -201,36 +250,35 @@ def summed_prior_logpdf(prior, theta):
     return float(np.sum(student_t_logpdf(theta[p], prior.mean[p], prior.scale[p])))
 
 
-def per_draw_lml(train, hyp):
+def per_draw_lml(train, theta):
     """One draw's log marginal likelihood, its Gram matrix factored afresh.
 
     Bound at import, so a test that counts ``gp._factor_gram`` calls does
     not count these.
     """
-    L, _ = _factor_gram(train, hyp)
-    return _fit_draw(train, hyp, L)[1]
+    L, _ = _factor_gram(train, theta)
+    return _fit_draw(train, theta, L)[1]
 
 
 def per_draw_sample_hyperparameters(train, n_gp, init, rng):
     """``gp.sample_hyperparameters`` with a target that keeps no factor."""
     prior = GPHyperprior(train)
-    D = train.D
 
     def target(theta):
         lp = prior.logpdf(theta)
         if not np.isfinite(lp):
             return -np.inf
         try:
-            lml = per_draw_lml(train, GPHyperparams.from_vector(theta, D))
+            lml = per_draw_lml(train, theta)
         except (GPTrainingError, FloatingPointError):
             return -np.inf
         return lml + lp
 
-    theta0 = np.clip(init.to_vector(), prior.lower, prior.upper)
+    theta0 = np.clip(init, prior.lower, prior.upper)
     if not np.isfinite(target(theta0)):
-        theta0 = np.clip(default_hyperparams(train).to_vector(), prior.lower, prior.upper)
+        theta0 = np.clip(default_hyperparams(train), prior.lower, prior.upper)
     thetas = slice_sample(
         target, theta0, n_gp, prior.widths, rng,
         burn_sweeps=BURN_SWEEPS, thin_sweeps=THIN_SWEEPS,
     )
-    return gp_fit(train, [GPHyperparams.from_vector(t, D) for t in thetas])
+    return gp_fit(train, thetas)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from per_draw import hyp_row
 from vbmc.acquisition import (
     AcquisitionError,
     V_REG,
@@ -11,11 +12,7 @@ from vbmc.acquisition import (
     search_box,
 )
 from vbmc.cmaes import cma_maximize
-from vbmc.gp import (
-    GPHyperparams,
-    TrainingSet,
-    gp_fit,
-)
+from vbmc.gp import TrainingSet, gp_fit
 from vbmc.variational import VariationalPosterior
 
 
@@ -25,7 +22,7 @@ def fitted_context(gap=True):
     Returns ``(samples, vp, lo, hi)``: the GP posterior, the mixture and
     the search box of ``search_box``.
     """
-    hyp = GPHyperparams(
+    hyp = hyp_row(
         log_ell=[math.log(0.4)], log_sf=0.0, log_sobs=math.log(1e-3),
         m0=0.0, x_m=[0.0], log_omega=[math.log(3.0)],
     )
@@ -46,7 +43,7 @@ def fixed_variance(var):
     A prior draw (no training data) predicts its output scale ``sf2``;
     that is overwritten because a zero scale is no valid hyperparameter.
     """
-    hyp = GPHyperparams(
+    hyp = hyp_row(
         log_ell=[0.0], log_sf=0.0, log_sobs=-4.0, m0=0.0, x_m=[0.0], log_omega=[0.0]
     )
     samples = gp_fit(TrainingSet(np.empty((0, 1)), np.empty(0)), [hyp])
@@ -120,7 +117,7 @@ class TestAcquisitionValues:
         assert np.argmax(logs) == np.argmax(lins)
 
     def test_pro_rewards_high_mean_regions(self):
-        hyp = GPHyperparams(
+        hyp = hyp_row(
             log_ell=[math.log(0.5)], log_sf=0.0, log_sobs=math.log(1e-3),
             m0=0.0, x_m=[0.0], log_omega=[math.log(3.0)],
         )

@@ -266,6 +266,28 @@ class TestRunner:
         assert text[0] == "family,D,seed,evals,lml_err,gskl"
         assert len(text) > 2
 
+    def test_summary_shares_of_stable_and_zero_sd_runs(self, tmp_path):
+        def record(family, run_seed, stable, elbo_sd):
+            final = {"lml_err": 0.1 * run_seed, "gskl": 0.01, "stable": stable,
+                     "elbo_sd": elbo_sd}
+            return {"family": family, "D": 2, "run_seed": run_seed, "final": final}
+
+        records = [
+            record("cigar", 0, True, 0.0),
+            record("cigar", 1, True, 0.0),
+            record("cigar", 2, False, 1e-300),
+            record("cigar", 3, True, 0.2),
+            record("lumpy", 0, False, 0.1),
+        ]
+        rows = summarize_records(records)
+        assert [(r["family"], r["stable_share"], r["sd_zero_share"]) for r in rows] == [
+            ("cigar", 0.75, 0.5),
+            ("lumpy", 0.0, 0.0),
+        ]
+        write_summary_csv(rows, tmp_path / "summary.csv")
+        header = (tmp_path / "summary.csv").read_text().splitlines()[0].split(",")
+        assert header[-2:] == ["stable_share", "sd_zero_share"]
+
     def test_bootstrap_reproducible(self, small_sweep):
         _, records, _ = small_sweep
         r1 = summarize_records(records, boot_seed=3)

@@ -156,7 +156,8 @@ def test_summarize_rejects_bad_records_file(tmp_path, capsys, content, message):
          "got 12.5"),
         ('{"problem": {"family": "lumpy", "D": 2}, "options": {"max_fevals": true}}',
          "got True"),
-        ('{"problem": {"family": "lumpy", "D": 2}, "seed": "abc"}', "invalid literal"),
+        ('{"problem": {"family": "lumpy", "D": 2}, "seed": "abc"}',
+         "seed must be an integer, got 'abc'"),
     ],
     ids=["missing_file", "not_json", "config_array", "options_array", "problem_string",
          "bounds_null", "max_fevals_string", "max_fevals_float", "max_fevals_bool",
@@ -278,9 +279,28 @@ def test_infer_rejects_unknown_acquisition(tmp_path, capsys):
         ),
         ({"problem": {"family": "lumpy", "D": 2}, "x0": []}, "x0 has 0 values"),
         ({"problem": {"family": "lumpy", "D": 0}}, "D=0; a problem needs D >= 1"),
+        ({"problem": {"family": "lumpy", "D": [2]}}, "problem.D must be an integer, got [2]"),
+        ({"problem": {"family": "lumpy", "D": True}}, "problem.D must be an integer, got True"),
+        ({"problem": {"family": "lumpy", "D": 2.7}}, "problem.D must be an integer, got 2.7"),
+        ({"problem": {"family": "lumpy", "D": 2.0}}, "problem.D must be an integer, got 2.0"),
+        (
+            {"problem": {"family": "lumpy", "D": 2, "seed": [1]}},
+            "problem.seed must be an integer, got [1]",
+        ),
+        (
+            {"problem": {"family": "lumpy", "D": 2}, "seed": {"a": 1}},
+            "seed must be an integer, got {'a': 1}",
+        ),
+        ({"problem": {"family": "lumpy", "D": 2}, "seed": False}, "seed must be an integer"),
+        (
+            {"problem": {"family": "lumpy", "D": 2}, "x0": {"a": 1}},
+            "the x0 in",
+        ),
+        ({"problem": {"family": "lumpy", "D": 2}, "x0": [0.5, "a"]}, "the x0 in"),
     ],
     ids=["unknown_family", "cigar_d1", "half_bounded", "missing_D", "missing_family",
-         "x0_wrong_length", "x0_empty", "D0"],
+         "x0_wrong_length", "x0_empty", "D0", "D_array", "D_bool", "D_fraction", "D_float",
+         "problem_seed_array", "seed_object", "seed_bool", "x0_object", "x0_string_entry"],
 )
 def test_infer_rejects_bad_problem_or_bounds(tmp_path, capsys, monkeypatch, block, message):
     # the engine must not start: no log-joint evaluation happens

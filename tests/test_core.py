@@ -21,7 +21,8 @@ from vbmc.core import (
     termination_status,
     warmup_should_end,
 )
-from vbmc.gp import n_gp_schedule
+from vbmc.gp import TrainingSet, default_hyperparams, gp_fit, n_gp_schedule
+from vbmc.slice_sampler import SliceSamplingError
 from vbmc.variational import VariationalPosterior
 
 
@@ -380,6 +381,28 @@ class TestFailureInjection:
         assert eng.fevals <= 40
 
 
+class TestHyperparameterUpdate:
+    def test_slice_failure_fits_the_last_sample(self, monkeypatch):
+        spec, *_ = conjugate_problem()
+        engine = VBMC(spec)
+        rng = np.random.default_rng(0)
+        train = TrainingSet(rng.uniform(-1, 1, size=(12, 1)), rng.normal(size=12))
+        last = default_hyperparams(train) + rng.normal(0.0, 0.01, size=6)
+        engine._last_hyp = default_hyperparams(train)
+
+        def failing(train, n_gp, init, rng):
+            raise SliceSamplingError("forced", last.copy())
+
+        monkeypatch.setattr(core_mod, "sample_hyperparameters", failing)
+        samples = engine._update_hyperparameters(train, True, False, rng)
+        ref = gp_fit(train, last)
+        assert len(samples) == 1
+        assert samples.theta.tobytes() == last.tobytes()
+        for name in ("L", "jitter", "alpha", "lml"):
+            assert np.array_equal(getattr(samples, name), getattr(ref, name)), name
+        assert engine._last_hyp.tobytes() == last.tobytes()
+
+
 class TestFreshIterations:
     def test_first_and_post_warmup_iterations_skip_sampling(self, monkeypatch):
         # iteration 1 and the iteration after warm-up's trim add no
@@ -514,7 +537,7 @@ class TestFullRun:
 
         def recording(self, *args):
             samples = update(self, *args)
-            draws.append(len(samples))
+            draws.append(samples)
             return samples
 
         monkeypatch.setattr(core_mod.VBMC, "_update_hyperparameters", recording)
@@ -528,9 +551,11 @@ class TestFullRun:
         gp_lines = [l["gp_sample"] for l in lines if "gp_sample" in l]
         assert [l["t"] for l in lines if "t" in l] == [r.t for r in res.history]
         assert len(draws) == res.iterations
-        for t, n_draws in enumerate(draws, start=1):
-            assert sum(1 for g in gp_lines if g["iteration"] == t) == n_draws
-        assert len(gp_lines) == sum(draws)
+        for t, samples in enumerate(draws, start=1):
+            assert sum(1 for g in gp_lines if g["iteration"] == t) == len(samples)
+            # each psi is its draw's row, bit for bit
+            assert [g["psi"] for g in gp_lines if g["iteration"] == t] == samples.theta.tolist()
+        assert len(gp_lines) == sum(len(samples) for samples in draws)
         for g in gp_lines:
             assert len(g["psi"]) == 3 * 1 + 3
             assert math.isfinite(g["lml"])

@@ -5,7 +5,9 @@ import pytest
 from scipy import stats
 
 from per_draw import (
+    blocks,
     draws,
+    hyp_row,
     per_draw_lml,
     per_draw_predict,
     per_draw_sample_hyperparameters,
@@ -13,6 +15,9 @@ from per_draw import (
     prior_set,
     random_hyp,
     random_sample_set,
+    row_kernel,
+    row_mean,
+    scales,
     scipy_factor_gram,
     scipy_lml_grad,
     scipy_solve_lower,
@@ -21,7 +26,7 @@ from per_draw import (
 )
 from vbmc import gp as gpm
 from vbmc.gp import (
-    GPHyperparams,
+    SIGMA_OBS_FLOOR,
     GPHyperprior,
     TrainingSet,
     default_hyperparams,
@@ -30,16 +35,14 @@ from vbmc.gp import (
     log_marginal_likelihood_grad,
     marginal_predict,
     n_gp_schedule,
-    nq_mean,
     optimize_hyperparameters,
     sample_hyperparameters,
-    se_kernel_matrix,
     sq_dist,
 )
 
 
 def simple_hyp(D=1, log_ell=0.0, log_sf=0.0, log_sobs=-4.0, m0=0.0):
-    return GPHyperparams(
+    return hyp_row(
         log_ell=np.full(D, log_ell),
         log_sf=log_sf,
         log_sobs=log_sobs,
@@ -50,10 +53,10 @@ def simple_hyp(D=1, log_ell=0.0, log_sf=0.0, log_sobs=-4.0, m0=0.0):
 
 
 def draw_gp_data(hyp, n, rng, box=3.0):
-    D = hyp.log_ell.size
+    D = blocks(hyp)[0].size
     X = rng.uniform(-box, box, size=(n, D))
-    K = se_kernel_matrix(X, X, hyp) + (hyp.sobs**2 + 1e-10) * np.eye(n)
-    y = nq_mean(X, hyp) + np.linalg.cholesky(K) @ rng.standard_normal(n)
+    K = row_kernel(X, X, hyp) + (scales(hyp)[2] ** 2 + 1e-10) * np.eye(n)
+    y = row_mean(X, hyp) + np.linalg.cholesky(K) @ rng.standard_normal(n)
     return TrainingSet(X, y)
 
 
@@ -61,36 +64,36 @@ class TestKernelAndMean:
     def test_kernel_at_identical_inputs(self):
         hyp = simple_hyp(D=3, log_sf=0.4)
         x = np.array([0.3, -1.0, 2.0])
-        assert se_kernel_matrix(x, x, hyp)[0, 0] == pytest.approx(hyp.sf2)
+        assert row_kernel(x, x, hyp)[0, 0] == pytest.approx(scales(hyp)[1])
 
     def test_kernel_unit_distance(self):
         hyp = simple_hyp()
-        k = se_kernel_matrix([0.0], [1.0], hyp)[0, 0]
+        k = row_kernel([0.0], [1.0], hyp)[0, 0]
         assert k == pytest.approx(math.exp(-0.5))
 
     def test_kernel_decay_and_symmetry(self):
         hyp = simple_hyp(D=2)
         xs = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [5.0, 0.0], [50.0, 0.0]])
-        k = se_kernel_matrix(xs[:1], xs, hyp)[0]
+        k = row_kernel(xs[:1], xs, hyp)[0]
         assert np.all(np.diff(k) < 0)
         assert k[-1] < 1e-200 or k[-1] == 0.0
-        K = se_kernel_matrix(xs, xs, hyp)
+        K = row_kernel(xs, xs, hyp)
         assert np.allclose(K, K.T)
 
     def test_nq_mean_maximum(self):
         hyp = simple_hyp(D=2, m0=1.5)
-        assert nq_mean(hyp.x_m, hyp)[0] == pytest.approx(1.5)
+        assert row_mean(blocks(hyp)[4], hyp)[0] == pytest.approx(1.5)
 
     def test_nq_mean_value(self):
-        hyp = GPHyperparams(
+        hyp = hyp_row(
             log_ell=[0.0], log_sf=0.0, log_sobs=-4.0, m0=0.0,
             x_m=[0.0], log_omega=[0.0],
         )
-        assert nq_mean(np.array([[2.0]]), hyp)[0] == pytest.approx(-2.0)
+        assert row_mean(np.array([[2.0]]), hyp)[0] == pytest.approx(-2.0)
 
     def test_nq_mean_dominates_at_infinity(self):
         hyp = simple_hyp(D=1)
-        assert nq_mean(np.array([[1e6]]), hyp)[0] < -1e9
+        assert row_mean(np.array([[1e6]]), hyp)[0] < -1e9
 
 
 class TestSqDist:
@@ -130,9 +133,9 @@ class TestPosterior:
         post = gp_fit(train, [hyp])
         mean, var = marginal_predict(post, [[0.5]])
         # closed form for one point: f = m + k/(k+s2) (y - m)
-        s2 = hyp.sobs**2
-        expected_mean = nq_mean([[0.5]], hyp)[0] + 1.0 / (1.0 + s2) * (
-            2.0 - nq_mean([[0.5]], hyp)[0]
+        s2 = scales(hyp)[2] ** 2
+        expected_mean = row_mean([[0.5]], hyp)[0] + 1.0 / (1.0 + s2) * (
+            2.0 - row_mean([[0.5]], hyp)[0]
         )
         expected_var = 1.0 - 1.0 / (1.0 + s2)
         assert mean[0] == pytest.approx(expected_mean, rel=1e-10)
@@ -144,7 +147,7 @@ class TestPosterior:
         train = draw_gp_data(hyp, 12, rng, box=1.5)
         post = gp_fit(train, [hyp])
         mean, _ = marginal_predict(post, train.X)
-        assert np.max(np.abs(mean - train.y)) <= 3 * hyp.sobs
+        assert np.max(np.abs(mean - train.y)) <= 3 * scales(hyp)[2]
 
     def test_two_point_brute_force(self):
         hyp = simple_hyp(log_sobs=math.log(0.05), m0=-0.5)
@@ -152,11 +155,12 @@ class TestPosterior:
         y = np.array([0.7, -0.2])
         post = gp_fit(TrainingSet(X, y), [hyp])
         xs = np.array([[0.4]])
-        Kxx = se_kernel_matrix(X, X, hyp) + hyp.sobs**2 * np.eye(2)
-        ks = se_kernel_matrix(X, xs, hyp)[:, 0]
-        w = np.linalg.inv(Kxx) @ (y - nq_mean(X, hyp))
-        mean_bf = nq_mean(xs, hyp)[0] + ks @ w
-        var_bf = hyp.sf2 - ks @ np.linalg.inv(Kxx) @ ks
+        _, sf2, sobs = scales(hyp)
+        Kxx = row_kernel(X, X, hyp) + sobs**2 * np.eye(2)
+        ks = row_kernel(X, xs, hyp)[:, 0]
+        w = np.linalg.inv(Kxx) @ (y - row_mean(X, hyp))
+        mean_bf = row_mean(xs, hyp)[0] + ks @ w
+        var_bf = sf2 - ks @ np.linalg.inv(Kxx) @ ks
         mean, var = marginal_predict(post, xs)
         assert mean[0] == pytest.approx(mean_bf, abs=1e-10)
         assert var[0] == pytest.approx(var_bf, abs=1e-10)
@@ -168,8 +172,8 @@ class TestPosterior:
         post = gp_fit(train, [hyp])
         far = np.array([[60.0, -55.0]])
         mean, var = marginal_predict(post, far)
-        assert mean[0] == pytest.approx(nq_mean(far, hyp)[0], abs=1e-9)
-        assert var[0] == pytest.approx(hyp.sf2, rel=1e-9)
+        assert mean[0] == pytest.approx(row_mean(far, hyp)[0], abs=1e-9)
+        assert var[0] == pytest.approx(scales(hyp)[1], rel=1e-9)
 
     def test_variance_shrinks_at_data(self):
         hyp = simple_hyp()
@@ -182,8 +186,8 @@ class TestPosterior:
         hyp = simple_hyp(D=2, m0=0.7)
         post = prior_set([hyp], 2)
         mean, var = marginal_predict(post, [[1.0, 2.0]])
-        assert mean[0] == pytest.approx(nq_mean([[1.0, 2.0]], hyp)[0])
-        assert var[0] == pytest.approx(hyp.sf2)
+        assert mean[0] == pytest.approx(row_mean([[1.0, 2.0]], hyp)[0])
+        assert var[0] == pytest.approx(scales(hyp)[1])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
@@ -249,7 +253,7 @@ class TestRank1Update:
         post = gp_fit(TrainingSet([[0.0]], [0.5]), [hyp])
         post2 = post.with_point(np.array([2.0]), -0.1)
         _, var = marginal_predict(post2, [[2.0]])
-        assert var[0] < 10 * hyp.sobs**2 + 1e-6
+        assert var[0] < 10 * scales(hyp)[2] ** 2 + 1e-6
 
     @pytest.mark.parametrize("S", [1, 6])
     @pytest.mark.parametrize("updates", [0, 1, 2, 3])
@@ -279,17 +283,17 @@ class TestRank1Update:
         y = rng.normal(size=20)
         hyps = []
         for _ in range(6):
-            h = random_hyp(rng, 2, log_sobs=math.log(1e-5))
-            hyps.append(
-                GPHyperparams(h.log_ell + 1.0, 8.0, h.log_sobs, h.m0, h.x_m, h.log_omega)
+            log_ell, _, log_sobs, m0, x_m, log_omega = blocks(
+                random_hyp(rng, 2, log_sobs=math.log(1e-5))
             )
+            hyps.append(hyp_row(log_ell + 1.0, 8.0, log_sobs, m0, x_m, log_omega))
         samples = gp_fit(TrainingSet(X, y), hyps)
         factor_gram = gpm._factor_gram
         refits = []
 
-        def spy(train, hyp):
-            refits[-1].append(hyp)
-            return factor_gram(train, hyp)
+        def spy(train, theta):
+            refits[-1].append(theta.tolist())
+            return factor_gram(train, theta)
 
         for x_new, y_new in [(X[3] + 1e-6, 0.1), (X[5] + 1e-6, 0.2)]:
             refits.append([])
@@ -298,7 +302,7 @@ class TestRank1Update:
             monkeypatch.setattr(gpm, "_factor_gram", factor_gram)
             # the reference refits a draw with a fresh gp_fit
             expected = [per_draw_update(samples, s, x_new, y_new) for s in range(6)]
-            assert refits[-1] == [h for h, e in zip(hyps, expected) if e[3]]
+            assert refits[-1] == [h.tolist() for h, e in zip(hyps, expected) if e[3]]
             for s, (L, jitter, alpha, refit) in enumerate(expected):
                 if refit:
                     assert updated.lml[s] == gp_fit(updated.train, [hyps[s]]).lml[0]
@@ -321,16 +325,16 @@ class TestMarginalLikelihood:
         rng = np.random.default_rng(23)
         hyp = simple_hyp(D=2, log_sobs=-2.0, m0=0.3)
         train = draw_gp_data(hyp, 12, rng)
-        lml = log_marginal_likelihood(train, hyp.to_vector(), {})
+        lml = log_marginal_likelihood(train, hyp, {})
         assert lml == gp_fit(train, [hyp]).lml[0]
-        cov = se_kernel_matrix(train.X, train.X, hyp) + hyp.sobs**2 * np.eye(12)
-        ref = stats.multivariate_normal(nq_mean(train.X, hyp), cov).logpdf(train.y)
+        cov = row_kernel(train.X, train.X, hyp) + scales(hyp)[2] ** 2 * np.eye(12)
+        ref = stats.multivariate_normal(row_mean(train.X, hyp), cov).logpdf(train.y)
         assert lml == pytest.approx(ref, rel=1e-10)
 
     def test_empty_training_set(self):
         hyp = simple_hyp(D=2)
         empty = TrainingSet(np.empty((0, 2)), np.empty(0))
-        assert log_marginal_likelihood(empty, hyp.to_vector(), {}) == 0.0
+        assert log_marginal_likelihood(empty, hyp, {}) == 0.0
         assert gp_fit(empty, [hyp]).lml[0] == 0.0
 
     def test_jitter_escalation_reports_largest_jitter(self, monkeypatch):
@@ -347,7 +351,8 @@ class TestMarginalLikelihood:
             gp_fit(train, [hyp])
         assert len(attempts) == 6
         # zero, then 1e-10 .. 1e-6 times tr(K)/n = sf2 + sobs^2
-        base = hyp.sf2 + hyp.sobs**2
+        _, sf2, sobs = scales(hyp)
+        base = sf2 + sobs**2
         added = np.array(attempts) - attempts[0]
         assert added[0] == 0.0
         assert added[1:] == pytest.approx(base * 10.0 ** np.arange(-10, -5), rel=1e-4)
@@ -356,7 +361,7 @@ class TestMarginalLikelihood:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        hyp = GPHyperparams(
+        theta = hyp_row(
             log_ell=[0.2, -0.3],
             log_sf=0.5,
             log_sobs=-2.0,
@@ -364,9 +369,8 @@ class TestMarginalLikelihood:
             x_m=[0.3, -0.2],
             log_omega=[1.0, 1.4],
         )
-        train = draw_gp_data(hyp, 20, rng)
-        theta = hyp.to_vector()
-        _, grad = log_marginal_likelihood_grad(train, hyp)
+        train = draw_gp_data(theta, 20, rng)
+        _, grad = log_marginal_likelihood_grad(train, theta)
         h = 1e-5
         for i in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
@@ -384,8 +388,10 @@ def near_duplicate_set(rng):
     near-duplicate inputs, sf2 = e^16 and sobs = 1e-5."""
     X = rng.uniform(-1, 1, size=(20, 2))
     X = np.vstack([X, X[:5] + 1e-7])
-    h = random_hyp(rng, 2, log_sobs=math.log(1e-5))
-    hyp = GPHyperparams(h.log_ell + 1.0, 8.0, h.log_sobs, h.m0, h.x_m, h.log_omega)
+    log_ell, _, log_sobs, m0, x_m, log_omega = blocks(
+        random_hyp(rng, 2, log_sobs=math.log(1e-5))
+    )
+    hyp = hyp_row(log_ell + 1.0, 8.0, log_sobs, m0, x_m, log_omega)
     return TrainingSet(X, rng.normal(size=25)), hyp
 
 
@@ -429,7 +435,7 @@ class TestDirectLapackMatchesScipy:
             cases += [(train, random_hyp(rng, D)) for _ in range(5)]
         for train, hyp in cases:
             lml_ref, grad_ref = scipy_lml_grad(train, hyp)
-            assert log_marginal_likelihood(train, hyp.to_vector(), {}) == lml_ref
+            assert log_marginal_likelihood(train, hyp, {}) == lml_ref
             lml, grad = log_marginal_likelihood_grad(train, hyp)
             assert lml == lml_ref
             assert np.array_equal(grad, grad_ref)
@@ -439,7 +445,7 @@ class TestDirectLapackMatchesScipy:
         for D in (1, 2, 6):
             train = draw_gp_data(simple_hyp(D=D), 20, rng)
             prior = GPHyperprior(train)
-            center = default_hyperparams(train).to_vector()
+            center = default_hyperparams(train)
             for _ in range(20):
                 theta = prior.sample(center, rng)
                 assert prior.logpdf(theta) == summed_prior_logpdf(prior, theta)
@@ -450,7 +456,7 @@ class TestHyperprior:
         rng = np.random.default_rng(34)
         train = draw_gp_data(simple_hyp(D=2), 20, rng)
         prior = GPHyperprior(train)
-        center = default_hyperparams(train).to_vector()
+        center = default_hyperparams(train)
         for i in range(center.size):
             for bound, step in ((prior.lower[i], -1e-9), (prior.upper[i], 1e-9)):
                 if not np.isfinite(bound):
@@ -473,7 +479,7 @@ class TestHyperprior:
         rng = np.random.default_rng(40 + D)
         train = draw_gp_data(simple_hyp(D=D), 20, rng)
         prior = GPHyperprior(train)
-        center = default_hyperparams(train).to_vector()
+        center = default_hyperparams(train)
         h = 1e-6
         for _ in range(5):
             # keep every central-difference step inside the hard bounds
@@ -490,9 +496,9 @@ class TestHyperprior:
         rng = np.random.default_rng(8)
         train = draw_gp_data(simple_hyp(D=2), 10, rng)
         prior = GPHyperprior(train)
-        theta = default_hyperparams(train).to_vector()
+        theta = default_hyperparams(train)
         base = prior.logpdf(theta)
-        sl = GPHyperprior._slices(2)
+        sl = gpm._layout(2)
         for name in ("log_sf", "x_m", "log_omega"):
             shifted = theta.copy()
             shifted[sl[name]] += 0.37
@@ -502,8 +508,8 @@ class TestHyperprior:
         rng = np.random.default_rng(9)
         train = draw_gp_data(simple_hyp(D=1), 10, rng)
         prior = GPHyperprior(train)
-        sl = GPHyperprior._slices(1)
-        theta = default_hyperparams(train).to_vector()
+        sl = gpm._layout(1)
+        theta = default_hyperparams(train)
         at_mode = theta.copy()
         at_mode[sl["log_sobs"]] = math.log(0.001)
         off = theta.copy()
@@ -515,7 +521,7 @@ class TestHyperprior:
         train = TrainingSet([[0.0], [1.0], [2.0]], [1.0, 1.0, 1.0])
         prior = GPHyperprior(train)
         assert np.all(prior.scale >= GPHyperprior.SCALE_FLOOR)
-        assert np.isfinite(prior.logpdf(default_hyperparams(train).to_vector()))
+        assert np.isfinite(prior.logpdf(default_hyperparams(train)))
 
 
 class TestHyperparameterInference:
@@ -530,8 +536,8 @@ class TestHyperparameterInference:
         train = draw_gp_data(true, 40, rng)
         samples = sample_hyperparameters(train, 8, default_hyperparams(train), rng)
         prior = GPHyperprior(train)
-        log_ells = np.array([h.log_ell[0] for h in samples.hyps])
-        assert abs(np.median(log_ells) - true.log_ell[0]) < prior.scale[0]
+        log_ells = np.array([blocks(h)[0][0] for h in samples.theta])
+        assert abs(np.median(log_ells) - blocks(true)[0][0]) < prior.scale[0]
 
     def test_map_no_decrease_from_optimum(self):
         rng = np.random.default_rng(11)
@@ -540,8 +546,7 @@ class TestHyperparameterInference:
 
         prior = GPHyperprior(train)
 
-        def objective(h):
-            theta = h.to_vector()
+        def objective(theta):
             return log_marginal_likelihood(train, theta, {}) + prior.logpdf(theta)
 
         opt = optimize_hyperparameters(train, default_hyperparams(train), rng)
@@ -555,9 +560,9 @@ class TestHyperparameterInference:
         opt = optimize_hyperparameters(train, default_hyperparams(train), rng)
         prior = GPHyperprior(train)
         lml, grad = log_marginal_likelihood_grad(train, opt)
-        total = grad + prior.grad_logpdf(opt.to_vector())
+        total = grad + prior.grad_logpdf(opt)
         # flat directions can sit on their rails; check interior coordinates
-        theta = opt.to_vector()
+        theta = opt
         interior = (theta > prior.lower + 1e-9) & (theta < prior.upper - 1e-9)
         scaled = np.abs(total[interior]) / max(1.0, abs(lml))
         assert np.max(scaled) < 1e-5
@@ -567,7 +572,7 @@ class TestHyperparameterInference:
         true = simple_hyp(D=1, log_ell=0.3, log_sf=0.5, log_sobs=math.log(0.02))
         train = draw_gp_data(true, 50, rng)
         opt = optimize_hyperparameters(train, default_hyperparams(train), rng)
-        assert abs(opt.log_ell[0] - true.log_ell[0]) < 0.5
+        assert abs(blocks(opt)[0][0] - blocks(true)[0][0]) < 0.5
 
 
 class TestHyperparamsChecks:
@@ -581,7 +586,27 @@ class TestHyperparamsChecks:
         fields[block] = [0.1, log_scale] if block in ("log_ell", "log_omega") else log_scale
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="finite positives"):
-                GPHyperparams(**fields)
+                prior_set(hyp_row(**fields), 2)
+
+
+class TestSetFromRows:
+    def test_scales_are_math_exp_of_each_row(self):
+        # inputs where math.exp and np.exp round differently, so the set's
+        # sf2 and sobs show which one made them
+        rng = np.random.default_rng(60)
+        D = 2
+        train = draw_gp_data(simple_hyp(D=D), 12, rng)
+        log_sf = [v for v in rng.uniform(-3.0, 3.0, 4000) if math.exp(2 * v) != np.exp(2 * v)]
+        log_sobs = [v for v in rng.uniform(-14.0, -1.0, 4000) if math.exp(v) != np.exp(v)]
+        theta = np.array([random_hyp(rng, D, log_sobs=v) for v in log_sobs[:24]])
+        theta[:, D] = log_sf[:24]
+        samples = gp_fit(train, theta)
+        assert np.any(samples.sobs == SIGMA_OBS_FLOOR)
+        for updated in (samples, samples.with_point(np.array([3.5, -3.5]), 0.2)):
+            assert updated.theta.tobytes() == theta.tobytes()
+            for s in range(len(theta)):
+                assert updated.sf2[s] == math.exp(2 * theta[s, D])
+                assert updated.sobs[s] == max(math.exp(theta[s, D + 1]), SIGMA_OBS_FLOOR)
 
 
 def capture_target(monkeypatch, train, init):
@@ -602,16 +627,16 @@ def capture_target(monkeypatch, train, init):
     return captured["target"], captured["theta0"]
 
 
-def count_factorizations(monkeypatch, fail=lambda hyp: False):
-    """Count ``_factor_gram`` calls; a call on a draw where ``fail`` holds raises."""
+def count_factorizations(monkeypatch, fail=lambda theta: False):
+    """Count ``_factor_gram`` calls; a call on a row where ``fail`` holds raises."""
     factor_gram = gpm._factor_gram
     calls = []
 
-    def spy(train, hyp, K=None):
-        calls.append(hyp.to_vector())
-        if fail(hyp):
+    def spy(train, theta):
+        calls.append(np.array(theta))
+        if fail(theta):
             raise gpm.GPTrainingError("forced")
-        return factor_gram(train, hyp, K)
+        return factor_gram(train, theta)
 
     monkeypatch.setattr(gpm, "_factor_gram", spy)
     return calls
@@ -630,9 +655,7 @@ class TestSliceTargetMemo:
         train, init = self.fixture(D, n, 40 + D)
         got = sample_hyperparameters(train, n_gp, init, np.random.default_rng(D))
         ref = per_draw_sample_hyperparameters(train, n_gp, init, np.random.default_rng(D))
-        assert np.array_equal(
-            [h.to_vector() for h in got.hyps], [h.to_vector() for h in ref.hyps]
-        )
+        assert np.array_equal(got.theta, ref.theta)
         for name in ("L", "jitter", "alpha", "lml"):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
@@ -663,8 +686,7 @@ class TestSliceTargetMemo:
         prior = GPHyperprior(train)
 
         def expected(theta):
-            hyp = GPHyperparams.from_vector(theta, D)
-            return per_draw_lml(train, hyp) + prior.logpdf(theta)
+            return per_draw_lml(train, theta) + prior.logpdf(theta)
 
         assert target(theta0) == expected(theta0)
         assert calls == []  # the start's block was factored before the chain
@@ -684,7 +706,7 @@ class TestSliceTargetMemo:
         train, init = self.fixture(D, 25, 42)
         target, theta0 = capture_target(monkeypatch, train, init)
         bad_sf = theta0[D] + 0.5
-        calls = count_factorizations(monkeypatch, fail=lambda hyp: hyp.log_sf == bad_sf)
+        calls = count_factorizations(monkeypatch, fail=lambda theta: blocks(theta)[1] == bad_sf)
         theta = theta0.copy()
         theta[D] = bad_sf
         assert target(theta) == -np.inf
@@ -698,7 +720,7 @@ class TestSliceTargetMemo:
     def test_mean_block_scale_checked_on_a_hit(self):
         D = 2
         train, init = self.fixture(D, 25, 42)
-        theta = init.to_vector()
+        theta = init.copy()
         memo = {}
         log_marginal_likelihood(train, theta, memo)
         theta[2 * D + 3] = 1e3

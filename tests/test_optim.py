@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import entropy_exact_single
+from per_draw import hyp_row
 from vbmc import optim
-from vbmc.gp import GPHyperparams, TrainingSet, gp_fit
+from vbmc.gp import TrainingSet, gp_fit
 from vbmc.optim import (
     ALPHA_MIN,
     TAU,
@@ -28,7 +29,7 @@ def conjugate_gaussian_samples(mean=0.4, sd=0.6, n=25, span=4.0):
 
     X = np.linspace(mean - span, mean + span, n)[:, None]
     y = np.array([log_density(x) for x in X[:, 0]])
-    hyp = GPHyperparams(
+    hyp = hyp_row(
         log_ell=[math.log(0.8)],
         log_sf=math.log(5.0),
         log_sobs=math.log(1e-4),

@@ -5,13 +5,16 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from oracles import oracle_g_mean, oracle_g_var
-from per_draw import draws, per_draw_variance, prior_set, random_sample_set
-from vbmc.gp import (
-    GPHyperparams,
-    TrainingSet,
-    gp_fit,
-    se_kernel_matrix,
+from per_draw import (
+    draws,
+    hyp_row,
+    per_draw_variance,
+    prior_set,
+    random_sample_set,
+    row_kernel,
+    scales,
 )
+from vbmc.gp import TrainingSet, gp_fit
 from vbmc.quadrature import (
     elbo,
     expected_log_joint,
@@ -28,7 +31,7 @@ def make_hyp(D=1, **kw):
         m0=0.0, x_m=np.zeros(D), log_omega=np.zeros(D),
     )
     base.update(kw)
-    return GPHyperparams(**base)
+    return hyp_row(**base)
 
 
 def single_vp(D=1, mu=0.0, sigma=1.0, lam=1.0):
@@ -98,11 +101,11 @@ class TestZMatrix:
             dens = math.exp(-0.5 * ((x + 0.4) / 0.88) ** 2) / (
                 0.88 * math.sqrt(2 * math.pi)
             )
-            return dens * se_kernel_matrix(np.array([x]), np.array([0.7]), hyp)[0, 0]
+            return dens * row_kernel(np.array([x]), np.array([0.7]), hyp)[0, 0]
 
         ref, _ = scipy_quad(integrand, -12, 12, epsabs=1e-13, epsrel=1e-12)
         # z stores the integral divided by the kernel's Gaussian normalizer
-        normalizer = math.sqrt(2 * math.pi) * hyp.ell[0]
+        normalizer = math.sqrt(2 * math.pi) * scales(hyp)[0][0]
         assert z[0, 0, 0] * normalizer == pytest.approx(ref, rel=1e-8)
 
 
@@ -209,7 +212,7 @@ class TestELBO:
         vp, post1 = random_case(rng, D=1, K=1, n=5)
         hyp2 = make_hyp(log_ell=[0.3], log_sf=0.1)
         post2 = gp_fit(post1.train, [hyp2])
-        res = quadrature(vp, gp_fit(post1.train, [post1.hyps[0], hyp2]))
+        res = quadrature(vp, gp_fit(post1.train, [post1.theta[0], hyp2]))
         m1, _, _ = one_draw(vp, post1)
         m2, _, _ = one_draw(vp, post2)
         assert res.g_mean == pytest.approx(0.5 * (m1 + m2))

@@ -3,6 +3,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "record_parity.py")
 spec = importlib.util.spec_from_file_location("record_parity", PATH)
@@ -18,3 +19,39 @@ def test_env_line_records_threads_versions_and_exp_target():
         assert env[var] == "1"
     assert env["numpy"] == np.__version__
     assert isinstance(env["numpy_exp_float64"], str) and env["numpy_exp_float64"]
+
+
+def record(wall_time=1.0, checkpoints=((10, 0.5, 0.2), (15, 0.3, 0.1)), lml_err=0.3):
+    """A hand-built record, with clamp counts and no failure reasons."""
+    final = {"lml_err": lml_err, "gskl": 0.1, "fevals": checkpoints[-1][0]}
+    rec = {"problem_id": "lumpy_D2_s0", "checkpoints": [list(c) for c in checkpoints],
+           "wall_time": wall_time, "final": final}
+    return [rec, 0, 0, []]
+
+
+def test_compare_ignores_wall_time():
+    assert record_parity.compare(record(wall_time=1.0), record(wall_time=7.5)) == "content_equal"
+
+
+def test_compare_names_the_first_changed_checkpoint():
+    changed = record(checkpoints=((10, 0.5, 0.2), (15, 0.31, 0.1)), lml_err=0.31)
+    verdict = record_parity.compare(record(), changed)
+    assert verdict.startswith("differs from checkpoint 1 (fevals 15 vs 15);")
+    assert "lml_err 0.3 vs 0.31" in verdict
+
+
+def test_compare_reports_a_failed_run():
+    failed = [None, 0, 0, ["VBMCError: repeated log-joint failures"]]
+    verdict = record_parity.compare(record(), failed)
+    assert verdict == "a run failed: A ok; B ['VBMCError: repeated log-joint failures']"
+
+
+def test_failed_child_is_named_with_its_side_and_exit_code(tmp_path):
+    good = tmp_path / "good"
+    (good / "perfbench").mkdir(parents=True)
+    (good / "perfbench" / "workloads.py").write_text("WORKLOADS = {}\n")
+    bad = tmp_path / "bad"  # no perfbench/workloads.py: the child cannot import it
+    bad.mkdir()
+    with pytest.raises(SystemExit) as info:
+        record_parity.main([str(bad), str(good)])
+    assert str(info.value) == f"child process failed: side A ({bad}) exited with code 1"

@@ -9,7 +9,8 @@ by default) at their run seeds, or at ``--run-seeds``. Each run prints
 ``content_equal`` when the two records agree apart from wall time, or else
 the first checkpoint that differs with both sides' ``lml_err``, ``gskl``
 and variance-clamp counts (GP predictive / quadrature). Exits 1 on any
-difference.
+difference; when a child process fails, names its side (A or B) and exit
+code.
 
 Before the verdicts it prints one ``env`` line: the BLAS thread settings
 of the children, the numpy and scipy versions, and the SIMD target numpy
@@ -101,8 +102,13 @@ def main(argv=None):
         parser.error("give two checkout roots, SRC_A and SRC_B")
     procs = [start(root, args) for root in args.roots]
     outs = [p.communicate()[0] for p in procs]
-    if any(p.returncode for p in procs):
-        sys.exit("a child process failed")
+    failed = [
+        f"side {side} ({root}) exited with code {p.returncode}"
+        for side, root, p in zip("AB", args.roots, procs)
+        if p.returncode
+    ]
+    if failed:
+        sys.exit("child process failed: " + "; ".join(failed))
     a, b = (json.loads(o.splitlines()[-1]) for o in outs)
     verdicts = [
         (name, seed, compare(a[name][seed], b[name][seed]))
