@@ -19,6 +19,7 @@ import numpy as np
 from scipy.integrate import quad as scipy_quad
 
 from .core import N_INIT, VBMC, ProblemSpec, VBMCOptions
+from .gp import student_t_log_kernel, student_t_log_norm
 from .variational import _logsumexp_rows, gaussian_skl
 
 __all__ = [
@@ -127,22 +128,8 @@ class LumpyProblem(SyntheticProblem):
 
 class StudentProblem(SyntheticProblem):
     def log_likelihood_rows(self, X):
-        kernel = _student_t_log_kernel(X, self.params["dof"])
+        kernel = student_t_log_kernel(X, self.params["dof"])
         return np.sum(self.params["log_norm"] - kernel, axis=1)
-
-
-def _student_t_log_norm(dof):
-    """Log normalizer of the standard Student-t with ``dof`` degrees of freedom."""
-    return (
-        math.lgamma(0.5 * (dof + 1.0))
-        - math.lgamma(0.5 * dof)
-        - 0.5 * math.log(dof * math.pi)
-    )
-
-
-def _student_t_log_kernel(x, dof):
-    """The part of the standard Student-t log density that depends on ``x``."""
-    return 0.5 * (dof + 1.0) * np.log1p(x * x / dof)
 
 
 class CigarProblem(SyntheticProblem):
@@ -204,12 +191,12 @@ def make_student(D, seed=0):
     sd_t = np.sqrt(dof / (dof - 2.0))
     prior_mean = np.zeros(D)
     prior_sd = PRIOR_SD_MULTIPLIER * sd_t
-    log_norm = np.array([_student_t_log_norm(v) for v in dof])
+    log_norm = np.array([student_t_log_norm(v) for v in dof])
     log_z = np.empty(D)
     var = np.empty(D)
     for i in range(D):
         def joint(x, i=i):
-            log_t = log_norm[i] - _student_t_log_kernel(x, dof[i])
+            log_t = log_norm[i] - student_t_log_kernel(x, dof[i])
             return math.exp(log_t - 0.5 * (x / prior_sd[i]) ** 2) / (
                 prior_sd[i] * math.sqrt(2 * math.pi)
             )
@@ -267,6 +254,8 @@ def make_cigar(D, seed):
 def make_problem(family, D, seed=0):
     if D < 1:
         raise ValueError(f"D={D}; a problem needs D >= 1")
+    if seed < 0:
+        raise ValueError(f"seed={seed}; a problem needs seed >= 0")
     if family == "lumpy":
         return make_lumpy(D, seed)
     if family == "student":

@@ -125,6 +125,13 @@ def _cmd_generate(args):
 
 
 def _cmd_run(args):
+    for flag, value, least in (
+        ("--seeds", args.seeds, 1), ("--seed-start", args.seed_start, 0),
+        ("--meta-seed", args.meta_seed, 0),
+    ):
+        if value < least:
+            print(f"vbmc run: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return 2
     pairs = [(family, D) for family in args.family for D in args.dims]
     if _build_problems("run", pairs, args.problem_seed) is None:
         return 2
@@ -258,6 +265,8 @@ def _cmd_infer(args):
             spec.lb, spec.ub, spec.plb, spec.pub = tr.lb, tr.ub, tr.plb, tr.pub
         engine = VBMC(spec, options)
         seed = _integer(config.get("seed", 0), "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
     except KeyError as err:
         print(f"vbmc infer: missing key {err} in {args.config}", file=sys.stderr)
         return 2

@@ -110,10 +110,10 @@ class VBMCOptions:
     """Per-run settings: the budget, the acquisition and the diagnostics.
 
     ``max_fevals`` is a positive integer and defaults to 50 (D + 2)
-    evaluations, ``acq`` is ``"pro"`` or ``"us"`` (any other value of
-    either raises ``ValueError`` here, before a run spends an evaluation),
-    and ``diag_gp_samples`` adds one diagnostics line per GP
-    hyperparameter draw. Every other value of the reference
+    evaluations, ``acq`` is ``"pro"`` or ``"us"``, and ``diag_gp_samples``
+    is a bool that adds one diagnostics line per GP hyperparameter draw.
+    Any other value of the three raises ``ValueError`` here, before a run
+    spends an evaluation. Every other value of the reference
     configuration is a module constant of the one module that reads it
     (``core``, ``optim``, ``acquisition``, ``cmaes``, ``gp``,
     ``slice_sampler``, ``benchmark``).
@@ -132,6 +132,10 @@ class VBMCOptions:
         if self.acq not in ACQUISITION_KINDS:
             raise ValueError(
                 f"unknown acquisition {self.acq!r}; allowed: {', '.join(ACQUISITION_KINDS)}"
+            )
+        if not isinstance(self.diag_gp_samples, bool):
+            raise ValueError(
+                f"diag_gp_samples must be true or false, got {self.diag_gp_samples!r}"
             )
 
 
@@ -415,16 +419,19 @@ class VBMC:
     def run(self, seed=0, diagnostics=None):
         """Run inference to termination; deterministic for a fixed seed.
 
-        An owned diagnostics file is closed however the run ends.
+        ``diagnostics`` is None, a file-like target, or a path. Each iteration
+        writes one JSON line to it (see :func:`_write_iteration`). A
+        file-like target is left open; a path is opened for writing here and
+        closed however the run ends.
         """
-        diag = _DiagnosticsWriter(diagnostics, include_gp=self.options.diag_gp_samples)
-        try:
-            return self._iterate(np.random.default_rng(seed), diag)
-        finally:
-            diag.close()
+        rng = np.random.default_rng(seed)
+        if diagnostics is None or hasattr(diagnostics, "write"):
+            return self._iterate(rng, diagnostics)
+        with open(diagnostics, "w") as fh:
+            return self._iterate(rng, fh)
 
     def _iterate(self, rng, diag):
-        """The main loop of :meth:`run`; returns the assembled result."""
+        """The main loop of :meth:`run`, writing to the file-like ``diag`` unless it is None."""
         self._history = []
 
         train, u0 = self._initial_design(rng)
@@ -486,7 +493,8 @@ class VBMC:
             )
             self._history.append(record)
             record.rho, record.rho_features = reliability_features(self._history, self.D)
-            diag.iteration(record, samples)
+            if diag is not None:
+                _write_iteration(diag, record, samples, self.options.diag_gp_samples)
 
             if warmup and warmup_should_end([r.elcbo for r in self._history]):
                 warmup = False
@@ -546,39 +554,14 @@ class VBMC:
         )
 
 
-class _DiagnosticsWriter:
-    """JSON-lines stream of per-iteration records (optionally GP samples)."""
-
-    def __init__(self, target, include_gp=False):
-        self._own = False
-        self.include_gp = include_gp
-        if target is None:
-            self.fh = None
-        elif hasattr(target, "write"):
-            self.fh = target
-        else:
-            self.fh = open(target, "w")
-            self._own = True
-
-    def iteration(self, record, samples):
-        if self.fh is None:
-            return
-        self.fh.write(json.dumps(record.to_json()) + "\n")
-        if self.include_gp and samples is not None:
-            for theta, lml in zip(samples.theta, samples.lml):
-                line = {
-                    "gp_sample": {
-                        "iteration": record.t,
-                        "psi": theta.tolist(),
-                        "lml": float(lml),
-                    }
-                }
-                self.fh.write(json.dumps(line) + "\n")
-        self.fh.flush()
-
-    def close(self):
-        if self.fh is not None and self._own:
-            self.fh.close()
+def _write_iteration(fh, record, samples, include_gp):
+    """One iteration's JSON line and, with ``include_gp``, one ``gp_sample`` line per draw."""
+    fh.write(json.dumps(record.to_json()) + "\n")
+    if include_gp:
+        for theta, lml in zip(samples.theta, samples.lml):
+            line = {"gp_sample": {"iteration": record.t, "psi": theta.tolist(), "lml": float(lml)}}
+            fh.write(json.dumps(line) + "\n")
+    fh.flush()
 
 
 def run(problem, options=None, seed=0, diagnostics=None):

@@ -16,13 +16,18 @@ differently), and ``sobs**2`` is a scalar ``**``, libm's ``pow`` (an array
 The GP posterior has one type, :class:`HyperparamSampleSet`: S
 hyperparameter draws on one training set, with their Cholesky factors,
 weights and log marginal likelihoods stacked along a leading axis S.
-:func:`gp_fit` builds it, :meth:`HyperparamSampleSet.with_point` adds one
-observation to every draw in one batched pass, and :func:`marginal_predict`
-and ``vbmc.quadrature`` read it. :func:`log_marginal_likelihood` is the
-slice sampler's view of one draw: it builds no set, and it factors the Gram
-matrix only when the covariance block of the draw changes (see
-:func:`sample_hyperparameters`). :func:`_weights_and_lml` writes the log
-marginal likelihood once for all of them.
+:func:`gp_fit` factors each draw's Gram matrix,
+:meth:`HyperparamSampleSet.with_point` borders every factor with one new
+observation in one batched pass, and the set fits its own draws from those
+factors. :func:`marginal_predict` and ``vbmc.quadrature`` read it.
+:func:`log_marginal_likelihood` is the slice sampler's view of one draw: it
+builds no set, and it factors the Gram matrix only when the covariance block
+of the draw changes (see :func:`sample_hyperparameters`).
+:func:`_weights_and_lml` writes the weights and the log marginal likelihood
+once for the set, the slice target and the MAP gradient.
+
+The hyperprior's Student-t density and the benchmark's ``student`` family
+share :func:`student_t_log_norm` and :func:`student_t_log_kernel`.
 
 The factor, the weights and the triangular solves call LAPACK directly
 (``dpotrf``, ``dpotrs``, ``dtrtrs``), with the arguments scipy's wrappers
@@ -274,11 +279,6 @@ def _residual(train, theta):
     return train.y - nq_mean(train.X, theta[sl["m0"]], theta[sl["x_m"]], omega)
 
 
-def _fit_draw(train, theta, L):
-    """:func:`_weights_and_lml` of the row ``theta`` on its factor ``L``."""
-    return _weights_and_lml(_residual(train, theta), L, np.log(np.diag(L)).sum())
-
-
 def _solve_lower(L, B):
     """``L[s]^-1 B[s]`` for every draw s of stacked lower factors ``L`` (S, n, n).
 
@@ -305,20 +305,18 @@ def _solve_lower(L, B):
 def gp_fit(train, theta):
     """Factor the Gram matrix of each row of ``theta``: a :class:`HyperparamSampleSet`.
 
-    ``theta`` is one row or a stack of rows (S, 3D+3), copied. An empty
-    training set gives the prior. Raises :class:`GPTrainingError` when a
-    draw's Gram matrix stays indefinite under the largest jitter.
+    ``theta`` is one row or a stack of rows (S, 3D+3), copied. The factors
+    are stacked as Fortran blocks, and the set fits the draws on them. An
+    empty training set gives the prior. Raises :class:`GPTrainingError` when
+    a draw's Gram matrix stays indefinite under the largest jitter.
     """
     theta = np.array(theta, dtype=float, ndmin=2)
     factors = [_factor_gram(train, row) for row in theta]
-    fits = [_fit_draw(train, row, L) for row, (L, _) in zip(theta, factors)]
     return HyperparamSampleSet(
         train,
         theta,
         np.array([L.T for L, _ in factors]).transpose(0, 2, 1),  # Fortran blocks
         np.array([jitter for _, jitter in factors]),
-        np.array([alpha for alpha, _ in fits]),
-        np.array([lml for _, lml in fits]),
     )
 
 
@@ -354,7 +352,7 @@ def log_marginal_likelihood_grad(train, theta):
     ell, sf2, sobs, _, x_m, omega = _unpack_row(theta, D)
     Kk = se_kernel_matrix(X, X, ell, sf2)
     L, _ = _factor_kernel(Kk.copy(), sobs)
-    alpha, lml = _fit_draw(train, theta, L)
+    alpha, lml = _weights_and_lml(_residual(train, theta), L, np.log(np.diag(L)).sum())
     Kinv = dpotrs(L, np.eye(n), lower=1)[0]
     A = np.outer(alpha, alpha) - Kinv
 
@@ -375,20 +373,17 @@ def log_marginal_likelihood_grad(train, theta):
     return lml, grad
 
 
-def _student_t_log_norm(scale):
-    """Log normalizer of a Student-t hyperprior with ``HYPERPRIOR_DF`` and ``scale``."""
-    df = HYPERPRIOR_DF
+def student_t_log_norm(df):
+    """Log normalizer of the standard Student-t with ``df`` degrees of freedom."""
     return (
         math.lgamma(0.5 * (df + 1.0))
         - math.lgamma(0.5 * df)
         - 0.5 * math.log(df * math.pi)
-        - np.log(scale)
     )
 
 
-def _student_t_log_kernel(z):
-    """The part of the Student-t log density that depends on the standardized ``z``."""
-    df = HYPERPRIOR_DF
+def student_t_log_kernel(z, df):
+    """The part of the standard Student-t log density with ``df`` that depends on ``z``."""
     return 0.5 * (df + 1.0) * np.log1p(z * z / df)
 
 
@@ -437,11 +432,10 @@ class GPHyperprior:
         # the Student-t terms that do not depend on theta, for logpdf
         self._mean_p = mean[has_prior]
         self._scale_p = self.scale[has_prior]
-        self._log_norm_p = _student_t_log_norm(self._scale_p)
+        self._log_norm_p = student_t_log_norm(HYPERPRIOR_DF) - np.log(self._scale_p)
 
         # hard bounds: safety rails for the flat-prior directions
-        lo = np.full(m, -np.inf)
-        hi = np.full(m, np.inf)
+        lo, hi = np.empty(m), np.empty(m)  # every entry is assigned below
         span = np.maximum(train.X.max(axis=0) - train.X.min(axis=0), 1.0)
         lo[sl["log_ell"]], hi[sl["log_ell"]] = -7.0, 7.0
         sd_y = max(float(np.std(train.y)), self.SCALE_FLOOR)
@@ -470,7 +464,7 @@ class GPHyperprior:
             if value < lo or value > hi:
                 return -np.inf
         z = (theta[self.has_prior] - self._mean_p) / self._scale_p
-        return float((self._log_norm_p - _student_t_log_kernel(z)).sum())
+        return float((self._log_norm_p - student_t_log_kernel(z, HYPERPRIOR_DF)).sum())
 
     def grad_logpdf(self, theta):
         g = np.zeros_like(theta)
@@ -487,24 +481,24 @@ class GPHyperprior:
         draws = rng.standard_t(HYPERPRIOR_DF, size=int(p.sum()))
         theta[p] = self.mean[p] + self.scale[p] * draws
         theta[~p] = theta[~p] + rng.normal(0.0, 1.0, size=int((~p).sum()))
-        finite_lo = np.where(np.isfinite(self.lower), self.lower, theta - 1.0)
-        finite_hi = np.where(np.isfinite(self.upper), self.upper, theta + 1.0)
-        return np.clip(theta, finite_lo, finite_hi)
+        return _clip_to(theta, self)
 
 
 class HyperparamSampleSet:
     """The GP posterior: hyperparameter draws on one training set, stacked along axis S.
 
-    Holds the training set ``train`` and the draws ``theta`` (S, 3D+3), rows
-    laid out as :func:`_layout` says; the lower Cholesky factors ``L`` (S, n,
-    n) of ``K + sobs^2 I`` plus each draw's ``jitter`` (S,); the weights
-    ``alpha`` (S, n) and log marginal likelihoods ``lml`` (S,); and, unpacked
-    from ``theta`` once by :func:`_unpack` (``math.exp`` per draw for ``sf2``
-    and ``sobs``), ``ell``, ``x_m`` and ``omega`` (S, D), ``sf2``, ``sobs``
-    and ``m0`` (S,), and the length-scaled inputs ``Xs = X / ell`` (S, n, D).
-    :meth:`cross_kernel` gives every draw's kernel between the training inputs and new rows in
-    one batched pass, for the update and for prediction. Built by
-    :func:`gp_fit` and :meth:`with_point`; immutable.
+    Built from the training set ``train``, the draws ``theta`` (S, 3D+3),
+    rows laid out as :func:`_layout` says, the lower Cholesky factors ``L``
+    (S, n, n) of ``K + sobs^2 I`` and each draw's ``jitter`` (S,). It
+    unpacks ``theta`` once by :func:`_unpack` (``math.exp`` per draw for
+    ``sf2`` and ``sobs``) into ``ell``, ``x_m`` and ``omega`` (S, D), ``sf2``,
+    ``sobs`` and ``m0`` (S,), and the length-scaled inputs ``Xs = X / ell``
+    (S, n, D). It then fits its draws: one batched residual y - m(X) and, per
+    draw, :func:`_weights_and_lml` on ``L[s]``, which give the weights
+    ``alpha`` (S, n) and log marginal likelihoods ``lml`` (S,).
+    :meth:`cross_kernel` gives every draw's kernel between the training
+    inputs and new rows in one batched pass, for the update and for
+    prediction. Built by :func:`gp_fit` and :meth:`with_point`; immutable.
 
     ``L`` has one of two memory orders: :func:`gp_fit` stacks Fortran-ordered
     blocks, as LAPACK returns them, and :meth:`with_point` builds a C-ordered
@@ -516,17 +510,20 @@ class HyperparamSampleSet:
     differently than on the Fortran factor the refit returned.
     """
 
-    def __init__(self, train, theta, L, jitter, alpha, lml):
+    def __init__(self, train, theta, L, jitter):
         if len(theta) < 1:
             raise ValueError("need at least one hyperparameter sample")
         self.train = train
         self.theta = theta
         self.L = L
         self.jitter = jitter
-        self.alpha = alpha
-        self.lml = lml
         self.ell, self.sf2, self.sobs, self.m0, self.x_m, self.omega = _unpack(theta, train.D)
         self.Xs = train.X / self.ell[:, None, :]
+        resid = train.y - nq_mean(train.X, self.m0, self.x_m, self.omega)
+        self.alpha, self.lml = np.empty((len(theta), train.n)), np.empty(len(theta))
+        for s, L_s in enumerate(L):
+            log_det = np.log(np.diag(L_s)).sum()
+            self.alpha[s], self.lml[s] = _weights_and_lml(resid[s], L_s, log_det)
 
     def __len__(self):
         return len(self.theta)
@@ -540,7 +537,8 @@ class HyperparamSampleSet:
         """Rank-1 update of every draw with one observation; O(S n^2).
 
         One batched pass borders each factor with the new kernel column.
-        A draw whose new pivot is not positive is refit from scratch.
+        A draw whose new pivot is not positive gets a fresh factor; the new
+        set then fits every draw on its factor.
         """
         x_new = np.asarray(x_new, dtype=float)
         train = self.train.with_point(x_new, y_new)
@@ -556,14 +554,9 @@ class HyperparamSampleSet:
         L[:, n, :n] = c[..., 0]
         L[:, n, n] = np.sqrt(np.maximum(pivot, 0.0))
         jitter = self.jitter.copy()
-        alpha, lml = np.empty((len(self), n + 1)), np.empty(len(self))
-        for s, row in enumerate(self.theta):
-            L_s = L[s]
-            if pivot[s] <= 0:  # the bordered factor lost positive definiteness
-                L_s, jitter[s] = _factor_gram(train, row)
-                L[s] = L_s
-            alpha[s], lml[s] = _fit_draw(train, row, L_s)
-        return HyperparamSampleSet(train, self.theta, L, jitter, alpha, lml)
+        for s in np.flatnonzero(pivot <= 0):  # the bordered factor lost positive definiteness
+            L[s], jitter[s] = _factor_gram(train, self.theta[s])
+        return HyperparamSampleSet(train, self.theta, L, jitter)
 
 
 def n_gp_schedule(n):
@@ -650,13 +643,13 @@ def optimize_hyperparameters(train, init, rng):
     prior = GPHyperprior(train)
 
     def neg_objective(theta):
-        if np.any(theta < prior.lower) or np.any(theta > prior.upper):
+        lp = prior.logpdf(theta)
+        if not np.isfinite(lp):
             return np.inf, np.zeros_like(theta)
         try:
             lml, grad = log_marginal_likelihood_grad(train, theta)
         except (GPTrainingError, FloatingPointError):
             return np.inf, np.zeros_like(theta)
-        lp = prior.logpdf(theta)
         gp_prior = prior.grad_logpdf(theta)
         return -(lml + lp), -(grad + gp_prior)
 

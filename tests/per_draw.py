@@ -29,6 +29,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from vbmc.gp import (
     BURN_SWEEPS,
+    HYPERPRIOR_DF,
     SIGMA_OBS_FLOOR,
     THIN_SWEEPS,
     GPHyperprior,
@@ -38,11 +39,12 @@ from vbmc.gp import (
     default_hyperparams,
     gp_fit,
     _factor_gram,
-    _fit_draw,
-    _student_t_log_kernel,
-    _student_t_log_norm,
+    _residual,
+    _weights_and_lml,
     nq_mean,
     se_kernel_matrix,
+    student_t_log_kernel,
+    student_t_log_norm,
 )
 from vbmc.slice_sampler import slice_sample
 from vbmc.quadrature import z_matrix
@@ -117,15 +119,14 @@ def random_sample_set(rng, S, n, D, updates=0):
 
 
 def draws(samples):
-    """One-draw sets sliced from ``samples``; each keeps its factor's memory order."""
+    """One-draw sets sliced from ``samples``; each keeps its factor's memory order
+    and fits its draw again on it."""
     return [
         HyperparamSampleSet(
             samples.train,
             samples.theta[s : s + 1],
             samples.L[s : s + 1],
             samples.jitter[s : s + 1],
-            samples.alpha[s : s + 1],
-            samples.lml[s : s + 1],
         )
         for s in range(len(samples))
     ]
@@ -136,7 +137,7 @@ def per_draw_update(samples, s, x_new, y_new):
 
     Borders the factor with the solved kernel column and the pivot, or
     refits the draw when the pivot is not positive. Returns
-    ``(L, jitter, alpha, refit)``.
+    ``(L, jitter, alpha, lml, refit)``.
     """
     theta, L, jitter = samples.theta[s], samples.L[s], samples.jitter[s]
     train = samples.train.with_point(x_new, y_new)
@@ -147,13 +148,19 @@ def per_draw_update(samples, s, x_new, y_new):
     d2 = sf2 + sobs**2 + jitter - c @ c
     if d2 <= 0:
         refit = gp_fit(train, theta)
-        return refit.L[0], refit.jitter[0], refit.alpha[0], True
+        return refit.L[0], refit.jitter[0], refit.alpha[0], refit.lml[0], True
     L_new = np.zeros((n + 1, n + 1))
     L_new[:n, :n] = L
     L_new[n, :n] = c
     L_new[n, n] = math.sqrt(d2)
-    alpha = cho_solve((L_new, True), train.y - row_mean(train.X, theta))
-    return L_new, jitter, alpha, False
+    resid = train.y - row_mean(train.X, theta)
+    alpha = cho_solve((L_new, True), resid)
+    lml = float(
+        -0.5 * resid @ alpha
+        - np.sum(np.log(np.diag(L_new)))
+        - 0.5 * train.n * math.log(2.0 * math.pi)
+    )
+    return L_new, jitter, alpha, lml, False
 
 
 def per_draw_predict(post, X):
@@ -241,7 +248,8 @@ def scipy_lml_grad(train, theta):
 
 def student_t_logpdf(x, mu, scale):
     """Log density of the hyperpriors' scaled Student-t (``gp.HYPERPRIOR_DF``)."""
-    return _student_t_log_norm(scale) - _student_t_log_kernel((x - mu) / scale)
+    log_norm = student_t_log_norm(HYPERPRIOR_DF) - np.log(scale)
+    return log_norm - student_t_log_kernel((x - mu) / scale, HYPERPRIOR_DF)
 
 
 def summed_prior_logpdf(prior, theta):
@@ -253,11 +261,12 @@ def summed_prior_logpdf(prior, theta):
 def per_draw_lml(train, theta):
     """One draw's log marginal likelihood, its Gram matrix factored afresh.
 
-    Bound at import, so a test that counts ``gp._factor_gram`` calls does
-    not count these.
+    ``_factor_gram``, ``_weights_and_lml`` and ``_residual`` are bound at
+    import, so a test that counts ``gp._factor_gram`` calls does not count
+    these.
     """
     L, _ = _factor_gram(train, theta)
-    return _fit_draw(train, theta, L)[1]
+    return _weights_and_lml(_residual(train, theta), L, np.log(np.diag(L)).sum())[1]
 
 
 def per_draw_sample_hyperparameters(train, n_gp, init, rng):

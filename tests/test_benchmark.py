@@ -23,6 +23,7 @@ from vbmc.benchmark import (
     write_long_csv,
     write_summary_csv,
 )
+from vbmc.gp import student_t_log_kernel
 
 
 class TestLumpy:
@@ -75,7 +76,7 @@ class TestStudent:
         p = make_student(6)
         xs = np.concatenate([np.linspace(-50.0, 50.0, 401), [1e-8, 1e3, -1e5]])
         for log_norm, dof in zip(p.params["log_norm"], p.params["dof"]):
-            closed = log_norm - benchmark._student_t_log_kernel(xs, dof)
+            closed = log_norm - student_t_log_kernel(xs, dof)
             assert np.allclose(closed, student_t.logpdf(xs, df=dof), rtol=1e-13, atol=0.0)
         X = np.random.default_rng(0).standard_t(3.0, size=(50, 6))
         ref = student_t.logpdf(X, df=p.params["dof"]).sum(axis=1)
@@ -121,6 +122,13 @@ class TestCigar:
 def test_no_dimensions_rejected(family, D):
     with pytest.raises(ValueError, match=f"D={D}; a problem needs D >= 1"):
         make_problem(family, D, 0)
+
+
+@pytest.mark.parametrize("family", ["lumpy", "student", "cigar"])
+def test_negative_seed_rejected(family):
+    # student draws nothing at random, so its seed was never checked
+    with pytest.raises(ValueError, match="seed=-1; a problem needs seed >= 0"):
+        make_problem(family, 2, -1)
 
 
 class TestGroundTruthChecks:

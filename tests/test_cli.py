@@ -55,8 +55,16 @@ def test_run_and_summarize_round_trip(tmp_path, capsys):
         (["run", "--family", "lumpy", "cigar", "--dims", "1"], "needs D >= 2"),
         (["run", "--dims", "0"], "D=0"),
         (["generate", "--family", "lumpy", "cigar", "--dims", "2", "0"], "D=0"),
+        (["run", "--seed-start", "-1"], "--seed-start must be at least 0, got -1"),
+        (["run", "--meta-seed", "-1"], "--meta-seed must be at least 0, got -1"),
+        (["run", "--family", "student", "--problem-seed", "-1"], "seed=-1"),
+        (["generate", "--family", "student", "--problem-seed", "-1"], "seed=-1"),
+        (["run", "--seeds", "0"], "--seeds must be at least 1, got 0"),
+        (["run", "--seeds", "-2"], "--seeds must be at least 1, got -2"),
     ],
-    ids=["run_cigar_d1", "run_d0", "generate_d0"],
+    ids=["run_cigar_d1", "run_d0", "generate_d0", "run_seed_start_negative",
+         "run_meta_seed_negative", "run_problem_seed_negative",
+         "generate_problem_seed_negative", "run_no_seeds", "run_negative_seeds"],
 )
 def test_run_and_generate_reject_bad_pair_before_any_check(
     tmp_path, capsys, monkeypatch, argv, message
@@ -297,10 +305,20 @@ def test_infer_rejects_unknown_acquisition(tmp_path, capsys):
             "the x0 in",
         ),
         ({"problem": {"family": "lumpy", "D": 2}, "x0": [0.5, "a"]}, "the x0 in"),
+        (
+            {"problem": {"family": "lumpy", "D": 2}, "options": {"diag_gp_samples": "false"}},
+            "diag_gp_samples must be true or false, got 'false'",
+        ),
+        ({"problem": {"family": "lumpy", "D": 2}, "seed": -1}, "seed must be non-negative, got -1"),
+        (
+            {"problem": {"family": "student", "D": 2, "seed": -1}},
+            "seed=-1; a problem needs seed >= 0",
+        ),
     ],
     ids=["unknown_family", "cigar_d1", "half_bounded", "missing_D", "missing_family",
          "x0_wrong_length", "x0_empty", "D0", "D_array", "D_bool", "D_fraction", "D_float",
-         "problem_seed_array", "seed_object", "seed_bool", "x0_object", "x0_string_entry"],
+         "problem_seed_array", "seed_object", "seed_bool", "x0_object", "x0_string_entry",
+         "diag_gp_samples_string", "seed_negative", "problem_seed_negative"],
 )
 def test_infer_rejects_bad_problem_or_bounds(tmp_path, capsys, monkeypatch, block, message):
     # the engine must not start: no log-joint evaluation happens

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -110,6 +111,11 @@ class TestInitialDesign:
     def test_budget_not_a_positive_integer_raises(self, max_fevals):
         with pytest.raises(ValueError, match="max_fevals must be a positive integer"):
             VBMCOptions(max_fevals=max_fevals)
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [True]])
+    def test_diag_gp_samples_not_a_bool_raises(self, flag):
+        with pytest.raises(ValueError, match="diag_gp_samples must be true or false"):
+            VBMCOptions(diag_gp_samples=flag)
 
     def test_numpy_integer_budget_accepted(self):
         assert VBMCOptions(max_fevals=np.int64(40)).max_fevals == 40
@@ -326,12 +332,13 @@ class TestRaisingLogJoint:
     def test_raise_after_first_iteration(self, tmp_path, monkeypatch):
         writers = []
 
-        class RecordingWriter(core_mod._DiagnosticsWriter):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                writers.append(self)
+        def recording_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            writers.append(fh)
+            return fh
 
-        monkeypatch.setattr(core_mod, "_DiagnosticsWriter", RecordingWriter)
+        # the engine opens a diagnostics path with the module-level name open
+        monkeypatch.setattr(core_mod, "open", recording_open, raising=False)
         spec, *_ = conjugate_problem()
         # the first active-sampling batch starts after iteration 1
         eng = VBMC(raising_after(spec, N_INIT + 2))
@@ -341,7 +348,7 @@ class TestRaisingLogJoint:
         assert isinstance(info.value.__cause__, RuntimeError)
         assert [r.t for r in info.value.history] == [1]
         assert eng.fevals == N_INIT + 2
-        assert len(writers) == 1 and writers[0].fh.closed
+        assert len(writers) == 1 and writers[0].closed
         assert len(path.read_text().splitlines()) == 1
 
 
@@ -559,6 +566,17 @@ class TestFullRun:
         for g in gp_lines:
             assert len(g["psi"]) == 3 * 1 + 3
             assert math.isfinite(g["lml"])
+
+    def test_file_like_target_gets_the_lines_of_a_path(self, tmp_path):
+        spec, *_ = conjugate_problem()
+        opts = VBMCOptions(max_fevals=30, diag_gp_samples=True)
+        path = tmp_path / "diag.jsonl"
+        VBMC(spec, opts).run(seed=3, diagnostics=str(path))
+        target = io.StringIO()
+        VBMC(spec, opts).run(seed=3, diagnostics=target)
+        assert not target.closed
+        assert target.getvalue() == path.read_text()
+        assert any("gp_sample" in line for line in target.getvalue().splitlines())
 
     def test_diagnostics_stream(self, tmp_path):
         spec, *_ = conjugate_problem()

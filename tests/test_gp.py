@@ -35,6 +35,7 @@ from vbmc.gp import (
     log_marginal_likelihood_grad,
     marginal_predict,
     n_gp_schedule,
+    nq_mean,
     optimize_hyperparameters,
     sample_hyperparameters,
     sq_dist,
@@ -94,6 +95,21 @@ class TestKernelAndMean:
     def test_nq_mean_dominates_at_infinity(self):
         hyp = simple_hyp(D=1)
         assert row_mean(np.array([[1e6]]), hyp)[0] < -1e9
+
+    @pytest.mark.parametrize("D", [1, 2, 6, 10])
+    def test_nq_mean_of_a_stack_matches_each_draw(self, D):
+        # a sample set takes every draw's residual from one call on its
+        # unpacked stacks; the slice target calls nq_mean on one row
+        rng = np.random.default_rng(70 + D)
+        X = rng.uniform(-3.0, 3.0, size=(40, D))
+        theta = np.array([random_hyp(rng, D) for _ in range(25)])
+        theta[:, gpm._layout(D)["log_omega"]] = rng.uniform(-3.0, 3.0, size=(25, D))
+        *_, m0, x_m, omega = gpm._unpack(theta, D)
+        stacked = nq_mean(X, m0, x_m, omega)
+        sl = gpm._layout(D)
+        for s, row in enumerate(theta):
+            own = nq_mean(X, row[sl["m0"]], row[sl["x_m"]], np.exp(row[sl["log_omega"]]))
+            assert np.array_equal(stacked[s], own), s
 
 
 class TestSqDist:
@@ -267,11 +283,12 @@ class TestRank1Update:
             assert all(L.flags.f_contiguous for L in samples.L)
         assert updated.L.flags.c_contiguous
         for s in range(S):
-            L, jitter, alpha, refit = per_draw_update(samples, s, x_new, y_new)
+            L, jitter, alpha, lml, refit = per_draw_update(samples, s, x_new, y_new)
             assert not refit
             assert np.array_equal(updated.L[s], L)
             assert np.array_equal(updated.alpha[s], alpha)
             assert updated.jitter[s] == jitter
+            assert updated.lml[s] == lml
 
     def test_lost_pivot_refits_the_draw(self, monkeypatch):
         # tiny noise and a large output scale: bordering a near-duplicate
@@ -302,8 +319,8 @@ class TestRank1Update:
             monkeypatch.setattr(gpm, "_factor_gram", factor_gram)
             # the reference refits a draw with a fresh gp_fit
             expected = [per_draw_update(samples, s, x_new, y_new) for s in range(6)]
-            assert refits[-1] == [h.tolist() for h, e in zip(hyps, expected) if e[3]]
-            for s, (L, jitter, alpha, refit) in enumerate(expected):
+            assert refits[-1] == [h.tolist() for h, e in zip(hyps, expected) if e[4]]
+            for s, (L, jitter, alpha, _, refit) in enumerate(expected):
                 if refit:
                     assert updated.lml[s] == gp_fit(updated.train, [hyps[s]]).lml[0]
                 assert np.array_equal(updated.L[s], L)
@@ -466,6 +483,22 @@ class TestHyperprior:
                 assert np.isfinite(prior.logpdf(theta)), i
                 theta[i] = bound + step * max(1.0, abs(bound))
                 assert prior.logpdf(theta) == -np.inf, i
+
+    @pytest.mark.parametrize("D", [1, 2, 6])
+    def test_bounds_are_finite_and_hold_the_restarts(self, D):
+        rng = np.random.default_rng(50 + D)
+        train = draw_gp_data(simple_hyp(D=D), 20, rng)
+        prior = GPHyperprior(train)
+        assert prior.lower.shape == prior.upper.shape == (3 * D + 3,)
+        assert np.all(np.isfinite(prior.lower)) and np.all(np.isfinite(prior.upper))
+        assert np.all(prior.lower < prior.upper)
+        center = default_hyperparams(train)
+        # far outside every bound: each coordinate is clipped onto one
+        for far in (center, center + 1e6, center - 1e6):
+            for _ in range(20):
+                theta = prior.sample(far, rng)
+                assert np.all(prior.lower <= theta) and np.all(theta <= prior.upper)
+                assert np.isfinite(prior.logpdf(theta))
 
     def test_student_t_matches_scipy(self):
         for mu, scale, x in [(0.0, 1.0, 0.0), (-6.9, 0.5, -6.9), (2.0, 3.0, -1.0)]:
