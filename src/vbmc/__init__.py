@@ -12,7 +12,6 @@ from .core import (
     VBMC,
     VBMCError,
     VBMCOptions,
-    run,
 )
 from .transforms import ParameterTransform
 from .variational import VariationalPosterior
@@ -28,6 +27,5 @@ __all__ = [
     "IterationRecord",
     "ParameterTransform",
     "VariationalPosterior",
-    "run",
     "__version__",
 ]

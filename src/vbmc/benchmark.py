@@ -20,6 +20,7 @@ from scipy.integrate import quad as scipy_quad
 
 from .core import N_INIT, VBMC, ProblemSpec, VBMCOptions
 from .gp import student_t_log_kernel, student_t_log_norm
+from .transforms import ParameterTransform
 from .variational import _logsumexp_rows, gaussian_skl
 
 __all__ = [
@@ -84,16 +85,13 @@ class SyntheticProblem:
         return self.log_likelihood_rows(X) + log_prior
 
     def problem_spec(self, x0=None):
-        """Bounds metadata: plausible box at one prior SD around the mean."""
+        """The problem for the engine: unbounded, plausible box at one prior SD around the mean."""
         D = self.D
-        return ProblemSpec(
-            log_joint=self.log_joint,
-            lb=np.full(D, -np.inf),
-            ub=np.full(D, np.inf),
-            plb=self.prior_mean - self.prior_sd,
-            pub=self.prior_mean + self.prior_sd,
-            x0=x0,
+        transform = ParameterTransform(
+            np.full(D, -np.inf), np.full(D, np.inf),
+            self.prior_mean - self.prior_sd, self.prior_mean + self.prior_sd,
         )
+        return ProblemSpec(log_joint=self.log_joint, transform=transform, x0=x0)
 
     def draw_x0(self, rng):
         return rng.uniform(

@@ -196,6 +196,12 @@ def _read_json(command, path, lines=False):
     return None
 
 
+# each field summarize_records reads of a JSON record, with the types it can use
+_SUMMARY_FIELDS = (("family", (str,)), ("D", (int,)), ("final", (dict,)),
+                   ("final.lml_err", (int, float)), ("final.gskl", (int, float)),
+                   ("final.elbo_sd", (int, float)), ("final.stable", (bool,)))
+
+
 def _cmd_summarize(args):
     records = _read_json("summarize", args.records, lines=True)
     if records is None:
@@ -208,11 +214,22 @@ def _cmd_summarize(args):
               file=sys.stderr)
         return 2
     try:
-        rows = summarize_records(records, boot_seed=args.boot_seed)
+        for rec in records:
+            for path, types in _SUMMARY_FIELDS:
+                value = rec
+                for key in path.split("."):  # "final" is checked before its fields
+                    value = value[key]
+                if type(value) not in types:  # so a bool is no int
+                    names = " or ".join(t.__name__ for t in types)
+                    raise TypeError(f"{path} {value!r}, not of type {names}")
     except KeyError as err:
         print(f"vbmc summarize: a record in {args.records} has no key {err}",
               file=sys.stderr)
         return 2
+    except TypeError as err:
+        print(f"vbmc summarize: a record in {args.records} has {err}", file=sys.stderr)
+        return 2
+    rows = summarize_records(records, boot_seed=args.boot_seed)
     write_summary_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -261,8 +278,7 @@ def _cmd_infer(args):
                                _integer(pspec.get("seed", 0), "problem.seed"))
         spec = problem.problem_spec(x0=None if x0 is None else np.asarray(x0, float))
         if "bounds" in config:
-            tr = ParameterTransform.from_config(config["bounds"])
-            spec.lb, spec.ub, spec.plb, spec.pub = tr.lb, tr.ub, tr.plb, tr.pub
+            spec.transform = ParameterTransform.from_config(config["bounds"])
         engine = VBMC(spec, options)
         seed = _integer(config.get("seed", 0), "seed")
         if seed < 0:

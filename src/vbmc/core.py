@@ -70,7 +70,6 @@ __all__ = [
     "InferenceResult",
     "VBMCError",
     "VBMC",
-    "run",
 ]
 
 
@@ -84,25 +83,17 @@ class VBMCError(RuntimeError):
 
 @dataclass
 class ProblemSpec:
-    """A target posterior: log-joint callable plus bound metadata.
+    """A target posterior: the log joint, its parameter transform and a start.
 
     ``log_joint`` takes a point in original coordinates and returns the
     unnormalized log posterior density (log likelihood + log prior).
+    ``transform`` maps its hard and plausible bounds (and fixes D); ``x0``,
+    in original coordinates, is the first point, or None to draw one.
     """
 
     log_joint: callable
-    lb: np.ndarray
-    ub: np.ndarray
-    plb: np.ndarray
-    pub: np.ndarray
+    transform: ParameterTransform
     x0: np.ndarray | None = None
-
-    def transform(self):
-        return ParameterTransform(self.lb, self.ub, self.plb, self.pub)
-
-    @property
-    def D(self):
-        return np.atleast_1d(np.asarray(self.plb)).size
 
 
 @dataclass
@@ -267,12 +258,13 @@ def k_schedule(history, K_current, n_train):
 
 
 class VBMC:
-    """Single-run inference engine over one :class:`ProblemSpec`."""
+    """Single-run inference engine over one :class:`ProblemSpec`, in the internal
+    coordinates of its transform: ``VBMC(problem, options).run(seed, diagnostics)``."""
 
     def __init__(self, problem, options=None):
         self.problem = problem
         self.options = options or VBMCOptions()
-        self.transform = problem.transform()
+        self.transform = problem.transform
         self.D = self.transform.D
         self.max_fevals = self.options.max_fevals
         if self.max_fevals is None:
@@ -563,7 +555,3 @@ def _write_iteration(fh, record, samples, include_gp):
             fh.write(json.dumps(line) + "\n")
     fh.flush()
 
-
-def run(problem, options=None, seed=0, diagnostics=None):
-    """Convenience wrapper: build a :class:`VBMC` engine and run it."""
-    return VBMC(problem, options).run(seed=seed, diagnostics=diagnostics)

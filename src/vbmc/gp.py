@@ -14,12 +14,14 @@ differently), and ``sobs**2`` is a scalar ``**``, libm's ``pow`` (an array
 ``**2`` is x*x, which differs on a few inputs).
 
 The GP posterior has one type, :class:`HyperparamSampleSet`: S
-hyperparameter draws on one training set, with their Cholesky factors,
-weights and log marginal likelihoods stacked along a leading axis S.
-:func:`gp_fit` factors each draw's Gram matrix,
-:meth:`HyperparamSampleSet.with_point` borders every factor with one new
-observation in one batched pass, and the set fits its own draws from those
-factors. :func:`marginal_predict` and ``vbmc.quadrature`` read it.
+hyperparameter draws on one :class:`TrainingSet`, with their Cholesky
+factors, weights and log marginal likelihoods stacked along a leading axis
+S. A training set is never empty (the engine fits only after its initial
+design), so no path here handles n = 0. :func:`gp_fit` factors each
+draw's Gram matrix, :meth:`HyperparamSampleSet.with_point` borders every
+factor with one new observation in one batched pass, and the set fits its
+own draws from those factors. :func:`marginal_predict` and
+``vbmc.quadrature`` read it.
 :func:`log_marginal_likelihood` is the slice sampler's view of one draw: it
 builds no set, and it factors the Gram matrix only when the covariance block
 of the draw changes (see :func:`sample_hyperparameters`).
@@ -98,15 +100,17 @@ def _unpack(theta, D):
     ``sf2`` = exp(2 log_sf) and ``sobs`` = max(exp(log_sobs),
     ``SIGMA_OBS_FLOOR``) take ``math.exp`` per draw; ``ell`` and ``omega`` are
     ``np.exp`` of their blocks. The scales are checked first, on ``np.exp``,
-    which gives inf where ``math.exp`` would raise ``OverflowError``.
+    which gives inf where ``math.exp`` would raise ``OverflowError``; the
+    output scale is checked as the exp(2 log_sf) that is used.
     """
     if theta.ndim != 2 or theta.shape[1] != 3 * D + 3:
         raise ValueError(f"expected rows of {3 * D + 3} hyperparameters, got {theta.shape}")
     sl = _layout(D)
-    log_sf, log_sobs = theta[:, sl["log_sf"]].tolist(), theta[:, sl["log_sobs"]].tolist()
+    two_log_sf = [2.0 * v for v in theta[:, sl["log_sf"]].tolist()]
+    log_sobs = theta[:, sl["log_sobs"]].tolist()
     ell, omega = np.exp(theta[:, sl["log_ell"]]), np.exp(theta[:, sl["log_omega"]])
-    _check_scales(ell.ravel(), np.exp(log_sf + log_sobs), omega.ravel())
-    sf2 = np.array([math.exp(2.0 * v) for v in log_sf])
+    _check_scales(ell.ravel(), np.exp(two_log_sf + log_sobs), omega.ravel())
+    sf2 = np.array([math.exp(v) for v in two_log_sf])
     sobs = np.array([max(math.exp(v), SIGMA_OBS_FLOOR) for v in log_sobs])
     m0, x_m = theta[:, sl["m0"]].copy(), theta[:, sl["x_m"]].copy()  # contiguous, as read
     return ell, sf2, sobs, m0, x_m, omega
@@ -130,13 +134,15 @@ def _check_scales(*scales):
 
 
 class TrainingSet:
-    """Internal-space inputs with Jacobian-corrected log-joint values."""
+    """Internal-space inputs with Jacobian-corrected log-joint values; at least one point."""
 
     def __init__(self, X, y):
         self.X = np.atleast_2d(np.asarray(X, dtype=float))
         self.y = np.atleast_1d(np.asarray(y, dtype=float))
         if self.X.shape[0] != self.y.size:
             raise ValueError("X and y disagree on the number of points")
+        if self.y.size == 0:
+            raise ValueError("a training set needs at least one point")
         if not np.all(np.isfinite(self.y)):
             raise ValueError("training values must be finite")
 
@@ -149,8 +155,6 @@ class TrainingSet:
         return self.X.shape[1]
 
     def is_duplicate(self, x):
-        if self.n == 0:
-            return False
         d2 = np.sum((self.X - np.asarray(x)) ** 2, axis=1)
         return bool(np.min(d2) < DUPLICATE_TOL_SQ)
 
@@ -225,10 +229,8 @@ def nq_mean(X, m0, x_m, omega):
 
 
 def _factor_gram(train, theta):
-    """:func:`_factor_kernel` of the row ``theta`` on ``train``; no data gives an empty factor."""
+    """:func:`_factor_kernel` of the row ``theta`` on ``train``."""
     ell, sf2, sobs, *_ = _unpack_row(theta, train.D)
-    if train.n == 0:
-        return np.empty((0, 0)), 0.0
     return _factor_kernel(se_kernel_matrix(train.X, train.X, ell, sf2), sobs)
 
 
@@ -266,7 +268,7 @@ def _weights_and_lml(resid, L, log_det):
     -1/2 r^T alpha - sum log diag L - (n/2) log 2 pi is written.
     """
     n = resid.size
-    alpha = dpotrs(L, resid, lower=1)[0] if n > 0 else np.empty(0)
+    alpha = dpotrs(L, resid, lower=1)[0]
     lml = float(-0.5 * resid @ alpha - log_det - 0.5 * n * math.log(2.0 * math.pi))
     return alpha, lml
 
@@ -306,9 +308,9 @@ def gp_fit(train, theta):
     """Factor the Gram matrix of each row of ``theta``: a :class:`HyperparamSampleSet`.
 
     ``theta`` is one row or a stack of rows (S, 3D+3), copied. The factors
-    are stacked as Fortran blocks, and the set fits the draws on them. An
-    empty training set gives the prior. Raises :class:`GPTrainingError` when
-    a draw's Gram matrix stays indefinite under the largest jitter.
+    are stacked as Fortran blocks, and the set fits the draws on them.
+    Raises :class:`GPTrainingError` when a draw's Gram matrix stays
+    indefinite under the largest jitter.
     """
     theta = np.array(theta, dtype=float, ndmin=2)
     factors = [_factor_gram(train, row) for row in theta]
@@ -543,8 +545,6 @@ class HyperparamSampleSet:
         x_new = np.asarray(x_new, dtype=float)
         train = self.train.with_point(x_new, y_new)
         n = self.train.n
-        if n == 0:
-            return gp_fit(train, self.theta)
         c = _solve_lower(self.L, self.cross_kernel(x_new[None, :]))
         # per-draw Python floats: a scalar s**2 is libm's pow, an array's is x*x
         noise = np.array([f + s**2 for f, s in zip(self.sf2.tolist(), self.sobs.tolist())])
@@ -561,7 +561,7 @@ class HyperparamSampleSet:
 
 def n_gp_schedule(n):
     """Number of hyperparameter samples to draw for ``n`` training points."""
-    return max(1, round(80.0 / math.sqrt(max(n, 1))))
+    return max(1, round(80.0 / math.sqrt(n)))
 
 
 def default_hyperparams(train):
@@ -683,15 +683,13 @@ def marginal_predict(samples, X):
     """
     global VARIANCE_CLAMP_COUNT
     X = np.atleast_2d(X)
+    Ks = samples.cross_kernel(X)
     means = nq_mean(X, samples.m0, samples.x_m, samples.omega)
-    variances = np.repeat(samples.sf2[:, None], X.shape[0], axis=1)
-    if samples.train.n > 0:
-        Ks = samples.cross_kernel(X)
-        means = means + (np.swapaxes(Ks, -1, -2) @ samples.alpha[..., None])[..., 0]
-        # U's blocks come back Fortran-ordered, as for a single draw, so each
-        # column is summed over contiguous memory in the same order
-        U = _solve_lower(samples.L, Ks)
-        variances = variances - np.sum(U * U, axis=-2)
+    means = means + (np.swapaxes(Ks, -1, -2) @ samples.alpha[..., None])[..., 0]
+    # U's blocks come back Fortran-ordered, as for a single draw, so each
+    # column is summed over contiguous memory in the same order
+    U = _solve_lower(samples.L, Ks)
+    variances = samples.sf2[:, None] - np.sum(U * U, axis=-2)
     if np.any(variances < 0):
         VARIANCE_CLAMP_COUNT += int(np.sum(variances < 0))
         variances = np.maximum(variances, 0.0)

@@ -141,13 +141,10 @@ def expected_log_joint_variance(vp, samples, z):
         np.log(rho2) + diff**2 / rho2, axis=-1
     )
     J = (lam_k * samples.sf2)[:, None, None] * np.exp(logn)
-    if samples.train.n > 0:
-        if not (np.isfinite(samples.L).all() and np.isfinite(z).all()):
-            raise ValueError("array must not contain infs or NaNs")
-        U = lam_k[:, None, None] * _solve_lower(
-            samples.L, np.swapaxes(z, -1, -2)
-        )  # (S, n, K)
-        J = J - np.swapaxes(U, -1, -2) @ U
+    if not (np.isfinite(samples.L).all() and np.isfinite(z).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    U = lam_k[:, None, None] * _solve_lower(samples.L, np.swapaxes(z, -1, -2))  # (S, n, K)
+    J = J - np.swapaxes(U, -1, -2) @ U
     var = _dot_w(vp.w @ J, vp.w)
     if np.any(var < 0):
         VARIANCE_CLAMP_COUNT += int(np.sum(var < 0))

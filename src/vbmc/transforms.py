@@ -180,16 +180,18 @@ class ParameterTransform:
     def from_config(cls, config):
         """Build from a config dict as produced by :meth:`to_config`.
 
-        Infinite hard bounds may be encoded as ``None``, ``"inf"``/
-        ``"-inf"`` strings, or IEEE infinities.
+        Each of ``lb``, ``ub``, ``plb`` and ``pub`` is a list of numbers, and
+        a JSON bool is not a number. Infinite hard bounds may also be encoded
+        as ``None``, ``"inf"``/``"-inf"`` strings, or IEEE infinities.
+        Anything else raises ``ValueError``.
         """
 
-        def dec(values, sign):
+        def dec(name, sign):  # sign: of a hard bound's infinity; 0 for a plausible bound
+            values = config[name]
+            if not isinstance(values, list) or not all(
+                type(v) in (int, float) or sign and (v is None or type(v) is str) for v in values
+            ):
+                raise ValueError(f"bounds.{name} must be an array of numbers, got {values!r}")
             return [sign * np.inf if v is None else float(v) for v in values]
 
-        return cls(
-            dec(config["lb"], -1.0),
-            dec(config["ub"], +1.0),
-            config["plb"],
-            config["pub"],
-        )
+        return cls(dec("lb", -1.0), dec("ub", 1.0), dec("plb", 0.0), dec("pub", 0.0))

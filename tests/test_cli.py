@@ -125,6 +125,13 @@ def test_summarize_rejects_empty_records(tmp_path, capsys):
     assert str(records) in err[0]
 
 
+# a record with every field that summarize reads, on one line
+RECORD = (
+    '{"family": "lumpy", "D": 2, '
+    '"final": {"lml_err": 0.1, "gskl": 0.2, "elbo_sd": 0.01, "stable": true}}\n'
+)
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -132,8 +139,16 @@ def test_summarize_rejects_empty_records(tmp_path, capsys):
         ('{"family": "lumpy"}\nnot json\n', "line 2 of"),
         ("[1, 2]\n", "is not a JSON object"),
         ('{"family": "lumpy", "D": 2}\n', "has no key 'final'"),
+        (RECORD.replace('"final": {', '"final": [{').replace("}}", "}]}"),
+         "has final [{"),
+        (RECORD.replace('"D": 2', '"D": [2]'), "has D [2], not of type int"),
+        (RECORD.replace('"lml_err": 0.1', '"lml_err": "abc"'),
+         "has final.lml_err 'abc', not of type int or float"),
+        (RECORD.replace('"lml_err": 0.1', '"lml_err": null'),
+         "has final.lml_err None, not of type int or float"),
     ],
-    ids=["missing_file", "line_not_json", "line_not_object", "not_a_record"],
+    ids=["missing_file", "line_not_json", "line_not_object", "not_a_record",
+         "final_array", "D_array", "lml_err_string", "lml_err_null"],
 )
 def test_summarize_rejects_bad_records_file(tmp_path, capsys, content, message):
     records = tmp_path / "records.jsonl"
@@ -314,11 +329,29 @@ def test_infer_rejects_unknown_acquisition(tmp_path, capsys):
             {"problem": {"family": "student", "D": 2, "seed": -1}},
             "seed=-1; a problem needs seed >= 0",
         ),
+        *[
+            (
+                {
+                    "problem": {"family": "lumpy", "D": 2},
+                    "bounds": {"lb": [None, None], "ub": [None, None],
+                               "plb": [-1.0, -1.0], "pub": [1.0, 1.0], key: value},
+                },
+                f"bounds.{key} must be an array of numbers, got {got}",
+            )
+            for key, value, got in [
+                ("lb", None, "None"),
+                ("lb", 5, "5"),
+                ("lb", [{}, None], "[{}, None]"),
+                ("plb", [{}, -1], "[{}, -1]"),
+                ("plb", [True, -1], "[True, -1]"),
+            ]
+        ],
     ],
     ids=["unknown_family", "cigar_d1", "half_bounded", "missing_D", "missing_family",
          "x0_wrong_length", "x0_empty", "D0", "D_array", "D_bool", "D_fraction", "D_float",
          "problem_seed_array", "seed_object", "seed_bool", "x0_object", "x0_string_entry",
-         "diag_gp_samples_string", "seed_negative", "problem_seed_negative"],
+         "diag_gp_samples_string", "seed_negative", "problem_seed_negative",
+         "lb_null", "lb_number", "lb_object_entry", "plb_object_entry", "plb_bool_entry"],
 )
 def test_infer_rejects_bad_problem_or_bounds(tmp_path, capsys, monkeypatch, block, message):
     # the engine must not start: no log-joint evaluation happens

@@ -24,6 +24,7 @@ from vbmc.core import (
 )
 from vbmc.gp import TrainingSet, default_hyperparams, gp_fit, n_gp_schedule
 from vbmc.slice_sampler import SliceSamplingError
+from vbmc.transforms import ParameterTransform
 from vbmc.variational import VariationalPosterior
 
 
@@ -38,9 +39,7 @@ def conjugate_problem(y0=0.5, s=0.8, x0=0.3):
     lml = -0.5 * math.log(2 * math.pi * (1 + s**2)) - 0.5 * y0**2 / (1 + s**2)
     post_var = 1.0 / (1 + 1 / s**2)
     post_mean = post_var * y0 / s**2
-    spec = ProblemSpec(
-        log_joint, lb=[-np.inf], ub=[np.inf], plb=[-1.0], pub=[1.0], x0=[x0]
-    )
+    spec = ProblemSpec(log_joint, ParameterTransform([-np.inf], [np.inf], [-1.0], [1.0]), x0=[x0])
     return spec, lml, post_mean, post_var
 
 
@@ -451,7 +450,7 @@ class TestX0:
         calls = []
         inner = spec.log_joint
         spec.log_joint = lambda x: calls.append(x) or inner(x)
-        spec.lb, spec.ub = [bounds[0]], [bounds[1]]
+        spec.transform = ParameterTransform([bounds[0]], [bounds[1]], [-1.0], [1.0])
         spec.x0 = x0
         with pytest.raises(ValueError, match=message):
             VBMC(spec)
@@ -462,9 +461,9 @@ class TestX0:
         calls = []
         inner = spec.log_joint
         spec.log_joint = lambda x: calls.append(x) or inner(x)
-        spec.lb = spec.ub = spec.plb = spec.pub = []
         spec.x0 = None
         with pytest.raises(ValueError, match="bounds are empty"):
+            spec.transform = ParameterTransform([], [], [], [])
             VBMC(spec)
         assert calls == []
 

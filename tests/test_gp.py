@@ -349,10 +349,8 @@ class TestMarginalLikelihood:
         assert lml == pytest.approx(ref, rel=1e-10)
 
     def test_empty_training_set(self):
-        hyp = simple_hyp(D=2)
-        empty = TrainingSet(np.empty((0, 2)), np.empty(0))
-        assert log_marginal_likelihood(empty, hyp, {}) == 0.0
-        assert gp_fit(empty, [hyp]).lml[0] == 0.0
+        with pytest.raises(ValueError, match="at least one point"):
+            TrainingSet(np.empty((0, 2)), np.empty(0))
 
     def test_jitter_escalation_reports_largest_jitter(self, monkeypatch):
         attempts = []
@@ -620,6 +618,18 @@ class TestHyperparamsChecks:
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="finite positives"):
                 prior_set(hyp_row(**fields), 2)
+
+    @pytest.mark.parametrize("log_sf", [400.0, -400.0])
+    def test_output_scale_checked_as_used(self, log_sf):
+        # exp(log_sf) is a finite positive, but sf2 = exp(2 log_sf) overflows
+        # or underflows to 0
+        hyp = simple_hyp(D=1, log_sf=log_sf)
+        train = TrainingSet([[0.0], [1.0]], [0.0, 0.5])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="finite positives"):
+                gp_fit(train, [hyp])
+            with pytest.raises(ValueError, match="finite positives"):
+                log_marginal_likelihood(train, hyp, {})
 
 
 class TestSetFromRows:

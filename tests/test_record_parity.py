@@ -46,6 +46,29 @@ def test_compare_reports_a_failed_run():
     assert verdict == "a run failed: A ok; B ['VBMCError: repeated log-joint failures']"
 
 
+def test_summary_counts_equal_runs_and_compares_medians_of_runs_both_finished():
+    failed = [None, 0, 0, ["VBMCError: repeated log-joint failures"]]
+    a = {"0": record(), "1": record(lml_err=1.5), "2": record()}
+    b = {"0": record(), "1": record(lml_err=0.2), "2": failed}
+    verdicts = [record_parity.compare(a[s], b[s]) for s in a]
+    line = record_parity.summary("lumpy-d2", a, b, verdicts)
+    assert line == (
+        "summary lumpy-d2: 1 of 3 runs content_equal; medians over the 2 runs both "
+        "sides finished, A vs B: lml_err 0.9 vs 0.25, gskl 0.1 vs 0.1, fevals 15 vs 15; "
+        "lml_err or gskl >= 1: A 1, B none"
+    )
+
+
+def test_summary_without_a_run_both_sides_finished():
+    failed = [None, 0, 0, ["VBMCError: repeated log-joint failures"]]
+    a, b = {"0": failed}, {"0": record(lml_err=2.0)}
+    line = record_parity.summary("cigar-d2", a, b, ["a run failed"])
+    assert line == (
+        "summary cigar-d2: 0 of 1 runs content_equal; no run finished on both sides; "
+        "lml_err or gskl >= 1: A none, B 0"
+    )
+
+
 def test_failed_child_is_named_with_its_side_and_exit_code(tmp_path):
     good = tmp_path / "good"
     (good / "perfbench").mkdir(parents=True)

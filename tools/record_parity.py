@@ -8,9 +8,12 @@ and calls ``execute_run`` for the chosen ``WORKLOADS`` entries (all of them
 by default) at their run seeds, or at ``--run-seeds``. Each run prints
 ``content_equal`` when the two records agree apart from wall time, or else
 the first checkpoint that differs with both sides' ``lml_err``, ``gskl``
-and variance-clamp counts (GP predictive / quadrature). Exits 1 on any
-difference; when a child process fails, names its side (A or B) and exit
-code.
+and variance-clamp counts (GP predictive / quadrature). After each
+workload's verdicts, one ``summary`` line gives its count of
+``content_equal`` runs, each side's median ``lml_err``, ``gskl`` and
+``fevals`` over the runs both sides finished, and each side's seeds whose
+``lml_err`` or ``gskl`` is at least 1. Exits 1 on any difference; when a
+child process fails, names its side (A or B) and exit code.
 
 Before the verdicts it prints one ``env`` line: the BLAS thread settings
 of the children, the numpy and scipy versions, and the SIMD target numpy
@@ -22,6 +25,7 @@ in every SIMD lane of that target.
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -89,6 +93,35 @@ def compare(a, b):
     )
 
 
+def summary(name, a, b, verdicts):
+    """The ``summary`` line of workload ``name``: ``a`` and ``b`` map each run
+    seed to a side's child result, ``verdicts`` are the runs' verdicts."""
+    equal = sum(v == "content_equal" for v in verdicts)
+    parts = [f"summary {name}: {equal} of {len(verdicts)} runs content_equal"]
+    both = [seed for seed in a if a[seed][0] and b[seed][0]]
+
+    def median(side, key):
+        return statistics.median(side[seed][0]["final"][key] for seed in both)
+
+    if both:
+        medians = ", ".join(
+            f"{key} {median(a, key):.6g} vs {median(b, key):.6g}"
+            for key in ("lml_err", "gskl", "fevals")
+        )
+        parts.append(f"medians over the {len(both)} runs both sides finished, A vs B: {medians}")
+    else:
+        parts.append("no run finished on both sides")
+    large = []
+    for label, side in zip("AB", (a, b)):
+        seeds = [
+            seed for seed, (rec, *_) in side.items()
+            if rec and (rec["final"]["lml_err"] >= 1 or rec["final"]["gskl"] >= 1)
+        ]
+        large.append(f"{label} {' '.join(seeds) or 'none'}")
+    parts.append("lml_err or gskl >= 1: " + ", ".join(large))
+    return "; ".join(parts)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("roots", nargs="*", metavar="SRC")
@@ -110,15 +143,15 @@ def main(argv=None):
     if failed:
         sys.exit("child process failed: " + "; ".join(failed))
     a, b = (json.loads(o.splitlines()[-1]) for o in outs)
-    verdicts = [
-        (name, seed, compare(a[name][seed], b[name][seed]))
-        for name in a
-        for seed in a[name]
-    ]
     print(env_line())
-    for name, seed, verdict in verdicts:
-        print(f"{name} seed {seed}: {verdict}")
-    return 0 if all(v == "content_equal" for *_, v in verdicts) else 1
+    all_equal = True
+    for name in a:
+        verdicts = [compare(a[name][seed], b[name][seed]) for seed in a[name]]
+        for seed, verdict in zip(a[name], verdicts):
+            print(f"{name} seed {seed}: {verdict}")
+        print(summary(name, a[name], b[name], verdicts))
+        all_equal = all_equal and all(v == "content_equal" for v in verdicts)
+    return 0 if all_equal else 1
 
 
 if __name__ == "__main__":
