@@ -424,6 +424,8 @@ class VBMC:
 
     def _iterate(self, rng, diag):
         """The main loop of :meth:`run`, writing to the file-like ``diag`` unless it is None."""
+        self.fevals = 0
+        self._consecutive_failures = 0
         self._history = []
 
         train, u0 = self._initial_design(rng)

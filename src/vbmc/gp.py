@@ -8,10 +8,7 @@ A hyperparameter draw is a row ``theta`` of 3D+3 numbers, and draws stack
 as rows (S, 3D+3). :func:`_layout` alone says which slice holds which block:
 ``log_ell``, ``log_sf``, ``log_sobs`` (the covariance block), then ``m0``,
 ``x_m``, ``log_omega`` (the mean block). :func:`_unpack` is the one checked
-unpacking. Two rules keep its bits: ``sf2`` and ``sobs`` come from
-``math.exp`` on each draw's Python floats (``np.exp`` rounds a few inputs
-differently), and ``sobs**2`` is a scalar ``**``, libm's ``pow`` (an array
-``**2`` is x*x, which differs on a few inputs).
+unpacking.
 
 The GP posterior has one type, :class:`HyperparamSampleSet`: S
 hyperparameter draws on one :class:`TrainingSet`, with their Cholesky
@@ -34,7 +31,6 @@ share :func:`student_t_log_norm` and :func:`student_t_log_kernel`.
 The factor, the weights and the triangular solves call LAPACK directly
 (``dpotrf``, ``dpotrs``, ``dtrtrs``), with the arguments scipy's wrappers
 pass, so they give the same bits without the wrappers' per-call overhead.
-:func:`_solve_lower` holds the one memory-order rule of the stacked solves.
 """
 
 import math
@@ -97,27 +93,24 @@ def _layout(D):
 def _unpack(theta, D):
     """``(ell, sf2, sobs, m0, x_m, omega)`` of a stack of rows (S, 3D+3), checked.
 
-    ``sf2`` = exp(2 log_sf) and ``sobs`` = max(exp(log_sobs),
-    ``SIGMA_OBS_FLOOR``) take ``math.exp`` per draw; ``ell`` and ``omega`` are
-    ``np.exp`` of their blocks. The scales are checked first, on ``np.exp``,
-    which gives inf where ``math.exp`` would raise ``OverflowError``; the
-    output scale is checked as the exp(2 log_sf) that is used.
+    Every scale is ``np.exp`` of its block: ``sf2`` = exp(2 log_sf), ``sobs``
+    = exp(log_sobs), ``ell`` and ``omega``. They are checked before the noise
+    is floored at ``SIGMA_OBS_FLOOR``.
     """
     if theta.ndim != 2 or theta.shape[1] != 3 * D + 3:
         raise ValueError(f"expected rows of {3 * D + 3} hyperparameters, got {theta.shape}")
     sl = _layout(D)
-    two_log_sf = [2.0 * v for v in theta[:, sl["log_sf"]].tolist()]
-    log_sobs = theta[:, sl["log_sobs"]].tolist()
     ell, omega = np.exp(theta[:, sl["log_ell"]]), np.exp(theta[:, sl["log_omega"]])
-    _check_scales(ell.ravel(), np.exp(two_log_sf + log_sobs), omega.ravel())
-    sf2 = np.array([math.exp(v) for v in two_log_sf])
-    sobs = np.array([max(math.exp(v), SIGMA_OBS_FLOOR) for v in log_sobs])
+    sf2 = np.exp(2.0 * theta[:, sl["log_sf"]])
+    sobs = np.exp(theta[:, sl["log_sobs"]])
+    _check_scales(ell.ravel(), sf2, sobs, omega.ravel())
+    sobs = np.maximum(sobs, SIGMA_OBS_FLOOR)
     m0, x_m = theta[:, sl["m0"]].copy(), theta[:, sl["x_m"]].copy()  # contiguous, as read
     return ell, sf2, sobs, m0, x_m, omega
 
 
 def _unpack_row(theta, D):
-    """:func:`_unpack` of one row; ``sobs`` is a float64 scalar, whose ``**`` is ``pow``."""
+    """:func:`_unpack` of one row."""
     return [block[0] for block in _unpack(theta[None], D)]
 
 
@@ -284,20 +277,15 @@ def _residual(train, theta):
 def _solve_lower(L, B):
     """``L[s]^-1 B[s]`` for every draw s of stacked lower factors ``L`` (S, n, n).
 
-    One ``dtrtrs`` call per draw, in the branch scipy's triangular solver
-    takes: a Fortran-contiguous block is solved as lower, any other block as
-    its transpose, upper, with ``trans=1``. The two orders round a
-    one-column solve differently, so this rule is what makes a draw's
-    results depend on which path last wrote its factor: :func:`gp_fit`
-    stacks Fortran blocks and :meth:`HyperparamSampleSet.with_point` a C
-    stack. Returns a C-ordered (S, n, m) stack.
+    One ``dtrtrs`` call per draw on the C-ordered block, solved as its
+    transpose, upper, with ``trans=1``: the branch scipy's triangular solver
+    takes for a C block. Returns the (S, n, m) stack of the Fortran-ordered
+    blocks ``dtrtrs`` returns, so a sum over axis -2 runs down contiguous
+    columns, as it does for one draw.
     """
     out = []
     for L_s, B_s in zip(L, B):
-        if L_s.flags.f_contiguous:
-            x, info = dtrtrs(L_s, B_s, lower=1)
-        else:
-            x, info = dtrtrs(L_s.T, B_s, lower=0, trans=1)
+        x, info = dtrtrs(L_s.T, B_s, lower=0, trans=1)
         if info > 0:
             raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
         out.append(x)
@@ -308,7 +296,8 @@ def gp_fit(train, theta):
     """Factor the Gram matrix of each row of ``theta``: a :class:`HyperparamSampleSet`.
 
     ``theta`` is one row or a stack of rows (S, 3D+3), copied. The factors
-    are stacked as Fortran blocks, and the set fits the draws on them.
+    are stacked as a C-ordered (S, n, n) array, and the set fits the draws on
+    them.
     Raises :class:`GPTrainingError` when a draw's Gram matrix stays
     indefinite under the largest jitter.
     """
@@ -317,7 +306,7 @@ def gp_fit(train, theta):
     return HyperparamSampleSet(
         train,
         theta,
-        np.array([L.T for L, _ in factors]).transpose(0, 2, 1),  # Fortran blocks
+        np.array([L for L, _ in factors]),
         np.array([jitter for _, jitter in factors]),
     )
 
@@ -492,24 +481,13 @@ class HyperparamSampleSet:
     Built from the training set ``train``, the draws ``theta`` (S, 3D+3),
     rows laid out as :func:`_layout` says, the lower Cholesky factors ``L``
     (S, n, n) of ``K + sobs^2 I`` and each draw's ``jitter`` (S,). It
-    unpacks ``theta`` once by :func:`_unpack` (``math.exp`` per draw for
-    ``sf2`` and ``sobs``) into ``ell``, ``x_m`` and ``omega`` (S, D), ``sf2``,
-    ``sobs`` and ``m0`` (S,), and the length-scaled inputs ``Xs = X / ell``
-    (S, n, D). It then fits its draws: one batched residual y - m(X) and, per
-    draw, :func:`_weights_and_lml` on ``L[s]``, which give the weights
-    ``alpha`` (S, n) and log marginal likelihoods ``lml`` (S,).
-    :meth:`cross_kernel` gives every draw's kernel between the training
-    inputs and new rows in one batched pass, for the update and for
-    prediction. Built by :func:`gp_fit` and :meth:`with_point`; immutable.
-
-    ``L`` has one of two memory orders: :func:`gp_fit` stacks Fortran-ordered
-    blocks, as LAPACK returns them, and :meth:`with_point` builds a C-ordered
-    stack. Every solve against ``L`` goes through :func:`_solve_lower`, which
-    holds the rule for the two orders; they round a one-column solve
-    differently, so a draw's results depend on which one last wrote its
-    factor. A draw that :meth:`with_point` has to refit is copied into the C
-    stack, so its next update solves on a C-ordered factor and rounds
-    differently than on the Fortran factor the refit returned.
+    unpacks ``theta`` once by :func:`_unpack` into ``ell``, ``x_m`` and
+    ``omega`` (S, D), and ``sf2``, ``sobs`` and ``m0`` (S,). It then fits its
+    draws: one batched residual y - m(X) and, per draw,
+    :func:`_weights_and_lml` on ``L[s]``, which give the weights ``alpha``
+    (S, n) and log marginal likelihoods ``lml`` (S,). Every solve against
+    ``L`` goes through :func:`_solve_lower`. Built by :func:`gp_fit` and
+    :meth:`with_point`; immutable.
     """
 
     def __init__(self, train, theta, L, jitter):
@@ -520,7 +498,6 @@ class HyperparamSampleSet:
         self.L = L
         self.jitter = jitter
         self.ell, self.sf2, self.sobs, self.m0, self.x_m, self.omega = _unpack(theta, train.D)
-        self.Xs = train.X / self.ell[:, None, :]
         resid = train.y - nq_mean(train.X, self.m0, self.x_m, self.omega)
         self.alpha, self.lml = np.empty((len(theta), train.n)), np.empty(len(theta))
         for s, L_s in enumerate(L):
@@ -529,11 +506,6 @@ class HyperparamSampleSet:
 
     def __len__(self):
         return len(self.theta)
-
-    def cross_kernel(self, X):
-        """Each draw's SE kernel between the training inputs and the rows of ``X``: (S, n, m)."""
-        d2 = sq_dist(self.Xs, X / self.ell[:, None, :])
-        return self.sf2[:, None, None] * np.exp(-0.5 * d2)
 
     def with_point(self, x_new, y_new):
         """Rank-1 update of every draw with one observation; O(S n^2).
@@ -545,10 +517,10 @@ class HyperparamSampleSet:
         x_new = np.asarray(x_new, dtype=float)
         train = self.train.with_point(x_new, y_new)
         n = self.train.n
-        c = _solve_lower(self.L, self.cross_kernel(x_new[None, :]))
-        # per-draw Python floats: a scalar s**2 is libm's pow, an array's is x*x
-        noise = np.array([f + s**2 for f, s in zip(self.sf2.tolist(), self.sobs.tolist())])
-        pivot = noise + self.jitter - (np.swapaxes(c, -1, -2) @ c)[:, 0, 0]
+        k = se_kernel_matrix(self.train.X, x_new[None, :], self.ell[:, None, :],
+                             self.sf2[:, None, None])
+        c = _solve_lower(self.L, k)
+        pivot = self.sf2 + self.sobs**2 + self.jitter - (np.swapaxes(c, -1, -2) @ c)[:, 0, 0]
         L = np.zeros((len(self), n + 1, n + 1))
         L[:, :n, :n] = self.L
         L[:, n, :n] = c[..., 0]
@@ -683,11 +655,10 @@ def marginal_predict(samples, X):
     """
     global VARIANCE_CLAMP_COUNT
     X = np.atleast_2d(X)
-    Ks = samples.cross_kernel(X)
+    Ks = se_kernel_matrix(samples.train.X, X, samples.ell[:, None, :],
+                          samples.sf2[:, None, None])
     means = nq_mean(X, samples.m0, samples.x_m, samples.omega)
     means = means + (np.swapaxes(Ks, -1, -2) @ samples.alpha[..., None])[..., 0]
-    # U's blocks come back Fortran-ordered, as for a single draw, so each
-    # column is summed over contiguous memory in the same order
     U = _solve_lower(samples.L, Ks)
     variances = samples.sf2[:, None] - np.sum(U * U, axis=-2)
     if np.any(variances < 0):

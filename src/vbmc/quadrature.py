@@ -44,12 +44,6 @@ def _kernel_normalizer(samples):
     return (2.0 * math.pi) ** (0.5 * D) * np.prod(samples.ell, axis=1)
 
 
-def _dot_w(a, w):
-    """Per-draw ``a[s] @ w`` as (1, K) @ (K, 1) matmuls: the BLAS dot one
-    draw's ``w @ a`` takes (``np.sum`` and ``einsum`` round differently)."""
-    return (a[:, None, :] @ w[:, None])[:, 0, 0]
-
-
 def z_matrix(vp, samples):
     """Cross integrals of each mixture component against each draw's kernel.
 
@@ -90,7 +84,7 @@ def expected_log_joint(vp, samples, z, t2, grad=False):
     nu = -0.5 * np.sum(quad_m / om2, axis=-1)
     alpha = samples.alpha
     i_k = (z @ alpha[..., None])[..., 0] + samples.m0[:, None] + nu
-    means = _dot_w(i_k, w)
+    means = i_k @ w
     if not grad:
         return means, None, i_k
 
@@ -145,7 +139,7 @@ def expected_log_joint_variance(vp, samples, z):
         raise ValueError("array must not contain infs or NaNs")
     U = lam_k[:, None, None] * _solve_lower(samples.L, np.swapaxes(z, -1, -2))  # (S, n, K)
     J = J - np.swapaxes(U, -1, -2) @ U
-    var = _dot_w(vp.w @ J, vp.w)
+    var = (vp.w @ J) @ vp.w
     if np.any(var < 0):
         VARIANCE_CLAMP_COUNT += int(np.sum(var < 0))
         var = np.maximum(var, 0.0)

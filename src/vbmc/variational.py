@@ -139,15 +139,13 @@ class VariationalPosterior:
         }
 
 
-# np.exp(x) is exactly 0.0 for x <= log(DBL_TRUE_MIN / 2)
-_EXP_ZERO_MAX = -745.1332191019412
 # lanes at or above this cut take NumPy's fast exp lane: exp(-707.0) is about
 # 4 DBL_MIN, and the fast lane holds down to 2 DBL_MIN (x = -707.70)
 _EXP_FAST_MIN = -707.0
 
 
 def _exp_inplace(x):
-    """``np.exp(x, out=x)`` with the same bits, for a C-contiguous ``x``; returns ``x``.
+    """``np.exp(x, out=x)`` for a C-contiguous ``x``, with 0.0 below ``_EXP_FAST_MIN``; returns ``x``.
 
     NumPy's AVX-512 ``exp`` leaves its fast lane for a whole 8-lane vector
     when one lane's result is below 2 DBL_MIN (x < -707.70): the result
@@ -157,21 +155,19 @@ def _exp_inplace(x):
     well-separated mixture hold many such lanes: in a 65,520-entry readout
     block of cigar-d2, 21% of the lanes underflow and 1.5% are subnormal,
     and ``np.exp`` took about 1 ms, against 60 us for the same block with
-    only fast lanes, and about 0.3-0.4 ms this way (2-core Xeon).
+    only fast lanes (2-core Xeon).
 
-    The lanes below ``_EXP_FAST_MIN`` are set aside. Those above
-    ``_EXP_ZERO_MAX`` are compacted and get ``np.exp`` of their compacted
-    values, on NumPy's slow path (about 150 ns each when subnormal; no
-    other formula is known to round them alike). Then every lane below the
-    cut is raised to the cut, one contiguous ``np.exp`` runs on the fast
-    lane only, the result is multiplied by the 0/1 mask of the lanes at or
-    above the cut, and the compacted results are written back. So a lane
-    at or below ``_EXP_ZERO_MAX``, -inf included, ends as exp(cut) * 0.0 =
-    0.0, which is what ``np.exp`` returns there, and NaN and +inf keep
-    ``np.exp``'s result. This is exact because NumPy's ``exp`` gives a lane
-    the same bits whichever vector it sits in; ``tests/test_variational.py``
-    pins that premise and the zero cut. Below 1024 lanes the plain call is
-    cheaper than these steps (about 10 us), so it is used.
+    So every lane below the cut is raised to the cut, one contiguous
+    ``np.exp`` runs on the fast lane only, and the result is multiplied by
+    the 0/1 mask of the lanes at or above the cut. A lane below the cut,
+    -inf included, ends as exactly 0.0, where ``np.exp`` gives at most
+    4 DBL_MIN; a lane at or above it, NaN and +inf included, keeps
+    ``np.exp``'s bits. This holds because NumPy's ``exp`` gives a lane the
+    same bits whichever vector it sits in; ``tests/test_variational.py``
+    pins that premise. A row of a max-shifted log-sum-exp sums to at least
+    1, so zeroing lanes that small leaves its bits, which the tests pin too.
+    Below 1024 lanes the plain call is cheaper than these steps (about
+    10 us), so it is used.
     """
     flat = x.reshape(-1)
     if flat.size < 1024:
@@ -179,12 +175,9 @@ def _exp_inplace(x):
     keep = flat >= _EXP_FAST_MIN
     if keep.all():
         return np.exp(x, out=x)
-    aside = np.flatnonzero((flat < _EXP_FAST_MIN) & (flat > _EXP_ZERO_MAX))
-    held = np.exp(flat[aside])
     np.maximum(x, _EXP_FAST_MIN, out=x)
     np.exp(x, out=x)
     np.multiply(flat, keep, out=flat)
-    flat[aside] = held
     return x
 
 
@@ -218,7 +211,7 @@ def _logsumexp_rows(a):
     lumpy's likelihood. The shifted copy is the one temporary of a's size,
     and ``exp`` runs on it in place. Two NumPy slow paths are kept off,
     both exactly: the row max is :func:`_row_max`, and ``exp`` is
-    :func:`_exp_inplace`, which sets underflowing lanes aside. The row sum
+    :func:`_exp_inplace`, which zeroes underflowing lanes. The row sum
     stays ``np.sum(axis=1)``, so its order of addition is NumPy's.
     """
     shift = _row_max(a)
@@ -247,7 +240,7 @@ def entropy_mc(vp, n_samples, rng, grad=True):
     responsibilities. On a well-separated mixture many of them underflow
     (about 18% of the log-sum-exp lanes over a cigar-d2 run), which sends
     NumPy's ``exp`` off its fast path, so both go through
-    :func:`_exp_inplace`, which keeps ``np.exp``'s bits.
+    :func:`_exp_inplace`, which zeroes the lanes below 4 DBL_MIN.
     """
     K, D = vp.K, vp.D
     w, mu, sigma, lam = vp.w, vp.mu, vp.sigma, vp.lam

@@ -18,8 +18,8 @@ so tests can demand the same bits from the direct calls.
 
 A GP hyperparameter draw is a row of 3D+3 numbers. :func:`hyp_row` builds
 one from named blocks and :func:`blocks` names them again; :func:`scales`
-and :func:`mean_block` exponentiate them here, with ``math.exp`` and
-``np.exp``, independently of ``vbmc.gp``'s own unpacking.
+and :func:`mean_block` exponentiate them here with ``np.exp``,
+independently of ``vbmc.gp``'s own unpacking.
 """
 
 import math
@@ -67,10 +67,10 @@ def blocks(theta):
 
 
 def scales(theta):
-    """``(ell, sf2, sobs)`` of a row: ``np.exp`` of the length scales, and
-    ``math.exp`` floats for the output scale and the floored noise."""
+    """``(ell, sf2, sobs)`` of a row: ``np.exp`` of the length scales, the
+    output scale and the noise, which is then floored."""
     log_ell, log_sf, log_sobs, *_ = blocks(theta)
-    sf2, sobs = math.exp(2.0 * float(log_sf)), math.exp(float(log_sobs))
+    sf2, sobs = np.exp(2.0 * log_sf), np.exp(log_sobs)
     return np.exp(log_ell), sf2, max(sobs, SIGMA_OBS_FLOOR)
 
 
@@ -118,7 +118,7 @@ def random_hyp(rng, D, log_sobs=math.log(1e-3)):
 
 def random_sample_set(rng, S, n, D, updates=0):
     """``S`` random draws fitted to ``n`` random points, then ``updates``
-    rank-1 updates (which turn the factors from Fortran to C order)."""
+    rank-1 updates."""
     X = rng.uniform(-2.0, 2.0, size=(n, D))
     y = rng.normal(size=n)
     samples = gp_fit(TrainingSet(X, y), [random_hyp(rng, D) for _ in range(S)])
@@ -128,8 +128,7 @@ def random_sample_set(rng, S, n, D, updates=0):
 
 
 def draws(samples):
-    """One-draw sets sliced from ``samples``; each keeps its factor's memory order
-    and fits its draw again on it."""
+    """One-draw sets sliced from ``samples``; each fits its draw again on its factor."""
     return [
         HyperparamSampleSet(
             samples.train,
@@ -154,7 +153,7 @@ def per_draw_update(samples, s, x_new, y_new):
     k = row_kernel(samples.train.X, x_new[None, :], theta)[:, 0]
     c = solve_triangular(L, k, lower=True)
     _, sf2, sobs = scales(theta)
-    d2 = sf2 + sobs**2 + jitter - c @ c
+    d2 = sf2 + sobs * sobs + jitter - c @ c  # with_point squares the noise stack: x*x
     if d2 <= 0:
         refit = gp_fit(train, theta)
         return refit.L[0], refit.jitter[0], refit.alpha[0], refit.lml[0], True
@@ -183,8 +182,13 @@ def per_draw_predict(post, X):
     return mean, np.maximum(var, 0.0)
 
 
-def per_draw_variance(vp, post):
-    """A one-draw set's clamped posterior variance of E_q[f]."""
+def per_draw_wJ(vp, post):
+    """A one-draw set's row w^T J of the posterior variance w^T J w of E_q[f].
+
+    The last product with ``w`` is left to the caller: a matrix-vector
+    product rounds a row differently with other rows around it, so the
+    variances of a stack of draws are the stacked rows times ``w``.
+    """
     ell, sf2, _ = scales(post.theta[0])
     z = z_matrix(vp, post)[0][0]
     lam_k = (2.0 * math.pi) ** (0.5 * vp.D) * float(np.prod(ell))
@@ -196,7 +200,7 @@ def per_draw_variance(vp, post):
     )
     U = lam_k * solve_triangular(post.L[0], z.T, lower=True)
     J = lam_k * sf2 * np.exp(logn) - U.T @ U
-    return max(float(vp.w @ J @ vp.w), 0.0)
+    return vp.w @ J
 
 
 def scipy_solve_lower(L, B):

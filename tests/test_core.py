@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vbmc import core as core_mod
+from vbmc.benchmark import make_lumpy
 from vbmc.core import (
     N_ACTIVE,
     N_FAST,
@@ -536,6 +537,14 @@ class TestFullRun:
         assert np.array_equal(r1.vp.to_vector(), r2.vp.to_vector())
         assert [r.elcbo for r in r1.history] == [r.elcbo for r in r2.history]
         assert r1.fevals == r2.fevals
+
+    def test_second_run_on_one_engine_starts_from_zero(self):
+        engine = VBMC(make_lumpy(2, 0).problem_spec(), VBMCOptions(max_fevals=40))
+        r1 = engine.run(seed=0)
+        r2 = engine.run(seed=0)
+        assert r2.elbo_mean == r1.elbo_mean
+        assert r2.fevals == r1.fevals <= 40
+        assert r2.iterations == r1.iterations
 
     def test_gp_sample_lines(self, tmp_path, monkeypatch):
         draws = []

@@ -278,9 +278,8 @@ class TestRank1Update:
         samples = random_sample_set(rng, S, n=15, D=2, updates=updates)
         x_new, y_new = rng.uniform(-2, 2, size=2), rng.normal()
         updated = samples.with_point(x_new, y_new)
-        # the two memory orders: Fortran blocks after a fit, a C stack after an update
-        if updates == 0:
-            assert all(L.flags.f_contiguous for L in samples.L)
+        # one memory order: a C stack after a fit and after an update
+        assert samples.L.flags.c_contiguous
         assert updated.L.flags.c_contiguous
         for s in range(S):
             L, jitter, alpha, lml, refit = per_draw_update(samples, s, x_new, y_new)
@@ -418,11 +417,8 @@ class TestDirectLapackMatchesScipy:
     def test_solve_lower(self, S, updates):
         rng = np.random.default_rng(S + 10 * updates)
         L = random_sample_set(rng, S, n=15, D=2, updates=updates).L
-        # Fortran blocks after a fit, a C stack after an update
-        if updates == 0:
-            assert all(block.flags.f_contiguous for block in L)
-        else:
-            assert L.flags.c_contiguous
+        # a C stack after a fit and after an update
+        assert L.flags.c_contiguous
         for cols in (1, 7):
             c_rhs = rng.normal(size=(S, 15 + updates, cols))
             f_rhs = np.swapaxes(rng.normal(size=(S, cols, 15 + updates)), -1, -2)
@@ -633,7 +629,7 @@ class TestHyperparamsChecks:
 
 
 class TestSetFromRows:
-    def test_scales_are_math_exp_of_each_row(self):
+    def test_scales_are_np_exp_of_each_row(self):
         # inputs where math.exp and np.exp round differently, so the set's
         # sf2 and sobs show which one made them
         rng = np.random.default_rng(60)
@@ -648,8 +644,8 @@ class TestSetFromRows:
         for updated in (samples, samples.with_point(np.array([3.5, -3.5]), 0.2)):
             assert updated.theta.tobytes() == theta.tobytes()
             for s in range(len(theta)):
-                assert updated.sf2[s] == math.exp(2 * theta[s, D])
-                assert updated.sobs[s] == max(math.exp(theta[s, D + 1]), SIGMA_OBS_FLOOR)
+                assert updated.sf2[s] == np.exp(2 * theta[s, D])
+                assert updated.sobs[s] == max(np.exp(theta[s, D + 1]), SIGMA_OBS_FLOOR)
 
 
 def capture_target(monkeypatch, train, init):
@@ -777,8 +773,7 @@ class TestMarginalPredict:
         "S, updates", [(1, 0), (1, 2), (6, 0), (6, 1), (6, 3)]
     )
     def test_batched_matches_per_draw(self, S, updates):
-        # fitted factors are Fortran-ordered, updated ones C-ordered; single
-        # query rows are where the two orders solve differently
+        # single query rows make the solves one column wide
         rng = np.random.default_rng(100 * S + updates)
         samples = random_sample_set(rng, S, n=15, D=2, updates=updates)
         queries = [rng.uniform(-3, 3, size=(rows, 2)) for rows in [1] * 20 + [2, 40]]

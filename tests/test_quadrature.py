@@ -8,7 +8,7 @@ from oracles import oracle_g_mean, oracle_g_var
 from per_draw import (
     draws,
     hyp_row,
-    per_draw_variance,
+    per_draw_wJ,
     prior_set,
     random_sample_set,
     row_kernel,
@@ -259,8 +259,7 @@ class TestBatchedSet:
         [(1, 1, 0), (1, 3, 2), (5, 1, 0), (5, 1, 2), (5, 3, 0), (5, 4, 1)],
     )
     def test_matches_per_draw(self, S, K, updates):
-        # K = 1 makes the variance's solve one column wide, where Fortran-
-        # and C-ordered factors (fitted and updated draws) round differently
+        # K = 1 makes the variance's solve one column wide
         rng = np.random.default_rng(10 * S + K + updates)
         samples = random_sample_set(rng, S, n=12, D=2, updates=updates)
         vp = VariationalPosterior(
@@ -270,9 +269,14 @@ class TestBatchedSet:
             rng.uniform(0.7, 1.3, size=2),
         )
         parts = [one_draw(vp, post, grad=True) for post in draws(samples)]
-        means = np.array([m for m, _, _ in parts])
+        i_k = np.array([i for _, _, i in parts])
+        # the sums over components run over the stack, as in the batched pass:
+        # a matrix-vector product rounds a row differently among other rows
+        means = i_k @ vp.w
         grads = np.array([g for _, g, _ in parts])
-        variances = np.array([per_draw_variance(vp, post) for post in draws(samples)])
+        grads[:, -K:] = vp.w * (i_k - means[:, None])  # the eta block reads the means
+        wJ = np.array([per_draw_wJ(vp, post) for post in draws(samples)])
+        variances = np.maximum(wJ @ vp.w, 0.0)
         between = float(np.var(means, ddof=1)) if S > 1 else 0.0
         res = quadrature(vp, samples, grad=True)
         assert res.g_mean == float(means.mean())

@@ -21,9 +21,9 @@ def test_env_line_records_threads_versions_and_exp_target():
     assert isinstance(env["numpy_exp_float64"], str) and env["numpy_exp_float64"]
 
 
-def record(wall_time=1.0, checkpoints=((10, 0.5, 0.2), (15, 0.3, 0.1)), lml_err=0.3):
+def record(wall_time=1.0, checkpoints=((10, 0.5, 0.2), (15, 0.3, 0.1)), lml_err=0.3, gskl=0.1):
     """A hand-built record, with clamp counts and no failure reasons."""
-    final = {"lml_err": lml_err, "gskl": 0.1, "fevals": checkpoints[-1][0]}
+    final = {"lml_err": lml_err, "gskl": gskl, "fevals": checkpoints[-1][0]}
     rec = {"problem_id": "lumpy_D2_s0", "checkpoints": [list(c) for c in checkpoints],
            "wall_time": wall_time, "final": final}
     return [rec, 0, 0, []]
@@ -66,6 +66,21 @@ def test_summary_without_a_run_both_sides_finished():
     assert line == (
         "summary cigar-d2: 0 of 1 runs content_equal; no run finished on both sides; "
         "lml_err or gskl >= 1: A none, B 0"
+    )
+    assert record_parity.paired("cigar-d2", a, b) == "paired cigar-d2: no run finished on both sides"
+
+
+def test_paired_counts_seeds_where_b_is_lower_or_higher():
+    failed = [None, 0, 0, ["VBMCError: repeated log-joint failures"]]
+    # seed 2's gskl differs only past the six printed digits: equal, like seed 0's
+    a = {"0": record(lml_err=0.3, gskl=0.1), "1": record(lml_err=0.5, gskl=0.2),
+         "2": record(lml_err=0.4, gskl=0.3), "3": record(lml_err=9.0)}
+    b = {"0": record(lml_err=0.2, gskl=0.1), "1": record(lml_err=0.7, gskl=0.1),
+         "2": record(lml_err=0.1, gskl=0.3000000004), "3": failed}
+    line = record_parity.paired("lumpy-d6", a, b)
+    assert line == (
+        "paired lumpy-d6: over the 3 runs both sides finished, B against A: "
+        "lml_err lower 2, higher 1; gskl lower 1, higher 0; largest lml_err 0.5 vs 0.7"
     )
 
 

@@ -8,7 +8,6 @@ from vbmc import variational
 from vbmc.gp import _sq_norms, sq_dist
 from vbmc.variational import (
     _EXP_FAST_MIN,
-    _EXP_ZERO_MAX,
     LOGPDF_BLOCK,
     VariationalPosterior,
     _exp_inplace,
@@ -125,6 +124,16 @@ class TestInPlaceBlocks:
 
 # exp(x) is a normal double for x >= log(DBL_MIN) and subnormal or 0 below
 LOG_DBL_MIN = math.log(np.finfo(float).tiny)
+# np.exp(x) is exactly 0.0 for x <= log(DBL_TRUE_MIN / 2)
+_EXP_ZERO_MAX = -745.1332191019412
+
+
+def exp_cut_reference(x):
+    """The contract of ``_exp_inplace``: ``np.exp``'s bits at and above
+    ``_EXP_FAST_MIN`` (NaN and +inf included) and 0.0 below it."""
+    ref = np.exp(x)
+    ref[x < _EXP_FAST_MIN] = 0.0
+    return ref
 
 
 def mixed_lanes(n, rng):
@@ -146,23 +155,30 @@ def mixed_lanes(n, rng):
 
 
 class TestExpLanes:
-    """``_exp_inplace`` gives ``np.exp``'s bits, and the premise it rests on."""
+    """``_exp_inplace`` gives ``np.exp``'s bits at and above its cut and 0.0
+    below it, the log-sum-exp keeps ``np.exp``'s bits, and the premise."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_np_exp_on_mixed_lanes(self, seed):
         rng = np.random.default_rng(seed)
         x = mixed_lanes(20_000 + seed, rng)[: 7 * 3000]
-        ref = np.exp(x)
-        for part in [x, x.reshape(3000, 7), x[:1000]]:  # below 1024 lanes: np.exp
+        ref = exp_cut_reference(x)
+        assert not same_bits(ref, np.exp(x))  # some lanes below the cut are not 0
+        for part in [x, x.reshape(3000, 7)]:
             got = part.copy()
             assert _exp_inplace(got) is got
-            assert same_bits(got.reshape(-1), ref[: part.size])
+            assert same_bits(got.reshape(-1), ref)
+        short = x[:1000].copy()  # below 1024 lanes: the plain np.exp
+        assert same_bits(_exp_inplace(short), np.exp(x[:1000]))
 
     def test_cut_points_and_neighbours(self):
         for cut in (_EXP_FAST_MIN, LOG_DBL_MIN, _EXP_ZERO_MAX):
             x = np.tile([np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)], 400)
-            ref = np.exp(x)
-            assert same_bits(_exp_inplace(x.copy()), ref)
+            assert same_bits(_exp_inplace(x.copy()), exp_cut_reference(x))
+        below, at = np.nextafter(_EXP_FAST_MIN, -np.inf), _EXP_FAST_MIN
+        got = _exp_inplace(np.tile([below, at], 600))
+        assert got[0] == 0.0 < np.exp(below)
+        assert same_bits(got[1], np.exp(at))
         tiny = np.finfo(float).tiny
         assert np.exp(_EXP_FAST_MIN) >= 2 * tiny
         assert LOG_DBL_MIN == -708.3964185322641
@@ -180,6 +196,19 @@ class TestExpLanes:
         x = np.linspace(-800.0, _EXP_ZERO_MAX, 200_001)
         assert x[-1] == _EXP_ZERO_MAX
         assert same_bits(np.exp(x), np.zeros_like(x))
+
+    @pytest.mark.parametrize("K", [2, 3, 7, 16, 31])
+    def test_logsumexp_rows_keeps_np_exp_bits(self, K):
+        # after the max shift every row sums to at least 1, so the lanes that
+        # _exp_inplace zeroes (below 4 DBL_MIN) do not move a row's bits
+        rng = np.random.default_rng(40 + K)
+        a = rng.uniform(-760.0, 0.0, size=(40_000 // K, K))
+        a[:, 1:][rng.random((a.shape[0], K - 1)) < 0.05] = -np.inf  # no row all -inf
+        a[rng.random(a.shape) < 0.2] -= 700.0  # more lanes near and below the cut
+        shifted = a - a.max(axis=1)[:, None]
+        zeroed = (shifted < _EXP_FAST_MIN) & (np.exp(shifted) > 0.0)
+        assert np.any(zeroed)
+        assert same_bits(_logsumexp_rows(a), logsumexp_rows_expression(a))
 
     def test_np_exp_lane_does_not_depend_on_its_vector(self):
         # the premise of _exp_inplace: the same bits for a value whether its

@@ -12,8 +12,14 @@ and variance-clamp counts (GP predictive / quadrature). After each
 workload's verdicts, one ``summary`` line gives its count of
 ``content_equal`` runs, each side's median ``lml_err``, ``gskl`` and
 ``fevals`` over the runs both sides finished, and each side's seeds whose
-``lml_err`` or ``gskl`` is at least 1. Exits 1 on any difference; when a
-child process fails, names its side (A or B) and exit code.
+``lml_err`` or ``gskl`` is at least 1. A ``paired`` line follows it: over
+the same runs, the number of seeds where B's ``lml_err`` is lower than A's
+and where it is higher, the same two counts for ``gskl``, and each side's
+largest ``lml_err``. Values are compared at the six significant digits
+the lines print, so a run that moved only in its last bits counts neither
+way. Medians alone can hide a run that got much worse.
+Exits 1 on any difference; when a child process fails, names its side (A or
+B) and exit code.
 
 Before the verdicts it prints one ``env`` line: the BLAS thread settings
 of the children, the numpy and scipy versions, and the SIMD target numpy
@@ -93,12 +99,17 @@ def compare(a, b):
     )
 
 
+def finished_by_both(a, b):
+    """The run seeds whose records both sides have."""
+    return [seed for seed in a if a[seed][0] and b[seed][0]]
+
+
 def summary(name, a, b, verdicts):
     """The ``summary`` line of workload ``name``: ``a`` and ``b`` map each run
     seed to a side's child result, ``verdicts`` are the runs' verdicts."""
     equal = sum(v == "content_equal" for v in verdicts)
     parts = [f"summary {name}: {equal} of {len(verdicts)} runs content_equal"]
-    both = [seed for seed in a if a[seed][0] and b[seed][0]]
+    both = finished_by_both(a, b)
 
     def median(side, key):
         return statistics.median(side[seed][0]["final"][key] for seed in both)
@@ -120,6 +131,26 @@ def summary(name, a, b, verdicts):
         large.append(f"{label} {' '.join(seeds) or 'none'}")
     parts.append("lml_err or gskl >= 1: " + ", ".join(large))
     return "; ".join(parts)
+
+
+def paired(name, a, b):
+    """The ``paired`` line of workload ``name``, seed by seed over the runs
+    both sides finished; ``a`` and ``b`` are as for :func:`summary`."""
+    both = finished_by_both(a, b)
+    if not both:
+        return f"paired {name}: no run finished on both sides"
+    finals = [(a[seed][0]["final"], b[seed][0]["final"]) for seed in both]
+    counts = []
+    for key in ("lml_err", "gskl"):
+        pairs = [(float(f"{fa[key]:.6g}"), float(f"{fb[key]:.6g}")) for fa, fb in finals]
+        lower = sum(vb < va for va, vb in pairs)
+        higher = sum(vb > va for va, vb in pairs)
+        counts.append(f"{key} lower {lower}, higher {higher}")
+    top_a, top_b = (max(f[side]["lml_err"] for f in finals) for side in (0, 1))
+    return (
+        f"paired {name}: over the {len(both)} runs both sides finished, B against A: "
+        f"{'; '.join(counts)}; largest lml_err {top_a:.6g} vs {top_b:.6g}"
+    )
 
 
 def main(argv=None):
@@ -150,6 +181,7 @@ def main(argv=None):
         for seed, verdict in zip(a[name], verdicts):
             print(f"{name} seed {seed}: {verdict}")
         print(summary(name, a[name], b[name], verdicts))
+        print(paired(name, a[name], b[name]))
         all_equal = all_equal and all(v == "content_equal" for v in verdicts)
     return 0 if all_equal else 1
 
