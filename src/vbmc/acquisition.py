@@ -60,17 +60,16 @@ def log_acquisition(samples, vp, X, kind):
     X = np.atleast_2d(X)
     fbar, var = marginal_predict(samples, X)
     logq = vp.logpdf(X)
-    with np.errstate(divide="ignore"):
-        log_v = np.where(var > 0, np.log(np.maximum(var, 1e-300)), -np.inf)
+    # the log and the quotient read max(V, 1e-300) > 0, so neither warns
+    log_v = np.where(var > 0, np.log(np.maximum(var, 1e-300)), -np.inf)
     if kind == "us":
         out = log_v + 2.0 * logq
     else:
         out = log_v + logq + fbar
     # regularization: exp{-(V_reg/V - 1)} below the variance threshold
     small = var < V_REG
-    if np.any(small):
-        with np.errstate(divide="ignore"):
-            penalty = np.where(var > 0, V_REG / np.maximum(var, 1e-300) - 1.0, np.inf)
+    if small.any():
+        penalty = np.where(var > 0, V_REG / np.maximum(var, 1e-300) - 1.0, np.inf)
         out = np.where(small, out - penalty, out)
     return out
 

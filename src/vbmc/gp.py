@@ -33,6 +33,7 @@ The factor, the weights and the triangular solves call LAPACK directly
 pass, so they give the same bits without the wrappers' per-call overhead.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -62,6 +63,8 @@ THIN_SWEEPS = 3  # slice-sampling sweeps per retained draw
 N_RESTARTS = 3  # MAP restarts from hyperprior draws
 HPD_FRACTION = 0.8  # share of the training points, by value, in the highest-density subset
 HYPERPRIOR_DF = 3.0  # degrees of freedom of the Student-t hyperpriors
+# entries of one (draws, n, rows) kernel block of ``marginal_predict``: 512 KB
+PREDICT_BLOCK = 2**16
 
 # Diagnostics: number of times a numerically negative predictive variance
 # was clamped to zero.
@@ -174,15 +177,24 @@ def sq_dist(a, b):
     already divided by their shared length scales; rounding can make the
     expansion slightly negative, so it is clamped at zero. Axes before the
     last two are batch axes: one distance matrix per hyperparameter draw.
-    The three terms are combined in the buffer of the product ``a b^T``.
     The row norms |a|^2 and |b|^2 are :func:`_sq_norms`: the bits of
     ``(a * a).sum(-1)`` without NumPy's slow reduction over short rows.
     """
-    d2 = a @ b.swapaxes(-1, -2)
-    # |a|^2 - 2 a.b + |b|^2, left to right, with no (m, k) temporary
+    return _sq_dist_to(None, a, _sq_norms(a), b, _sq_norms(b))
+
+
+def _sq_dist_to(out, a, a2, b, b2):
+    """:func:`sq_dist` of ``a`` and ``b`` with their row norms ``a2`` and ``b2``, in ``out``.
+
+    ``out`` is a C-ordered buffer of the result's shape, or None for a new
+    one. The three terms are combined in the buffer of the product
+    ``a b^T``, left to right, with no (m, k) temporary. Callers may pass
+    norms they keep, as :func:`_sq_norms` computed them.
+    """
+    d2 = np.matmul(a, b.swapaxes(-1, -2), out=out)
     np.multiply(d2, 2.0, out=d2)
-    np.subtract(_sq_norms(a)[..., :, None], d2, out=d2)
-    np.add(d2, _sq_norms(b)[..., None, :], out=d2)
+    np.subtract(a2[..., :, None], d2, out=d2)
+    np.add(d2, b2[..., None, :], out=d2)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -207,8 +219,15 @@ def _sq_norms(a):
 
 def se_kernel_matrix(X1, X2, ell, sf2):
     """Squared-exponential kernel with length scales ``ell``; ``sf2`` on the diagonal."""
-    d2 = sq_dist(np.atleast_2d(X1) / ell, np.atleast_2d(X2) / ell)
-    return sf2 * np.exp(-0.5 * d2)
+    return _se_in_place(sq_dist(np.atleast_2d(X1) / ell, np.atleast_2d(X2) / ell), sf2)
+
+
+def _se_in_place(d2, sf2):
+    """The one SE-kernel formula, sf2 exp(-d2 / 2), written over the squared distances ``d2``."""
+    np.multiply(d2, -0.5, out=d2)
+    np.exp(d2, out=d2)
+    np.multiply(d2, sf2, out=d2)
+    return d2
 
 
 def nq_mean(X, m0, x_m, omega):
@@ -277,19 +296,23 @@ def _residual(train, theta):
 def _solve_lower(L, B):
     """``L[s]^-1 B[s]`` for every draw s of stacked lower factors ``L`` (S, n, n).
 
-    One ``dtrtrs`` call per draw on the C-ordered block, solved as its
-    transpose, upper, with ``trans=1``: the branch scipy's triangular solver
-    takes for a C block. Returns the (S, n, m) stack of the Fortran-ordered
-    blocks ``dtrtrs`` returns, so a sum over axis -2 runs down contiguous
-    columns, as it does for one draw.
+    One ``dtrtrs`` call per draw, on the draw's factor as its transpose,
+    upper, with ``trans=1``: the branch scipy's triangular solver takes for
+    a C block. ``B`` (S, n, m) is copied once into a stack of
+    Fortran-ordered blocks, laid out as ``np.stack`` lays out the blocks
+    ``dtrtrs`` returns (an m = 1 block is C-ordered too), and each draw is
+    solved in place in its block. So a sum over axis -2 runs down
+    contiguous columns, as it does for one draw, and no per-draw copy or
+    restacking is made.
     """
-    out = []
-    for L_s, B_s in zip(L, B):
-        x, info = dtrtrs(L_s.T, B_s, lower=0, trans=1)
+    S, n, m = B.shape
+    X = np.empty((S, m, n)).swapaxes(1, 2) if m > 1 else np.empty(B.shape)
+    np.copyto(X, B)
+    for L_s, X_s in zip(L, X):
+        info = dtrtrs(L_s.T, X_s, lower=0, trans=1, overwrite_b=1)[1]
         if info > 0:
             raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-        out.append(x)
-    return np.stack(out)
+    return X
 
 
 def gp_fit(train, theta):
@@ -420,7 +443,8 @@ class GPHyperprior:
         self.mean = mean
         self.scale = np.maximum(scale, self.SCALE_FLOOR)
         self.has_prior = has_prior
-        # the Student-t terms that do not depend on theta, for logpdf
+        # the Student-t entries and the terms that do not depend on theta, for logpdf
+        self._prior_index = np.flatnonzero(has_prior)
         self._mean_p = mean[has_prior]
         self._scale_p = self.scale[has_prior]
         self._log_norm_p = student_t_log_norm(HYPERPRIOR_DF) - np.log(self._scale_p)
@@ -450,11 +474,16 @@ class GPHyperprior:
         self.widths = np.clip(np.where(self.has_prior, self.scale, 1.0), 0.1, 2.0)
 
     def logpdf(self, theta):
-        theta = np.asarray(theta)
+        """Log density at the row ``theta`` (an array); -inf outside the hard bounds.
+
+        It runs on every slice-target evaluation, so the Student-t entries
+        are gathered by a precomputed integer index, which is cheaper than
+        a boolean mask and gives the same values in the same order.
+        """
         for value, (lo, hi) in zip(theta.tolist(), self._bounds):
             if value < lo or value > hi:
                 return -np.inf
-        z = (theta[self.has_prior] - self._mean_p) / self._scale_p
+        z = (theta[self._prior_index] - self._mean_p) / self._scale_p
         return float((self._log_norm_p - student_t_log_kernel(z, HYPERPRIOR_DF)).sum())
 
     def grad_logpdf(self, theta):
@@ -483,23 +512,29 @@ class HyperparamSampleSet:
     (S, n, n) of ``K + sobs^2 I`` and each draw's ``jitter`` (S,). It
     unpacks ``theta`` once by :func:`_unpack` into ``ell``, ``x_m`` and
     ``omega`` (S, D), and ``sf2``, ``sobs`` and ``m0`` (S,). It then fits its
-    draws: one batched residual y - m(X) and, per draw,
-    :func:`_weights_and_lml` on ``L[s]``, which give the weights ``alpha``
-    (S, n) and log marginal likelihoods ``lml`` (S,). Every solve against
-    ``L`` goes through :func:`_solve_lower`. Built by :func:`gp_fit` and
-    :meth:`with_point`; immutable.
+    draws (:meth:`_fit`): the training inputs divided by each draw's length
+    scales and their squared norms, which every prediction reads, one
+    batched residual y - m(X) and, per draw, :func:`_weights_and_lml` on
+    ``L[s]``, which give the weights ``alpha`` (S, n) and log marginal
+    likelihoods ``lml`` (S,). Every solve against ``L`` goes through
+    :func:`_solve_lower`. Built by :func:`gp_fit` and :meth:`with_point`;
+    immutable.
     """
 
     def __init__(self, train, theta, L, jitter):
         if len(theta) < 1:
             raise ValueError("need at least one hyperparameter sample")
-        self.train = train
         self.theta = theta
-        self.L = L
-        self.jitter = jitter
         self.ell, self.sf2, self.sobs, self.m0, self.x_m, self.omega = _unpack(theta, train.D)
+        self._fit(train, L, jitter)
+
+    def _fit(self, train, L, jitter):
+        """Fit the unpacked draws to ``train`` on the factors ``L``: every array that reads the data."""
+        self.train, self.L, self.jitter = train, L, jitter
+        self._Xs = train.X / self.ell[:, None, :]  # (S, n, D), and its row norms (S, n)
+        self._Xs2 = _sq_norms(self._Xs)
         resid = train.y - nq_mean(train.X, self.m0, self.x_m, self.omega)
-        self.alpha, self.lml = np.empty((len(theta), train.n)), np.empty(len(theta))
+        self.alpha, self.lml = np.empty((len(self.theta), train.n)), np.empty(len(self.theta))
         for s, L_s in enumerate(L):
             log_det = np.log(np.diag(L_s)).sum()
             self.alpha[s], self.lml[s] = _weights_and_lml(resid[s], L_s, log_det)
@@ -511,14 +546,15 @@ class HyperparamSampleSet:
         """Rank-1 update of every draw with one observation; O(S n^2).
 
         One batched pass borders each factor with the new kernel column.
-        A draw whose new pivot is not positive gets a fresh factor; the new
-        set then fits every draw on its factor.
+        A draw whose new pivot is not positive gets a fresh factor. The new
+        set keeps this set's unpacked draws and fits them on its factors.
         """
         x_new = np.asarray(x_new, dtype=float)
         train = self.train.with_point(x_new, y_new)
         n = self.train.n
-        k = se_kernel_matrix(self.train.X, x_new[None, :], self.ell[:, None, :],
-                             self.sf2[:, None, None])
+        b = x_new[None, :] / self.ell[:, None, :]
+        k = _se_in_place(_sq_dist_to(None, self._Xs, self._Xs2, b, _sq_norms(b)),
+                         self.sf2[:, None, None])
         c = _solve_lower(self.L, k)
         pivot = self.sf2 + self.sobs**2 + self.jitter - (np.swapaxes(c, -1, -2) @ c)[:, 0, 0]
         L = np.zeros((len(self), n + 1, n + 1))
@@ -528,7 +564,9 @@ class HyperparamSampleSet:
         jitter = self.jitter.copy()
         for s in np.flatnonzero(pivot <= 0):  # the bordered factor lost positive definiteness
             L[s], jitter[s] = _factor_gram(train, self.theta[s])
-        return HyperparamSampleSet(train, self.theta, L, jitter)
+        updated = copy.copy(self)
+        updated._fit(train, L, jitter)
+        return updated
 
 
 def n_gp_schedule(n):
@@ -647,25 +685,42 @@ def optimize_hyperparameters(train, init, rng):
 def marginal_predict(samples, X):
     """Predictive mean and variance marginalized over hyperparameter draws.
 
-    One batched pass computes each draw's latent mean and variance (no
-    observation noise; a variance that rounds negative is clamped at zero).
+    Each draw's latent mean and variance (no observation noise; a variance
+    that rounds negative is clamped at zero) are built in blocks of draws,
+    as many as fit ``PREDICT_BLOCK`` kernel entries (draws, n, rows), at
+    least one. A block's kernel is written in one reused buffer from the
+    set's scaled training inputs and their norms, and its solves are
+    squared in place. So a call on the 1,002 seed probes of a search holds
+    one (n, rows) kernel at a time, and a CMA-ES generation's few rows are
+    one batched block. Every product and solve is per draw, so a value
+    does not depend on how the draws are blocked. It does depend on the
+    number of rows scored with it: that count changes how BLAS rounds the
+    mean's matrix-vector product and the triangular solves.
     The mean averages the per-draw means; the variance averages the
     per-draw variances and adds the unbiased sample variance of the means
     (zero for a single draw).
     """
     global VARIANCE_CLAMP_COUNT
     X = np.atleast_2d(X)
-    Ks = se_kernel_matrix(samples.train.X, X, samples.ell[:, None, :],
-                          samples.sf2[:, None, None])
-    means = nq_mean(X, samples.m0, samples.x_m, samples.omega)
-    means = means + (np.swapaxes(Ks, -1, -2) @ samples.alpha[..., None])[..., 0]
-    U = _solve_lower(samples.L, Ks)
-    variances = samples.sf2[:, None] - np.sum(U * U, axis=-2)
-    if np.any(variances < 0):
-        VARIANCE_CLAMP_COUNT += int(np.sum(variances < 0))
-        variances = np.maximum(variances, 0.0)
-    mean = means.mean(axis=0)
+    S, n, m = len(samples), samples.train.n, X.shape[0]
+    step = max(1, PREDICT_BLOCK // max(1, n * m))
+    buf = np.empty((min(step, S), n, m))
+    means, variances = np.empty((S, m)), np.empty((S, m))
+    for start in range(0, S, step):
+        blk = slice(start, start + step)
+        b = X / samples.ell[blk, None, :]
+        d2 = _sq_dist_to(buf[: len(b)], samples._Xs[blk], samples._Xs2[blk], b, _sq_norms(b))
+        Ks = _se_in_place(d2, samples.sf2[blk, None, None])
+        np.add(nq_mean(X, samples.m0[blk], samples.x_m[blk], samples.omega[blk]),
+               (np.swapaxes(Ks, -1, -2) @ samples.alpha[blk, :, None])[..., 0], out=means[blk])
+        U = _solve_lower(samples.L[blk], Ks)
+        np.multiply(U, U, out=U)
+        np.subtract(samples.sf2[blk, None], U.sum(axis=-2), out=variances[blk])
+    if (variances < 0).any():
+        VARIANCE_CLAMP_COUNT += int(np.count_nonzero(variances < 0))
+        np.maximum(variances, 0.0, out=variances)
+    mean = means.mean(axis=0, keepdims=True)
     var = variances.mean(axis=0)
-    if len(samples) > 1:
-        var = var + means.var(axis=0, ddof=1)
-    return mean, var
+    if S > 1:
+        var += means.var(axis=0, ddof=1, mean=mean)
+    return mean[0], var

@@ -8,11 +8,12 @@ log lambda, and weight logits eta (softmax gauge).
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .gp import sq_dist
+from .gp import _sq_dist_to, _sq_norms
 
 __all__ = [
     "VariationalPosterior",
@@ -52,30 +53,48 @@ class VariationalPosterior:
     def D(self):
         return self.mu.shape[1]
 
+    @cached_property
+    def _density_terms(self):
+        """What :meth:`log_components` reads of the mixture, computed on its first call.
+
+        ``(mu_s, mu_s2, sigma2, log_norm, log_w)``: the means in lambda units
+        and their squared norms, sigma_k^2, each component's log normalizer
+        base - D log sigma_k, and log w_k (-inf for a zero weight). A
+        posterior is never changed after it is built.
+        """
+        mu_s = self.mu / self.lam
+        base = -0.5 * self.D * _LOG_2PI - np.sum(np.log(self.lam))
+        with np.errstate(divide="ignore"):
+            log_w = np.log(self.w)
+        return mu_s, _sq_norms(mu_s), self.sigma**2, base - self.D * np.log(self.sigma), log_w
+
     def log_components(self, X):
         """Squared distances and weighted component log densities at rows of ``X``.
 
         Returns ``(d2, logwG)``, both (m, K): ``d2`` is each row's squared
-        distance to each mean in lambda units, and ``logwG`` is
-        log w_k + log N_k(x). These are the only two (m, K) arrays made:
-        ``logwG`` is built in one buffer, with the operations and the order
-        of base - D log sigma_k - (d2 / 2) / sigma_k^2 + log w_k.
+        distance to each mean in lambda units (``gp.sq_dist``), and
+        ``logwG`` is log w_k + log N_k(x). These are the only two (m, K)
+        arrays made: ``logwG`` is built in one buffer, with the operations
+        and the order of base - D log sigma_k - (d2 / 2) / sigma_k^2 +
+        log w_k. The terms that do not depend on ``X`` are
+        :attr:`_density_terms`.
         """
         X = np.atleast_2d(X)
-        d2 = sq_dist(X / self.lam, self.mu / self.lam)
-        base = -0.5 * self.D * _LOG_2PI - np.sum(np.log(self.lam))
+        mu_s, mu_s2, sigma2, log_norm, log_w = self._density_terms
+        a = X / self.lam
+        d2 = _sq_dist_to(None, a, _sq_norms(a), mu_s, mu_s2)
         logwG = np.multiply(d2, 0.5)
-        np.divide(logwG, self.sigma**2, out=logwG)
-        np.subtract(base - self.D * np.log(self.sigma), logwG, out=logwG)
-        with np.errstate(divide="ignore"):
-            np.add(logwG, np.log(self.w), out=logwG)
+        np.divide(logwG, sigma2, out=logwG)
+        np.subtract(log_norm, logwG, out=logwG)
+        np.add(logwG, log_w, out=logwG)
         return d2, logwG
 
     def logpdf(self, X):
         """Mixture log density at rows of ``X`` (max-shifted log-sum-exp).
 
         Rows go in blocks of ``LOGPDF_BLOCK // K``. Every operation acts row
-        by row, so a row's value does not depend on the block it is in.
+        by row, so a row's value does not depend on the block it is in. The
+        mixture's own terms are :attr:`_density_terms`, computed once.
         """
         X2 = np.atleast_2d(X)
         out = np.empty(X2.shape[0])
@@ -229,7 +248,8 @@ def entropy_mc(vp, n_samples, rng, grad=True):
     ``65536 // K`` draws for a value-only call, so large counts need little
     memory, with the densities from :meth:`VariationalPosterior.logpdf`;
     and one block for a gradient call, which reuses its draws and
-    densities. The gradient is the derivative of this estimate holding
+    densities. A value-only block builds its points in the buffer of its
+    draws; a gradient block keeps its draws. The gradient is the derivative of this estimate holding
     the draws fixed (common random numbers), so it matches finite
     differences of the estimator itself; it is an unbiased estimate of the
     entropy gradient. Returned in vector-space layout (means, log sigma,
@@ -252,7 +272,11 @@ def entropy_mc(vp, n_samples, rng, grad=True):
         Ns = min(block, n_samples - done)
         P = Ns * K
         eps = rng.standard_normal((Ns, K, D))
-        xif = (mu + sigma[:, None] * (lam * eps)).reshape(P, D)
+        # mu + sigma_k (lam * eps), built in eps itself when only the value is needed
+        xi = np.multiply(eps, lam, out=None if grad else eps)
+        np.multiply(xi, sigma[:, None], out=xi)
+        np.add(xi, mu, out=xi)
+        xif = xi.reshape(P, D)
         if grad:
             # squared distances in lambda units and weighted log densities, (P, K)
             M0, logwG = vp.log_components(xif)

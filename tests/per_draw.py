@@ -171,14 +171,19 @@ def per_draw_update(samples, s, x_new, y_new):
     return L_new, jitter, alpha, lml, False
 
 
-def per_draw_predict(post, X):
-    """A one-draw set's latent mean and clamped variance at rows of ``X``."""
+def per_draw_latent(post, X):
+    """A one-draw set's latent mean and variance at rows of ``X``, not clamped."""
     X = np.atleast_2d(X)
     theta = post.theta[0]
     Ks = row_kernel(post.train.X, X, theta)
     mean = row_mean(X, theta) + Ks.T @ post.alpha[0]
     U = solve_triangular(post.L[0], Ks, lower=True, check_finite=False)
-    var = scales(theta)[1] - np.sum(U * U, axis=0)
+    return mean, scales(theta)[1] - np.sum(U * U, axis=0)
+
+
+def per_draw_predict(post, X):
+    """A one-draw set's latent mean and clamped variance at rows of ``X``."""
+    mean, var = per_draw_latent(post, X)
     return mean, np.maximum(var, 0.0)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cmaes_reference import reference_cma_maximize
 from per_draw import hyp_row, prior_set
 from vbmc.acquisition import (
     AcquisitionError,
@@ -92,6 +93,48 @@ class TestCMA:
             for _ in range(2)
         ]
         assert np.array_equal(out[0], out[1])
+
+
+def cma_problem(seed, D):
+    """A seeded box problem for ``cma_maximize``: ``(f, x0, lb, ub)``.
+
+    A bumpy quadratic; seed 0 puts its peak outside the box, so the search
+    is clipped at the box, and seed 1 scores -inf on half of the box.
+    """
+    rng = np.random.default_rng(seed)
+    lb, ub = rng.uniform(-3.0, -1.0, size=D), rng.uniform(1.0, 3.0, size=D)
+    center = rng.uniform(lb, ub)
+    if seed == 0:
+        center = ub + 1.0
+    widths = rng.uniform(0.2, 2.0, size=D)
+    freq = rng.uniform(1.0, 5.0, size=D)
+
+    def f(X):
+        val = -np.sum(((X - center) / widths) ** 2, axis=1) + 0.3 * np.sin(X @ freq)
+        if seed == 1:
+            val = np.where(X[:, 0] > center[0], -np.inf, val)
+        return val
+
+    return f, rng.uniform(lb, ub), lb, ub
+
+
+class TestCMAReference:
+    """``cma_maximize`` runs the reference loop in ``cmaes_reference``, bit for bit."""
+
+    @pytest.mark.parametrize("D", [2, 6])
+    def test_same_result_and_generator_state(self, D):
+        clipped = 0
+        for seed in range(50):
+            f, x0, lb, ub = cma_problem(seed, D)
+            rng, rng_ref = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+            budget = {"max_gen": 40 + seed, "patience": 5 + seed % 20}
+            x, v = cma_maximize(f, x0, lb, ub, rng, **budget)
+            x_ref, v_ref = reference_cma_maximize(f, x0, lb, ub, rng_ref, **budget)
+            assert np.array_equal(x, x_ref)
+            assert v == v_ref
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+            clipped += bool(np.any(x == ub))
+        assert clipped >= 1
 
 
 class TestAcquisitionValues:

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import solve_triangular
 
 from per_draw import (
     blocks,
     draws,
     hyp_row,
+    per_draw_latent,
     per_draw_lml,
     per_draw_predict,
     per_draw_sample_hyperparameters,
@@ -425,6 +428,19 @@ class TestDirectLapackMatchesScipy:
             for B in (c_rhs, f_rhs):
                 assert np.array_equal(gpm._solve_lower(L, B), scipy_solve_lower(L, B))
 
+    @pytest.mark.parametrize("S", [1, 6])
+    @pytest.mark.parametrize("cols", [1, 7])
+    def test_solve_lower_lays_out_blocks_as_a_stack(self, S, cols):
+        # a product's BLAS path reads the strides, so the solved blocks keep
+        # the layout np.stack gives the Fortran blocks dtrtrs returns
+        rng = np.random.default_rng(10 * S + cols)
+        L = random_sample_set(rng, S, n=15, D=2).L
+        B = rng.normal(size=(S, 15, cols))
+        stacked = np.stack([solve_triangular(L_s, B_s, lower=True) for L_s, B_s in zip(L, B)])
+        got = gpm._solve_lower(L, B)
+        assert got.strides == stacked.strides
+        assert np.array_equal(got, stacked)
+
     def test_factor_gram(self):
         rng = np.random.default_rng(31)
         cases = [(draw_gp_data(hyp, 30, rng), hyp) for hyp in (simple_hyp(D=2),)]
@@ -768,6 +784,18 @@ class TestSliceTargetMemo:
                 log_marginal_likelihood(train, theta, memo)
 
 
+def marginal_reference(samples, xs):
+    """``marginal_predict`` from each draw's own solve: ``(mean, var, clamps)``."""
+    parts = [per_draw_latent(post, xs) for post in draws(samples)]
+    means = np.array([m for m, _ in parts])
+    variances = np.array([v for _, v in parts])
+    clamps = int(np.sum(variances < 0))
+    var = np.maximum(variances, 0.0).mean(axis=0)
+    if len(samples) > 1:
+        var = var + means.var(axis=0, ddof=1)
+    return means.mean(axis=0), var, clamps
+
+
 class TestMarginalPredict:
     @pytest.mark.parametrize(
         "S, updates", [(1, 0), (1, 2), (6, 0), (6, 1), (6, 3)]
@@ -786,6 +814,62 @@ class TestMarginalPredict:
             m, v = marginal_predict(samples, xs)
             assert np.array_equal(m, means.mean(axis=0))
             assert np.array_equal(v, var)
+
+    @pytest.mark.parametrize("D", [2, 6])
+    @pytest.mark.parametrize("n", [20, 65])
+    @pytest.mark.parametrize("S", [1, 8, 18])
+    def test_probe_and_generation_calls_match_per_draw(self, S, n, D):
+        # the search's two call sizes: 1,002 seed probes, which go one draw
+        # per kernel block at n = 65, and a 6-row CMA-ES generation, one block
+        rng = np.random.default_rng(1000 * S + 10 * n + D)
+        samples = random_sample_set(rng, S, n=n, D=D, updates=2)
+        for rows in (1002, 6):
+            xs = rng.uniform(-3, 3, size=(rows, D))
+            mean, var, _ = marginal_reference(samples, xs)
+            m, v = marginal_predict(samples, xs)
+            assert np.array_equal(m, mean)
+            assert np.array_equal(v, var)
+
+    @pytest.mark.parametrize("S", [1, 6])
+    def test_clamp_count_matches_per_draw(self, S, monkeypatch):
+        # tiny noise and a large output scale: at the training inputs the
+        # variance is of order sobs^2 = 1e-10 against rounding of order
+        # eps * sf2 = 2e-9, so some rows round negative
+        rng = np.random.default_rng(7 + S)
+        X = rng.uniform(-1, 1, size=(20, 2))
+        hyps = []
+        for _ in range(S):
+            log_ell, _, _, m0, x_m, log_omega = blocks(random_hyp(rng, 2))
+            hyps.append(hyp_row(log_ell + 1.0, 8.0, math.log(1e-5), m0, x_m, log_omega))
+        samples = gp_fit(TrainingSet(X, rng.normal(size=20)), hyps)
+        xs = np.vstack([X, X + 1e-9, rng.uniform(-1, 1, size=(1002 - 40, 2))])
+        mean, var, clamps = marginal_reference(samples, xs)
+        assert clamps > 0
+        monkeypatch.setattr(gpm, "VARIANCE_CLAMP_COUNT", 0)
+        m, v = marginal_predict(samples, xs)
+        assert gpm.VARIANCE_CLAMP_COUNT == clamps
+        assert np.array_equal(m, mean)
+        assert np.array_equal(v, var)
+
+    def test_probe_call_holds_one_kernel_block(self):
+        S, n, rows = 18, 65, 1002
+        samples = random_sample_set(np.random.default_rng(3), S, n=n, D=2)
+        xs = np.random.default_rng(4).uniform(-3, 3, size=(rows, 2))
+        marginal_predict(samples, xs)  # first call: imports and caches out of the count
+        tracemalloc.start()
+        try:
+            marginal_predict(samples, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one stacked (S, n, rows) array alone is 9.4 MB
+        assert S * n * rows * 8 > 9.3e6
+        assert peak < 4e6
+
+    def test_no_rows(self):
+        samples = random_sample_set(np.random.default_rng(5), 3, n=10, D=2)
+        m, v = marginal_predict(samples, np.empty((0, 2)))
+        assert m.shape == v.shape == (0,)
 
     def test_two_identical_samples(self):
         hyp = simple_hyp()

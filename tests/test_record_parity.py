@@ -93,3 +93,22 @@ def test_failed_child_is_named_with_its_side_and_exit_code(tmp_path):
     with pytest.raises(SystemExit) as info:
         record_parity.main([str(bad), str(good)])
     assert str(info.value) == f"child process failed: side A ({bad}) exited with code 1"
+
+
+def test_peak_rss_line_from_hand_given_numbers():
+    assert record_parity.peak_rss(104.4, 89.71) == "peak_rss A 104.4 MB, B 89.7 MB"
+
+
+def test_peak_rss_line_ends_the_output_of_two_children(tmp_path, capsys):
+    roots = []
+    for side in "ab":
+        root = tmp_path / side
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "workloads.py").write_text("WORKLOADS = {}\n")
+        roots.append(str(root))
+    assert record_parity.main(roots) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("env ")
+    kind, a, a_mb, unit_a, b, b_mb, unit_b = lines[-1].replace(",", "").split()
+    assert (kind, a, unit_a, b, unit_b) == ("peak_rss", "A", "MB", "B", "MB")
+    assert float(a_mb) > 0 and float(b_mb) > 0

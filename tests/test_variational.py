@@ -290,6 +290,53 @@ class TestEntropyBits:
             assert same_bits(g, g_ref)
 
 
+def entropy_value_reference(vp, n_samples, rng):
+    """``entropy_mc(grad=False)`` with each block's points built as the
+    expression mu + sigma[:, None] * (lam * eps), a fresh array per operation."""
+    block = max(1, 65536 // vp.K)
+    total, done = 0.0, 0
+    while done < n_samples:
+        Ns = min(block, n_samples - done)
+        eps = rng.standard_normal((Ns, vp.K, vp.D))
+        xi = (vp.mu + vp.sigma[:, None] * (vp.lam * eps)).reshape(Ns * vp.K, vp.D)
+        total += float(np.sum(vp.logpdf(xi).reshape(Ns, vp.K) @ vp.w))
+        done += Ns
+    return -total / n_samples
+
+
+class TestEntropyValueInPlace:
+    """The value path builds its points in the draw buffer, with the expression's bits."""
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 20, 21])
+    def test_matches_the_expression(self, K, monkeypatch):
+        # the estimate alone would hide a point that moved by an ulp, so the
+        # points each block passes to logpdf are compared too
+        rng = np.random.default_rng(40 + K)
+        vp = random_vp(K, 3, rng)
+        points = []
+        logpdf = VariationalPosterior.logpdf
+
+        def spy(self, X):
+            points[-1].append(X.copy())
+            return logpdf(self, X)
+
+        monkeypatch.setattr(VariationalPosterior, "logpdf", spy)
+        block = 65536 // K
+        for n in (block + 17, 2 * block + 5, 999):
+            assert n % block
+            gen, gen_ref = np.random.default_rng(n), np.random.default_rng(n)
+            points.append([])
+            H, none = entropy_mc(vp, n, gen, grad=False)
+            points.append([])
+            H_ref = entropy_value_reference(vp, n, gen_ref)
+            assert none is None
+            assert H == H_ref
+            assert gen.bit_generator.state == gen_ref.bit_generator.state
+            got, ref = points[-2:]
+            assert len(got) == len(ref) == -(-n // block)
+            assert all(np.array_equal(x, y) for x, y in zip(got, ref))
+
+
 class TestSampling:
     def test_zero_scale_collapses_to_means(self):
         vp = VariationalPosterior(

@@ -18,6 +18,9 @@ and where it is higher, the same two counts for ``gskl``, and each side's
 largest ``lml_err``. Values are compared at the six significant digits
 the lines print, so a run that moved only in its last bits counts neither
 way. Medians alone can hide a run that got much worse.
+After all verdicts, one ``peak_rss`` line gives each child's peak resident
+set size (``ru_maxrss``), so one command shows both a change's bits and its
+memory. The children run side by side, each with its own memory.
 Exits 1 on any difference; when a child process fails, names its side (A or
 B) and exit code.
 
@@ -31,6 +34,7 @@ in every SIMD lane of that target.
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -39,7 +43,8 @@ THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS
 
 
 def child(root, names, seeds):
-    """Run the workloads of the checkout at ``root``; print the records as JSON."""
+    """Run the workloads of the checkout at ``root``; print the records and the
+    process's peak resident set size in MB as JSON."""
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
 
@@ -51,7 +56,8 @@ def child(root, names, seeds):
             o = workloads.run_once(w, seed)
             record = o.record.to_json() if o.record else None
             out[name][seed] = [record, o.gp_clamps, o.quad_clamps, o.reasons]
-    print(json.dumps(out))
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(json.dumps({"records": out, "peak_rss_mb": peak}))
 
 
 def start(root, args):
@@ -153,6 +159,11 @@ def paired(name, a, b):
     )
 
 
+def peak_rss(a_mb, b_mb):
+    """The ``peak_rss`` line: each side's peak resident set size in MB."""
+    return f"peak_rss A {a_mb:.1f} MB, B {b_mb:.1f} MB"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("roots", nargs="*", metavar="SRC")
@@ -173,7 +184,8 @@ def main(argv=None):
     ]
     if failed:
         sys.exit("child process failed: " + "; ".join(failed))
-    a, b = (json.loads(o.splitlines()[-1]) for o in outs)
+    side_a, side_b = (json.loads(o.splitlines()[-1]) for o in outs)
+    a, b = side_a["records"], side_b["records"]
     print(env_line())
     all_equal = True
     for name in a:
@@ -183,6 +195,7 @@ def main(argv=None):
         print(summary(name, a[name], b[name], verdicts))
         print(paired(name, a[name], b[name]))
         all_equal = all_equal and all(v == "content_equal" for v in verdicts)
+    print(peak_rss(side_a["peak_rss_mb"], side_b["peak_rss_mb"]))
     return 0 if all_equal else 1
 
 
