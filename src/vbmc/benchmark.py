@@ -1,16 +1,16 @@
-"""Synthetic inference problems with ground truth, metrics, and the runner.
+"""Synthetic inference problems with ground truth, metrics, and seeded runs.
 
 Three target families exercise distinct difficulties: ``lumpy`` (a mildly
 multimodal 12-component Gaussian mixture), ``student`` (heavy tails,
 per-dimension Student-t), and ``cigar`` (a randomly rotated Gaussian with
 a 100:1 axis ratio). Each problem pairs a likelihood with a broad Gaussian
 prior and carries its analytic (or quadrature) log marginal likelihood and
-posterior moments. The runner executes seeded inference sweeps, records
-per-iteration metrics, and summarizes medians with bootstrap intervals.
+posterior moments. :func:`execute_run` makes one seeded inference run and
+records its per-iteration metrics; :func:`summarize_records` takes the
+JSON records of a sweep (``vbmc run``) to medians with bootstrap intervals.
 """
 
 import csv
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -32,10 +32,9 @@ __all__ = [
     "metric_lml_error",
     "metric_gskl",
     "verify_ground_truth",
-    "RunConfig",
     "run_budget",
     "BenchmarkRecord",
-    "run_benchmark",
+    "execute_run",
     "summarize_records",
 ]
 
@@ -282,6 +281,7 @@ def metric_gskl(mean, cov, problem):
     return float(gaussian_skl(mean, cov, problem.post_mean, problem.post_cov))
 
 
+GROUND_TRUTH_TOL = 0.05  # largest |lml - lml_true| a verify_ground_truth report may show
 VERIFY_CHUNK_ROWS = 4096  # rows per log_joint_rows call: bounds the (rows, 12, D) lumpy array
 
 
@@ -342,21 +342,7 @@ def verify_ground_truth(problem, rng=None, n_is=200_000):
     return {"method": "importance", "lml": float(lml), "mean": mean, "ess": ess}
 
 
-# -- runner ------------------------------------------------------------
-
-
-@dataclass
-class RunConfig:
-    """A benchmark sweep: problems x seeds under one algorithm config."""
-
-    families: tuple = ("lumpy",)
-    dims: tuple = (2,)
-    seeds: tuple = tuple(range(20))
-    acq: str = "pro"
-    budget_multiplier: float = 1.0
-    problem_seed: int = 0
-    meta_seed: int = 0
-    out: str = "records.jsonl"
+# -- runs --------------------------------------------------------------
 
 
 @dataclass
@@ -399,9 +385,11 @@ class BenchmarkRecord:
 def run_budget(D, budget_multiplier):
     """Evaluations of one run at dimension ``D``: ``budget_multiplier`` x 50 (D + 2).
 
-    Raises ``ValueError`` when that is fewer than the ``N_INIT`` evaluations
-    of the initial design.
+    Raises ``ValueError`` when the multiplier is not finite, or when the
+    budget is fewer than the ``N_INIT`` evaluations of the initial design.
     """
+    if not math.isfinite(budget_multiplier):
+        raise ValueError(f"budget multiplier {budget_multiplier} is not finite")
     budget = int(round(budget_multiplier * 50 * (D + 2)))
     if budget < N_INIT:
         raise ValueError(
@@ -458,50 +446,6 @@ def execute_run(family, D, problem_seed, run_seed, acq, budget_multiplier, meta_
     )
 
 
-def run_benchmark(config, progress=None):
-    """Execute the sweep and append records to ``config.out`` (JSON lines).
-
-    Every problem and budget is built first, so a bad (family, D) pair or a
-    budget below the initial design raises ``ValueError`` before any check
-    (see :func:`run_budget`); then ground truth is cross-checked once
-    per problem before any run. Runs go one after another in task order,
-    and each record is appended as its run ends, so a failing run keeps the
-    earlier records. A sweep is sharded by starting several processes with
-    disjoint ``seeds``.
-    """
-    problems = [
-        make_problem(family, D, config.problem_seed)
-        for family in config.families for D in config.dims
-    ]
-    for D in config.dims:
-        run_budget(D, config.budget_multiplier)
-    tasks = []
-    for problem in problems:
-        report = verify_ground_truth(problem)
-        if abs(report["lml"] - problem.lml_true) > 0.05:
-            raise RuntimeError(
-                f"ground-truth cross-check failed for {problem.problem_id}: "
-                f"{problem.lml_true:.4f} vs {report['lml']:.4f} "
-                f"({report['method']})"
-            )
-        for seed in config.seeds:
-            tasks.append(
-                (problem.family, problem.D, config.problem_seed, seed, config.acq,
-                 config.budget_multiplier, config.meta_seed)
-            )
-
-    records = []
-    for task in tasks:
-        rec = execute_run(*task)
-        records.append(rec)
-        if config.out:
-            with open(config.out, "a") as fh:
-                fh.write(json.dumps(rec.to_json()) + "\n")
-        if progress:
-            progress(rec)
-    return records
-
-
 def _bootstrap_ci(values, rng):
     """``CI_LEVEL`` interval of the median over ``N_BOOT`` bootstrap resamples."""
     values = np.asarray(values, dtype=float)
@@ -517,10 +461,12 @@ def _bootstrap_ci(values, rng):
 
 def summarize_records(records, boot_seed=0):
     """Per-problem medians of the final metrics with bootstrap 95% CIs, and
-    the shares of runs that end stable and whose final ELBO SD is exactly 0."""
+    the shares of runs that end stable and whose final ELBO SD is exactly 0.
+
+    ``records`` are JSON records: ``BenchmarkRecord.to_json`` dicts, as a
+    records file holds them."""
     groups = {}
     for rec in records:
-        rec = rec.to_json() if isinstance(rec, BenchmarkRecord) else rec
         groups.setdefault((rec["family"], rec["D"]), []).append(rec)
     rows = []
     rng = np.random.default_rng(boot_seed)
@@ -557,12 +503,11 @@ def write_summary_csv(rows, path):
 
 
 def write_long_csv(records, path):
-    """Plot-ready long format: one row per (run, checkpoint)."""
+    """Plot-ready long format: one row per (run, checkpoint) of the JSON ``records``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["family", "D", "seed", "evals", "lml_err", "gskl"])
         for rec in records:
-            rec = rec.to_json() if isinstance(rec, BenchmarkRecord) else rec
             for evals, lml_err, gskl in rec["checkpoints"]:
                 writer.writerow(
                     [rec["family"], rec["D"], rec["run_seed"], evals, lml_err, gskl]

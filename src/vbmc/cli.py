@@ -1,4 +1,8 @@
-"""Command-line interface: problem generation, benchmark sweeps, inference."""
+"""Command-line interface: problem generation, benchmark sweeps, inference.
+
+A sweep is ``vbmc run``, one JSON line per ``benchmark.execute_run``;
+``vbmc summarize`` and ``--long-csv`` read those JSON records.
+"""
 
 import argparse
 import dataclasses
@@ -10,9 +14,9 @@ import numpy as np
 from .acquisition import ACQUISITION_KINDS
 from .benchmark import (
     FAMILIES,
-    RunConfig,
+    GROUND_TRUTH_TOL,
+    execute_run,
     make_problem,
-    run_benchmark,
     run_budget,
     summarize_records,
     verify_ground_truth,
@@ -125,6 +129,8 @@ def _cmd_generate(args):
 
 
 def _cmd_run(args):
+    """Check every input and each problem's ground truth, then append each run's
+    record to ``--out`` as it ends; disjoint seed ranges shard a sweep."""
     for flag, value, least in (
         ("--seeds", args.seeds, 1), ("--seed-start", args.seed_start, 0),
         ("--meta-seed", args.meta_seed, 0),
@@ -133,7 +139,8 @@ def _cmd_run(args):
             print(f"vbmc run: {flag} must be at least {least}, got {value}", file=sys.stderr)
             return 2
     pairs = [(family, D) for family in args.family for D in args.dims]
-    if _build_problems("run", pairs, args.problem_seed) is None:
+    problems = _build_problems("run", pairs, args.problem_seed)
+    if problems is None:
         return 2
     try:
         for D in args.dims:
@@ -141,30 +148,31 @@ def _cmd_run(args):
     except ValueError as err:
         print(f"vbmc run: {err}", file=sys.stderr)
         return 2
-    config = RunConfig(
-        families=tuple(args.family),
-        dims=tuple(args.dims),
-        seeds=tuple(range(args.seed_start, args.seed_start + args.seeds)),
-        acq=args.acq,
-        budget_multiplier=args.budget_multiplier,
-        problem_seed=args.problem_seed,
-        meta_seed=args.meta_seed,
-        out=args.out,
-    )
-
-    def progress(rec):
-        print(
-            f"{rec.problem_id} seed {rec.run_seed}: "
-            f"lml_err {rec.final['lml_err']:.3f} gskl {rec.final['gskl']:.3f} "
-            f"({rec.wall_time:.0f}s)",
-            flush=True,
-        )
-
-    records = run_benchmark(config, progress=progress)
+    for problem in problems:
+        report = verify_ground_truth(problem)
+        if abs(report["lml"] - problem.lml_true) > GROUND_TRUTH_TOL:
+            raise RuntimeError(
+                f"ground-truth cross-check failed for {problem.problem_id}: "
+                f"{problem.lml_true:.4f} vs {report['lml']:.4f} "
+                f"({report['method']})"
+            )
+    records = []
+    for problem in problems:
+        for seed in range(args.seed_start, args.seed_start + args.seeds):
+            rec = execute_run(problem.family, problem.D, args.problem_seed, seed, args.acq,
+                              args.budget_multiplier, args.meta_seed).to_json()
+            records.append(rec)
+            with open(args.out, "a") as fh:
+                fh.write(json.dumps(rec) + "\n")
+            print(
+                f"{rec['problem_id']} seed {seed}: "
+                f"lml_err {rec['final']['lml_err']:.3f} gskl {rec['final']['gskl']:.3f} "
+                f"({rec['wall_time']:.0f}s)",
+                flush=True,
+            )
     if args.long_csv:
         write_long_csv(records, args.long_csv)
-    rows = summarize_records(records)
-    for row in rows:
+    for row in summarize_records(records):
         print(
             f"{row['family']} D={row['D']}: median lml_err "
             f"{row['lml_err_median']:.3f} gskl {row['gskl_median']:.3f} "

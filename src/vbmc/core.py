@@ -22,6 +22,7 @@ from .acquisition import (
     search_box,
 )
 from .gp import (
+    GPTrainingError,
     TrainingSet,
     default_hyperparams,
     gp_fit,
@@ -281,6 +282,8 @@ class VBMC:
             x0 = np.atleast_1d(np.asarray(problem.x0, float))
             if x0.shape != (self.D,):
                 raise ValueError(f"x0 has {x0.size} values; the problem has D={self.D}")
+            if not np.all(np.isfinite(x0)):
+                raise ValueError(f"x0 must be finite, got {x0.tolist()}")
             self._u0 = self.transform.to_internal(x0)
         self.fevals = 0
         self._consecutive_failures = 0
@@ -414,13 +417,17 @@ class VBMC:
         ``diagnostics`` is None, a file-like target, or a path. Each iteration
         writes one JSON line to it (see :func:`_write_iteration`). A
         file-like target is left open; a path is opened for writing here and
-        closed however the run ends.
+        closed however the run ends. A GP that cannot be trained ends the
+        run with a :class:`VBMCError` carrying the history.
         """
         rng = np.random.default_rng(seed)
-        if diagnostics is None or hasattr(diagnostics, "write"):
-            return self._iterate(rng, diagnostics)
-        with open(diagnostics, "w") as fh:
-            return self._iterate(rng, fh)
+        try:
+            if diagnostics is None or hasattr(diagnostics, "write"):
+                return self._iterate(rng, diagnostics)
+            with open(diagnostics, "w") as fh:
+                return self._iterate(rng, fh)
+        except GPTrainingError as err:
+            raise VBMCError(f"GP training failed: {err}", history=self._history) from err
 
     def _iterate(self, rng, diag):
         """The main loop of :meth:`run`, writing to the file-like ``diag`` unless it is None."""

@@ -609,7 +609,8 @@ def sample_hyperparameters(train, n_gp, init, rng):
     or the :class:`GPTrainingError` that block raised (see
     :func:`log_marginal_likelihood`). Equal bytes give the same factor, so
     the draws are those of a target that factors on every evaluation, bit
-    for bit.
+    for bit. Raises :class:`GPTrainingError` when neither start, ``init``
+    nor the default hyperparameters, has a finite target.
     """
     if train.n < 2:
         raise ValueError("hyperparameter sampling requires at least 2 points")
@@ -629,6 +630,10 @@ def sample_hyperparameters(train, n_gp, init, rng):
     theta0 = _clip_to(init, prior)
     if not np.isfinite(target(theta0)):
         theta0 = _clip_to(default_hyperparams(train), prior)
+        if not np.isfinite(target(theta0)):
+            raise GPTrainingError(
+                "the hyperparameter posterior is not finite at the last or the default start"
+            )
     thetas = slice_sample(
         target,
         theta0,

@@ -31,8 +31,9 @@ class ParameterTransform:
     Parameters
     ----------
     lb, ub : array_like, shape (D,)
-        Hard bounds in original coordinates. Use ``-inf``/``+inf`` for
-        unbounded dimensions. Half-bounded dimensions are rejected.
+        Hard bounds in original coordinates. Use exactly ``lb = -inf`` and
+        ``ub = +inf`` for unbounded dimensions; a NaN bound, an infinite
+        bound of the wrong sign and a half-bounded dimension are rejected.
     plb, pub : array_like, shape (D,)
         Plausible bounds in original coordinates, identifying a region of
         high posterior mass. Must satisfy ``lb < plb < pub < ub`` on
@@ -58,6 +59,13 @@ class ParameterTransform:
 
         lb_fin = np.isfinite(self.lb)
         ub_fin = np.isfinite(self.ub)
+        bad_bound = ~(lb_fin | (self.lb == -np.inf)) | ~(ub_fin | (self.ub == np.inf))
+        if np.any(bad_bound):
+            bad = int(np.flatnonzero(bad_bound)[0])
+            raise ValueError(
+                f"dimension {bad} has lb={self.lb[bad]} and ub={self.ub[bad]}; a hard "
+                "bound is a number, or -inf as lb and +inf as ub"
+            )
         if np.any(lb_fin != ub_fin):
             bad = int(np.flatnonzero(lb_fin != ub_fin)[0])
             raise ValueError(

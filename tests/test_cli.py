@@ -61,10 +61,13 @@ def test_run_and_summarize_round_trip(tmp_path, capsys):
         (["generate", "--family", "student", "--problem-seed", "-1"], "seed=-1"),
         (["run", "--seeds", "0"], "--seeds must be at least 1, got 0"),
         (["run", "--seeds", "-2"], "--seeds must be at least 1, got -2"),
+        (["run", "--budget-multiplier", "inf"], "budget multiplier inf is not finite"),
+        (["run", "--budget-multiplier", "nan"], "budget multiplier nan is not finite"),
     ],
     ids=["run_cigar_d1", "run_d0", "generate_d0", "run_seed_start_negative",
          "run_meta_seed_negative", "run_problem_seed_negative",
-         "generate_problem_seed_negative", "run_no_seeds", "run_negative_seeds"],
+         "generate_problem_seed_negative", "run_no_seeds", "run_negative_seeds",
+         "run_budget_multiplier_inf", "run_budget_multiplier_nan"],
 )
 def test_run_and_generate_reject_bad_pair_before_any_check(
     tmp_path, capsys, monkeypatch, argv, message
@@ -321,6 +324,18 @@ def test_infer_rejects_unknown_acquisition(tmp_path, capsys):
         ),
         ({"problem": {"family": "lumpy", "D": 2}, "x0": [0.5, "a"]}, "the x0 in"),
         (
+            {"problem": {"family": "lumpy", "D": 2}, "x0": [float("nan"), 0.5]},
+            "x0 must be finite, got [nan, 0.5]",
+        ),
+        (
+            {
+                "problem": {"family": "lumpy", "D": 2},
+                "bounds": {"lb": [None, "inf"], "ub": [None, "inf"],
+                           "plb": [-1.0, -1.0], "pub": [1.0, 1.0]},
+            },
+            "dimension 1 has lb=inf and ub=inf",
+        ),
+        (
             {"problem": {"family": "lumpy", "D": 2}, "options": {"diag_gp_samples": "false"}},
             "diag_gp_samples must be true or false, got 'false'",
         ),
@@ -350,7 +365,7 @@ def test_infer_rejects_unknown_acquisition(tmp_path, capsys):
     ids=["unknown_family", "cigar_d1", "half_bounded", "missing_D", "missing_family",
          "x0_wrong_length", "x0_empty", "D0", "D_array", "D_bool", "D_fraction", "D_float",
          "problem_seed_array", "seed_object", "seed_bool", "x0_object", "x0_string_entry",
-         "diag_gp_samples_string", "seed_negative", "problem_seed_negative",
+         "x0_nan", "bounds_plus_inf_lb", "diag_gp_samples_string", "seed_negative", "problem_seed_negative",
          "lb_null", "lb_number", "lb_object_entry", "plb_object_entry", "plb_bool_entry"],
 )
 def test_infer_rejects_bad_problem_or_bounds(tmp_path, capsys, monkeypatch, block, message):

@@ -366,7 +366,7 @@ def inf_spikes(inner):
 
 
 class TestFailureInjection:
-    @pytest.mark.parametrize("case", ["nan_half_space", "inf_spikes", "constant"])
+    @pytest.mark.parametrize("case", ["nan_half_space", "inf_spikes", "constant", "huge"])
     def test_ends_in_result_or_error_with_history(self, case):
         spec, *_ = conjugate_problem()
         inner = spec.log_joint
@@ -374,6 +374,7 @@ class TestFailureInjection:
             "nan_half_space": lambda x: float("nan") if x[0] > 0.4 else inner(x),
             "inf_spikes": inf_spikes(inner),
             "constant": lambda x: -1.5,
+            "huge": lambda x: 1e300 - x[0] ** 2,
         }[case]
         eng = VBMC(spec, VBMCOptions(max_fevals=40))
         try:
@@ -443,8 +444,11 @@ class TestX0:
         [
             ((-np.inf, np.inf), [0.1, 0.2, 0.3], "x0 has 3 values; the problem has D=1"),
             ((-2.0, 2.0), [2.5], "out of bounds on bounded dimension 0"),
+            ((-np.inf, np.inf), [np.nan], r"x0 must be finite, got \[nan\]"),
+            ((-np.inf, np.inf), [np.inf], r"x0 must be finite, got \[inf\]"),
+            ((-2.0, 2.0), [np.nan], r"x0 must be finite, got \[nan\]"),
         ],
-        ids=["wrong_length", "outside_bounds"],
+        ids=["wrong_length", "outside_bounds", "nan", "inf", "nan_bounded"],
     )
     def test_bad_x0_raises_when_built(self, bounds, x0, message):
         spec, *_ = conjugate_problem()

@@ -134,6 +134,17 @@ def test_half_bounded_rejected():
         ParameterTransform([0.0], [np.inf], [1.0], [2.0])
 
 
+@pytest.mark.parametrize(
+    "lb, ub",
+    [(np.nan, np.nan), (np.inf, np.inf), (-np.inf, -np.inf), (np.inf, -np.inf),
+     (-np.inf, np.nan), (np.nan, 1.0)],
+    ids=["nan", "plus_inf_lb", "minus_inf_ub", "swapped_inf", "nan_ub", "nan_lb_finite_ub"],
+)
+def test_malformed_hard_bound_rejected(lb, ub):
+    with pytest.raises(ValueError, match=r"dimension 1 has lb=.*a hard bound is a number"):
+        ParameterTransform([-np.inf, lb], [np.inf, ub], [-1.0, 0.0], [1.0, 0.5])
+
+
 def test_bad_plausible_order_rejected():
     with pytest.raises(ValueError):
         ParameterTransform([0.0], [1.0], [0.7], [0.3])
