@@ -213,7 +213,7 @@ def reliability_features(history, D):
 
 def termination_status(history, fevals, max_fevals, warmup):
     """(done, stable): long-term stability or exhausted budget."""
-    budget_done = fevals >= max_fevals or fevals + N_ACTIVE > max_fevals
+    budget_done = fevals + N_ACTIVE > max_fevals
     if warmup or len(history) < N_STABLE:
         return budget_done, False
     cur = history[-1]
@@ -442,17 +442,17 @@ class VBMC:
         warmup = True
         stop_sampling = False
         stop_strikes = 0
-        # true on the first iteration and after warm-up's trim: no active
+        # None on the first iteration and after warm-up's trim: no active
         # sampling, and N_FAST_FIRST starting candidates
-        fresh = True
         samples = None
         t = 0
 
         while True:
             t += 1
-            if not fresh:
-                # warm-up's trim replaces train and makes the next
-                # iteration fresh, so here train is always samples.train
+            n_fast = N_FAST_FIRST if samples is None else N_FAST
+            if samples is not None:
+                # warm-up's trim replaces train and clears samples, so here
+                # train is always samples.train
                 samples = self._active_sample_batch(samples, vp, rng)
                 train = samples.train
 
@@ -464,8 +464,6 @@ class VBMC:
                 # growth only; shrinking happens through pruning
                 K_target = max(vp.K, k_schedule(self._history, vp.K, train.n))
 
-            n_fast = N_FAST_FIRST if fresh else N_FAST
-            fresh = False
             vp_init = select_starting_points(
                 vp, K_target, n_fast, samples, rng, warmup=warmup
             )
@@ -500,7 +498,7 @@ class VBMC:
             if warmup and warmup_should_end([r.elcbo for r in self._history]):
                 warmup = False
                 train = self._trim(train)
-                fresh = True
+                samples = None
                 logger.info("warm-up ended at iteration %d (n=%d after trim)",
                             t, train.n)
 

@@ -1,14 +1,17 @@
 """Stochastic optimization of the mean ELBO over variational parameters.
 
 Uses Adam with a time-decaying learning rate on the unbounded parameter
-vector. The quadrature part of the gradient is analytic; the entropy part
-is a Monte Carlo estimate with fresh draws per step. Candidate starting
-points are generated by jittering, rescaling, and reweighting the current
-posterior (splitting components first when K grows).
+vector, whose layout :meth:`VariationalPosterior.layout` holds. The
+quadrature part of the gradient is analytic; the entropy part is a Monte
+Carlo estimate with fresh draws per step. :func:`adam_step` and
+:func:`learning_rate` are pure functions: Adam's moments and step count are
+locals of :func:`optimize_elbo`'s loop, which stops the run with a
+``RuntimeError`` at the first non-finite value or gradient. Candidate
+starting points are generated by jittering, rescaling, and reweighting the
+current posterior (splitting components first when K grows).
 """
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,7 +19,6 @@ from .quadrature import elbo, quadrature
 from .variational import VariationalPosterior, entropy_mc
 
 __all__ = [
-    "AdamState",
     "learning_rate",
     "adam_step",
     "split_component",
@@ -43,37 +45,19 @@ N_ENTROPY = 100  # entropy draws per Adam step and per starting candidate
 N_ENTROPY_READOUT = 2**15  # entropy draws of the final ELBO estimate
 
 
-@dataclass
-class AdamState:
-    """Adam accumulators and the learning rate's starting value."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-    alpha_max: float = ALPHA_MAX_MAIN
-
-    @classmethod
-    def fresh(cls, size, **kw):
-        return cls(m=np.zeros(size), v=np.zeros(size), **kw)
-
-
-def learning_rate(state):
+def learning_rate(t, alpha_max):
     """Decaying step size: ALPHA_MIN + (alpha_max - ALPHA_MIN) e^{-t/TAU}."""
-    return ALPHA_MIN + (state.alpha_max - ALPHA_MIN) * math.exp(-state.t / TAU)
+    return ALPHA_MIN + (alpha_max - ALPHA_MIN) * math.exp(-t / TAU)
 
 
-def adam_step(state, theta, grad):
-    """One bias-corrected Adam descent step; returns (state, theta)."""
-    if not np.all(np.isfinite(grad)):
-        raise FloatingPointError("non-finite gradient in Adam step")
-    t = state.t + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad**2
-    state = replace(state, m=m, v=v, t=t)
+def adam_step(theta, grad, m, v, t, alpha_max):
+    """Bias-corrected Adam descent step ``t`` (counted from 1); returns (theta, m, v)."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad**2
     m_hat = m / (1.0 - ADAM_BETA1**t)
     v_hat = v / (1.0 - ADAM_BETA2**t)
-    theta = theta - learning_rate(state) * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return state, theta
+    theta = theta - learning_rate(t, alpha_max) * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return theta, m, v
 
 
 def _neg_elbo_and_grad(theta, K, D, samples, rng, freeze_weights):
@@ -84,7 +68,7 @@ def _neg_elbo_and_grad(theta, K, D, samples, rng, freeze_weights):
     value = quad.g_mean + H
     grad = quad.grad + gH
     if freeze_weights:
-        grad[K * (D + 1) + D :] = 0.0
+        grad[VariationalPosterior.layout(K, D)["eta"]] = 0.0
     return -value, -grad
 
 
@@ -151,46 +135,40 @@ def optimize_elbo(vp0, samples, rng, warmup=False):
     stabilizes (or at ``ADAM_MAX_ITER``), then re-estimates the ELBO with a
     large fresh entropy sample. During warm-up the weights stay frozen and
     the learning rate starts at ``ALPHA_MAX_WARMUP`` instead of
-    ``ALPHA_MAX_MAIN``.
+    ``ALPHA_MAX_MAIN``. Raises ``RuntimeError`` at the first step whose
+    value or gradient is not finite.
     """
     K, D = vp0.K, vp0.D
     theta = vp0.to_vector()
     alpha_max = ALPHA_MAX_WARMUP if warmup else ALPHA_MAX_MAIN
-    state = AdamState.fresh(theta.size, alpha_max=alpha_max)
+    m = v = np.zeros(theta.size)
 
     values = []
-    theta_window = [theta.copy()]
+    theta_boundary = theta  # the parameters at the last window boundary
     stalls = 0
     for it in range(ADAM_MAX_ITER):
-        for attempt in range(4):
-            try:
-                value, grad = _neg_elbo_and_grad(theta, K, D, samples, rng, warmup)
-                if np.isfinite(value):
-                    state, theta = adam_step(state, theta, grad)
-                    break
-                raise FloatingPointError("non-finite ELBO value")
-            except FloatingPointError:
-                if attempt == 3:
-                    raise RuntimeError(
-                        f"ELBO optimization produced non-finite values at step {it} "
-                        f"(K={K}, D={D})"
-                    )
+        value, grad = _neg_elbo_and_grad(theta, K, D, samples, rng, warmup)
+        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+            raise RuntimeError(
+                f"ELBO optimization produced non-finite values at step {it} (K={K}, D={D})"
+            )
+        theta, m, v = adam_step(theta, grad, m, v, it + 1, alpha_max)
         values.append(-value)
-        theta_window.append(theta.copy())
-        if len(theta_window) > N_BATCH + 1:
-            theta_window.pop(0)
+        if len(values) % N_BATCH:
+            continue
 
         # check on disjoint windows; per-step checks over-trigger on noise.
         # The value test is one-sided (improvement below tolerance) and must
         # hold on two consecutive windows, so an entropy-noise dip while the
         # objective is still climbing rarely stops the run early.
-        if len(values) >= 2 * N_BATCH and len(values) % N_BATCH == 0:
+        if len(values) >= 2 * N_BATCH:
             recent = np.mean(values[-N_BATCH:])
             previous = np.mean(values[-2 * N_BATCH : -N_BATCH])
             stalls = stalls + 1 if recent - previous < TOL_VALUE else 0
-            moved = math.sqrt(np.mean((theta - theta_window[0]) ** 2))
+            moved = math.sqrt(np.mean((theta - theta_boundary) ** 2))
             if stalls >= 2 or moved < TOL_PARAM:
                 break
+        theta_boundary = theta
 
     vp = VariationalPosterior.from_vector(theta, K, D)
     est = elbo(vp, samples, N_ENTROPY_READOUT, rng)

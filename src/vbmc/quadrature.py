@@ -73,8 +73,9 @@ def expected_log_joint(vp, samples, z, t2, grad=False):
     """Posterior mean of E_q[f] under each draw, from ``z_matrix`` output.
 
     Returns ``(means, grads, i_k)``: the (S,) means, their (S, P) gradients
-    in vector-space layout (or None), and the (S, K) per-component
-    integrals.
+    in vector space (or None), and the (S, K) per-component integrals. The
+    gradients are packed by :meth:`VariationalPosterior.vector_grad`, which
+    holds the layout.
     """
     w, mu, sigma, lam = vp.w, vp.mu, vp.sigma, vp.lam
     x_m, om2 = samples.x_m[:, None, :], samples.omega[:, None, :] ** 2
@@ -107,14 +108,8 @@ def expected_log_joint(vp, samples, z, t2, grad=False):
         - sigma[:, None] ** 2 / om2
     )
 
-    grads = np.concatenate(
-        [
-            (w[:, None] * d_mu).reshape(len(samples), -1),
-            w * d_sigma * sigma,
-            lam * np.sum(w[:, None] * d_lam, axis=-2),
-            w * (i_k - means[:, None]),
-        ],
-        axis=-1,
+    grads = vp.vector_grad(
+        w[:, None] * d_mu, w * d_sigma, np.sum(w[:, None] * d_lam, axis=-2), i_k
     )
     return means, grads, i_k
 

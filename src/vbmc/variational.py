@@ -5,6 +5,8 @@ A posterior with K components over D dimensions has weights ``w``, means
 ``lam``; component k is N(mu_k, sigma_k^2 diag(lam^2)). The unbounded
 parameter vector used by the optimizer stacks all means, log sigma,
 log lambda, and weight logits eta (softmax gauge).
+:meth:`VariationalPosterior.layout` alone says where each block sits, and
+:meth:`VariationalPosterior.vector_grad` alone maps a gradient into it.
 """
 
 import math
@@ -118,23 +120,55 @@ class VariationalPosterior:
         cov += np.diag((self.w @ self.sigma**2) * self.lam**2)
         return mean, cov
 
+    @staticmethod
+    def layout(K, D):
+        """Where each block of the parameter vector sits: the layout, written only here.
+
+        ``mu`` (the K x D means, row by row), ``log_sigma`` (K), ``log_lam``
+        (D) and ``eta`` (K weight logits, softmax gauge), in that order.
+        """
+        a, b, c = K * D, K * (D + 1), K * (D + 1) + D
+        return {"mu": slice(0, a), "log_sigma": slice(a, b), "log_lam": slice(b, c),
+                "eta": slice(c, c + K)}
+
+    def _stack(self, mu, log_sigma, log_lam, eta):
+        """Vectors in :meth:`layout` order from four blocks with the same leading axes."""
+        sl = self.layout(self.K, self.D)
+        lead = np.shape(eta)[:-1]
+        theta = np.empty(lead + (sl["eta"].stop,))
+        theta[..., sl["mu"]] = np.reshape(mu, lead + (-1,))
+        theta[..., sl["log_sigma"]] = log_sigma
+        theta[..., sl["log_lam"]] = log_lam
+        theta[..., sl["eta"]] = eta
+        return theta
+
     def to_vector(self):
-        """Flat unbounded parameters: means, log sigma, log lambda, eta."""
-        return np.concatenate(
-            [self.mu.ravel(), np.log(self.sigma), np.log(self.lam), np.log(self.w)]
+        """Flat unbounded parameters in :meth:`layout` order."""
+        return self._stack(self.mu, np.log(self.sigma), np.log(self.lam), np.log(self.w))
+
+    def vector_grad(self, g_mu, g_sigma, g_lam, g_w):
+        """Gradient in vector space from gradients with respect to mu, sigma, lam and w.
+
+        The four take shapes (..., K, D), (..., K), (..., D) and (..., K)
+        with the same leading axes, one per gradient. The chain rule is
+        written only here: x sigma for log sigma, x lam for log lam, and the
+        softmax projection w (g_w - g_w . w) for eta.
+        """
+        w = self.w
+        return self._stack(
+            g_mu, g_sigma * self.sigma, g_lam * self.lam, w * (g_w - (g_w @ w)[..., None])
         )
 
     @classmethod
     def from_vector(cls, theta, K, D):
         theta = np.asarray(theta, dtype=float)
-        if theta.size != K * (D + 2) + D:
-            raise ValueError(
-                f"expected {K * (D + 2) + D} parameters, got {theta.size}"
-            )
-        mu = theta[: K * D].reshape(K, D)
-        sigma = np.exp(theta[K * D : K * D + K])
-        lam = np.exp(theta[K * D + K : K * D + K + D])
-        eta = theta[K * D + K + D :]
+        sl = cls.layout(K, D)
+        if theta.size != sl["eta"].stop:
+            raise ValueError(f"expected {sl['eta'].stop} parameters, got {theta.size}")
+        mu = theta[sl["mu"]].reshape(K, D)
+        sigma = np.exp(theta[sl["log_sigma"]])
+        lam = np.exp(theta[sl["log_lam"]])
+        eta = theta[sl["eta"]]
         w = np.exp(eta - eta.max())
         w /= w.sum()
         return cls(w, mu, sigma, lam)
@@ -252,8 +286,8 @@ def entropy_mc(vp, n_samples, rng, grad=True):
     draws; a gradient block keeps its draws. The gradient is the derivative of this estimate holding
     the draws fixed (common random numbers), so it matches finite
     differences of the estimator itself; it is an unbiased estimate of the
-    entropy gradient. Returned in vector-space layout (means, log sigma,
-    log lambda, eta).
+    entropy gradient. It is returned in vector space, packed by
+    :meth:`VariationalPosterior.vector_grad`, which holds the layout.
 
     A large share of the time goes to exponentials of the (draws x K)
     log-density block: its log-sum-exp and, for a gradient call, the
@@ -331,15 +365,7 @@ def entropy_mc(vp, n_samples, rng, grad=True):
     LQ = logq.reshape(Ns, K).sum(axis=0)
     d_w = -(LQ + c / w) / Ns
 
-    grad_vec = np.concatenate(
-        [
-            d_mu.ravel(),
-            d_sigma * sigma,
-            d_lam * lam,
-            vp.w * (d_w - vp.w @ d_w),
-        ]
-    )
-    return H, grad_vec
+    return H, vp.vector_grad(d_mu, d_sigma, d_lam, d_w)
 
 
 def gaussian_skl(mean_a, cov_a, mean_b, cov_b):

@@ -5,7 +5,9 @@ import pytest
 
 from cmaes_reference import reference_cma_maximize
 from per_draw import hyp_row, prior_set
+from vbmc import acquisition
 from vbmc.acquisition import (
+    N_PROBES,
     AcquisitionError,
     V_REG,
     log_acquisition,
@@ -245,6 +247,20 @@ class TestOptimizeAcquisition:
             x = optimize_acquisition(samples, vp, lo, hi, "pro", np.random.default_rng(seed))
             d2 = np.min(np.sum((X - x) ** 2, axis=1))
             assert d2 > 1e-12
+
+    def test_cma_on_a_training_input_returns_the_best_other_seed(self, monkeypatch):
+        samples, vp, lo, hi = fitted_context()
+        X = samples.train.X
+        monkeypatch.setattr(
+            acquisition, "cma_maximize", lambda f, start, *a, **k: (X[0].copy(), np.inf)
+        )
+        x = optimize_acquisition(samples, vp, lo, hi, "pro", np.random.default_rng(3))
+        # the seeds the search scores, drawn as it draws them
+        probes = np.random.default_rng(3).uniform(lo, hi, size=(N_PROBES, 1))
+        seeds = np.vstack([probes, vp.mu])
+        values = log_acquisition(samples, vp, seeds, "pro")
+        assert not any(samples.train.is_duplicate(seed) for seed in seeds)
+        assert np.array_equal(x, seeds[np.argmax(values)])
 
     def test_degenerate_space_raises(self):
         # zero predictive variance everywhere (clamped GP): acquisition is

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from vbmc import core as core_mod
+from vbmc.acquisition import AcquisitionError
 from vbmc.benchmark import make_lumpy
 from vbmc.core import (
     N_ACTIVE,
@@ -12,6 +14,7 @@ from vbmc.core import (
     N_FAST_FIRST,
     N_INIT,
     WARMUP_NGP_CAP,
+    N_MOMENT_SAMPLES,
     InferenceResult,
     IterationRecord,
     ProblemSpec,
@@ -170,6 +173,20 @@ class TestWarmupRules:
         assert -15.0 in trimmed.y
         assert -25.0 not in trimmed.y
 
+    @pytest.mark.parametrize("D, floor", [(2, 4), (3, 5)])
+    def test_trim_keeps_a_floor_of_the_best_points(self, D, floor):
+        # only 0 and -5 lie within 10 * D of the maximum, fewer than
+        # max(4, D + 2): the best `floor` points are kept, in their order
+        spec, *_ = conjugate_problem()
+        eng = VBMC(spec)
+        eng.D = D
+        y = np.array([-50.0, 0.0, -40.0, -35.0, -5.0, -60.0, -38.0])
+        X = np.arange(7.0)[:, None] * 0.1
+        trimmed = eng._trim(TrainingSet(X, y))
+        keep = np.sort(np.argsort(y)[::-1][:floor])
+        assert np.array_equal(trimmed.y, y[keep])
+        assert np.array_equal(trimmed.X, X[keep])
+
 
 class TestSchedules:
     def test_n_gp_warmup_cap_applies(self):
@@ -269,6 +286,12 @@ class TestTermination:
         history = self.make_history()
         done, stable = termination_status(history, 100, 400, warmup=True)
         assert not done
+
+    def test_current_feature_at_one_blocks_stable_exit(self):
+        history = self.make_history()
+        history[-1].rho_features = (0.2, 1.0, 0.1)
+        assert termination_status(history, 100, 400, warmup=False) == (False, False)
+        assert termination_status(history, 400, 400, warmup=False) == (True, False)
 
 
 class TestPruning:
@@ -411,6 +434,26 @@ class TestHyperparameterUpdate:
         assert engine._last_hyp.tobytes() == last.tobytes()
 
 
+class TestActiveSampling:
+    def test_degenerate_acquisition_falls_back_to_uniform_draws(self, monkeypatch, caplog):
+        spec, *_ = conjugate_problem()
+        eng = VBMC(spec)
+        draws = np.random.default_rng(4).uniform(-0.5, 0.5, size=(N_ACTIVE + 1, 1))
+        # the first draw duplicates a training input, so it is drawn again
+        train = TrainingSet(np.vstack([draws[:1], [[-0.9], [0.9]]]), np.array([0.0, -1.0, -1.2]))
+        samples = gp_fit(train, default_hyperparams(train))
+
+        def degenerate(*args):
+            raise AcquisitionError("forced")
+
+        monkeypatch.setattr(core_mod, "optimize_acquisition", degenerate)
+        vp = VariationalPosterior([1.0], [[0.0]], [0.5], [1.0])
+        out = eng._active_sample_batch(samples, vp, np.random.default_rng(4))
+        assert np.array_equal(out.train.X[train.n:], draws[1:])
+        assert eng.fevals == N_ACTIVE
+        assert caplog.text.count("degenerate acquisition") == N_ACTIVE
+
+
 class TestFreshIterations:
     def test_first_and_post_warmup_iterations_skip_sampling(self, monkeypatch):
         # iteration 1 and the iteration after warm-up's trim add no
@@ -471,6 +514,26 @@ class TestX0:
             spec.transform = ParameterTransform([], [], [], [])
             VBMC(spec)
         assert calls == []
+
+
+class TestMomentsOriginal:
+    def test_bounded_moments_match_quadrature(self):
+        transform = ParameterTransform([0.0], [1.0], [0.2], [0.8])
+        vp = VariationalPosterior([0.3, 0.7], [[-0.2], [0.4]], [0.3, 0.5], [1.0])
+        res = InferenceResult(vp, transform, 0.0, 0.0, False, 0, 0)
+
+        def moment(f):
+            return quad(lambda u: f(transform.to_original([u])[0]) * math.exp(vp.logpdf([u])),
+                        -np.inf, np.inf, epsabs=1e-12)[0]
+
+        m1 = moment(lambda x: x)
+        var = moment(lambda x: (x - m1) ** 2)
+        m4 = moment(lambda x: (x - m1) ** 4)
+        mean, cov = res.moments_original()
+        assert cov.shape == (1, 1)
+        # the sampled moments are within 5 standard errors of the integrals
+        assert abs(mean[0] - m1) < 5 * math.sqrt(var / N_MOMENT_SAMPLES)
+        assert abs(cov[0, 0] - var) < 5 * math.sqrt((m4 - var**2) / N_MOMENT_SAMPLES)
 
 
 class TestFullRun:

@@ -10,7 +10,6 @@ from vbmc.gp import TrainingSet, gp_fit
 from vbmc.optim import (
     ALPHA_MIN,
     TAU,
-    AdamState,
     adam_step,
     learning_rate,
     optimize_elbo,
@@ -63,46 +62,34 @@ def record_elbo_steps(monkeypatch):
 
 class TestLearningRate:
     def test_schedule_endpoints(self):
-        st = AdamState.fresh(1, alpha_max=0.1)
-        assert learning_rate(st) == pytest.approx(0.1)
-        st.t = 10**9
-        assert learning_rate(st) == pytest.approx(ALPHA_MIN)
+        assert learning_rate(0, 0.1) == pytest.approx(0.1)
+        assert learning_rate(10**9, 0.1) == pytest.approx(ALPHA_MIN)
 
     def test_value_at_tau(self):
-        st = AdamState.fresh(1, alpha_max=0.1)
-        st.t = int(TAU)
         expected = ALPHA_MIN + (0.1 - ALPHA_MIN) / math.e
-        assert learning_rate(st) == pytest.approx(expected)
+        assert learning_rate(int(TAU), 0.1) == pytest.approx(expected)
 
 
 class TestAdamStep:
     def test_zero_gradient_no_move(self):
-        st = AdamState.fresh(3)
         theta = np.array([1.0, -2.0, 0.5])
-        _, theta2 = adam_step(st, theta, np.zeros(3))
+        theta2, _, _ = adam_step(theta, np.zeros(3), np.zeros(3), np.zeros(3), 1, 0.01)
         assert np.array_equal(theta, theta2)
 
     def test_first_step_is_signed_learning_rate(self):
-        st = AdamState.fresh(2, alpha_max=0.05)
         theta = np.zeros(2)
         grad = np.array([3.0, -0.2])
-        st2, theta2 = adam_step(st, theta, grad)
+        theta2, _, _ = adam_step(theta, grad, np.zeros(2), np.zeros(2), 1, 0.05)
         step = theta2 - theta
-        expected = -learning_rate(st2) * np.sign(grad)
+        expected = -learning_rate(1, 0.05) * np.sign(grad)
         assert np.allclose(step, expected, rtol=1e-6)
 
     def test_converges_on_quadratic(self):
         target = np.array([0.3, -0.2, 0.1])
-        theta = np.zeros(3)
-        st = AdamState.fresh(3, alpha_max=0.01)
-        for _ in range(2000):
-            st, theta = adam_step(st, theta, theta - target)
+        theta = m = v = np.zeros(3)
+        for t in range(1, 2001):
+            theta, m, v = adam_step(theta, theta - target, m, v, t, 0.01)
         assert np.max(np.abs(theta - target)) < 1e-4
-
-    def test_nonfinite_gradient_raises(self):
-        st = AdamState.fresh(1)
-        with pytest.raises(FloatingPointError):
-            adam_step(st, np.zeros(1), np.array([np.nan]))
 
 
 class TestStartingPoints:
@@ -205,3 +192,26 @@ class TestOptimizeELBO:
         monkeypatch.setattr(optim, "ADAM_MAX_ITER", 200)
         vp, _ = optimize_elbo(vp0, samples, np.random.default_rng(10), warmup=True)
         assert np.array_equal(vp.w, np.array([0.5, 0.5]))
+
+    @staticmethod
+    def calls_until_raise(monkeypatch, value, grad):
+        """Evaluations ``optimize_elbo`` makes before it raises when every
+        step returns ``value`` and a gradient filled with ``grad``."""
+        samples = conjugate_gaussian_samples()
+        vp0 = VariationalPosterior([1.0], [[-0.3]], [0.4], [1.0])
+        calls = []
+
+        def nonfinite(theta, *args):
+            calls.append(theta)
+            return value, np.full(theta.size, grad)
+
+        monkeypatch.setattr(optim, "_neg_elbo_and_grad", nonfinite)
+        with pytest.raises(RuntimeError, match="non-finite values at step 0"):
+            optimize_elbo(vp0, samples, np.random.default_rng(11))
+        return len(calls)
+
+    def test_nonfinite_gradient_raises(self, monkeypatch):
+        assert self.calls_until_raise(monkeypatch, 1.0, np.nan) == 1
+
+    def test_nonfinite_value_raises(self, monkeypatch):
+        assert self.calls_until_raise(monkeypatch, np.nan, 0.0) == 1

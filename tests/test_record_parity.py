@@ -95,6 +95,26 @@ def test_failed_child_is_named_with_its_side_and_exit_code(tmp_path):
     assert str(info.value) == f"child process failed: side A ({bad}) exited with code 1"
 
 
+def test_unknown_workload_ends_each_child_before_any_run(tmp_path, capfd):
+    roots = []
+    for side in "ab":
+        root = tmp_path / side
+        (root / "perfbench").mkdir(parents=True)
+        # a run would fail: a workload entry is None, and run_once is missing
+        (root / "perfbench" / "workloads.py").write_text(
+            "WORKLOADS = {'lumpy-d2': None, 'cigar-d2': None}\n"
+        )
+        roots.append(str(root))
+    with pytest.raises(SystemExit) as info:
+        record_parity.main([*roots, "--workload", "lumpy-d2", "nope"])
+    assert str(info.value) == (
+        f"child process failed: side A ({roots[0]}) exited with code 2; "
+        f"side B ({roots[1]}) exited with code 2"
+    )
+    err = capfd.readouterr().err.splitlines()
+    assert err == ["unknown workload nope; known: lumpy-d2, cigar-d2"] * 2
+
+
 def test_peak_rss_line_from_hand_given_numbers():
     assert record_parity.peak_rss(104.4, 89.71) == "peak_rss A 104.4 MB, B 89.7 MB"
 

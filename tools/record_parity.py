@@ -22,7 +22,8 @@ After all verdicts, one ``peak_rss`` line gives each child's peak resident
 set size (``ru_maxrss``), so one command shows both a change's bits and its
 memory. The children run side by side, each with its own memory.
 Exits 1 on any difference; when a child process fails, names its side (A or
-B) and exit code.
+B) and exit code. A child given an unknown workload name runs nothing and
+exits 2 with one line that lists the known names.
 
 Before the verdicts it prints one ``env`` line: the BLAS thread settings
 of the children, the numpy and scipy versions, and the SIMD target numpy
@@ -44,10 +45,16 @@ THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS
 
 def child(root, names, seeds):
     """Run the workloads of the checkout at ``root``; print the records and the
-    process's peak resident set size in MB as JSON."""
+    process's peak resident set size in MB as JSON. An unknown name in
+    ``names`` ends the child before any run, with one line and exit 2."""
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
 
+    unknown = [name for name in names or () if name not in workloads.WORKLOADS]
+    if unknown:
+        print(f"unknown workload {', '.join(unknown)}; known: {', '.join(workloads.WORKLOADS)}",
+              file=sys.stderr)
+        sys.exit(2)
     out = {}
     for name in names or list(workloads.WORKLOADS):
         w = workloads.WORKLOADS[name]
