@@ -6,6 +6,7 @@ Gaussian-process Bayesian quadrature inside a variational objective.
 """
 
 from .core import (
+    Frame,
     InferenceResult,
     IterationRecord,
     ProblemSpec,
@@ -23,6 +24,7 @@ __all__ = [
     "VBMCError",
     "VBMCOptions",
     "ProblemSpec",
+    "Frame",
     "InferenceResult",
     "IterationRecord",
     "ParameterTransform",

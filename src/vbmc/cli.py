@@ -60,10 +60,21 @@ def _add_summarize(sub):
 
 
 def _add_infer(sub):
-    p = sub.add_parser("infer", help="run inference on a single problem config")
+    p = sub.add_parser(
+        "infer",
+        help="run inference on a single problem config",
+        description="Run inference on one problem config and write the result as JSON. "
+        "The mixture in 'posterior' lives in the run's working frame: 'frame' is null "
+        "when the run never whitened, so the mixture is in the internal coordinates of "
+        "'transform'; otherwise internal = center + matrix @ working. 'lml_true' is null "
+        "when a 'bounds' block sets a finite hard bound, since the stored truth is the "
+        "unbounded problem's.",
+    )
     p.add_argument("config", help="JSON config file")
     p.add_argument("--out", default="-", help="result JSON path ('-' = stdout)")
-    p.add_argument("--diagnostics", default=None, help="per-iteration JSONL path")
+    p.add_argument("--diagnostics", default=None,
+                   help="per-iteration JSONL path; each line's 'whitened' says whether "
+                   "its iterate ran in a whitened frame")
 
 
 def main(argv=None):
@@ -285,8 +296,11 @@ def _cmd_infer(args):
         problem = make_problem(pspec["family"], _integer(pspec["D"], "problem.D"),
                                _integer(pspec.get("seed", 0), "problem.seed"))
         spec = problem.problem_spec(x0=None if x0 is None else np.asarray(x0, float))
+        lml_true = problem.lml_true
         if "bounds" in config:
             spec.transform = ParameterTransform.from_config(config["bounds"])
+            if np.any(spec.transform.bounded):  # a truncated target: the truth is not known
+                lml_true = None
         engine = VBMC(spec, options)
         seed = _integer(config.get("seed", 0), "seed")
         if seed < 0:
@@ -305,8 +319,9 @@ def _cmd_infer(args):
         "stable": result.stable,
         "iterations": result.iterations,
         "fevals": result.fevals,
-        "lml_true": problem.lml_true,
+        "lml_true": lml_true,
         "posterior": result.vp.to_json(),
+        "frame": None if result.frame is None else result.frame.to_json(),
         "transform": result.transform.to_config(),
     }
     fh = _open_out(args.out)

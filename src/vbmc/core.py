@@ -5,6 +5,21 @@ the GP hyperparameters (sampling early, MAP once sampling stops paying),
 adapts the mixture size, optimizes the ELBO, and scores the solution's
 reliability. A warm-up phase with two clamped components moves the
 posterior into the high-density region before the machinery unlocks.
+
+The GP kernel is axis-aligned and the mixture's components share one
+diagonal covariance, so a correlated posterior is hard for both. So the
+run works in a frame of its own: an affine map v = c + W u (:class:`Frame`)
+from working coordinates u to the transform's internal coordinates v. It
+starts as no map at all (None). At the end of warm-up, and then after each
+iteration that did active sampling, the whitening rule compares the
+mixture's covariance C with its own diagonal; when their sKL exceeds
+``WHITEN_SKL``, the working frame is composed with u = m + chol(C) u', and
+the run starts over in u' as it does after warm-up's trim: the training
+inputs are mapped, every value gains log det chol(C) (so the evidence does
+not change), the GP hyperparameters restart from their defaults, the
+mixture's means are mapped and its shared scales reset, and the next
+iteration draws ``N_FAST_FIRST`` starting candidates and samples nothing.
+A run whose rule never fires computes no frame arithmetic at all.
 """
 
 import json
@@ -14,6 +29,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .acquisition import (
     ACQUISITION_KINDS,
@@ -63,10 +79,12 @@ STOP_SAMPLING_FRAC = 0.1  # of DELTA_SD: between-draw ELBO SD that counts as set
 STOP_SAMPLING_PATIENCE = 3  # settled iterations in a row before MAP hyperparameters
 N_MOMENT_SAMPLES = 2**16  # draws of the sampled original-space moments
 MOMENT_SEED = 0  # seed of those draws
+WHITEN_SKL = 0.25  # sKL between the mixture's covariance and its diagonal that whitens
 
 __all__ = [
     "ProblemSpec",
     "VBMCOptions",
+    "Frame",
     "IterationRecord",
     "InferenceResult",
     "VBMCError",
@@ -131,9 +149,61 @@ class VBMCOptions:
             )
 
 
+class Frame:
+    """An affine map v = ``center`` + ``matrix`` u from working to internal coordinates.
+
+    ``matrix`` is lower triangular with a positive diagonal, so its log
+    determinant ``log_det`` is the sum of the logs of its diagonal, and a
+    log density in u is the one in v plus ``log_det``.
+    """
+
+    def __init__(self, center, matrix):
+        self.center = center
+        self.matrix = matrix
+        self.log_det = float(np.sum(np.log(np.diag(matrix))))
+
+    def to_internal(self, u):
+        """Internal coordinates of a point ``u`` (D,) or of rows (m, D)."""
+        return self.center + u @ self.matrix.T
+
+    def to_working(self, v):
+        """Working coordinates of a point ``v`` (D,) or of rows (m, D): :meth:`to_internal` inverted."""
+        return solve_triangular(self.matrix, (v - self.center).T, lower=True).T
+
+    def moments_to_internal(self, mean, cov):
+        """The internal-frame mean and covariance of working-frame moments."""
+        return self.center + self.matrix @ mean, self.matrix @ cov @ self.matrix.T
+
+    def then(self, step):
+        """This frame composed after the frame ``step``: v = center + matrix (step's map of u')."""
+        return Frame(self.to_internal(step.center), self.matrix @ step.matrix)
+
+    def to_json(self):
+        return {"center": self.center.tolist(), "matrix": self.matrix.tolist()}
+
+
+def whitening(moments):
+    """The frame u = m + chol(C) u' of the mixture moments ``(m, C)`` when the rule fires, else None.
+
+    The rule fires when the sKL between N(m, C) and N(m, diag C) exceeds
+    ``WHITEN_SKL``: at D = 2 that is a correlation |rho| above about 0.58.
+    """
+    m, C = moments
+    skl = gaussian_skl(m, C, m, np.diag(np.diag(C)))
+    if not WHITEN_SKL < skl < math.inf:  # inf: C is singular and has no factor
+        return None
+    return Frame(m, np.linalg.cholesky(C))
+
+
 @dataclass
 class IterationRecord:
-    """Per-iteration diagnostics and solution snapshot."""
+    """Per-iteration diagnostics and solution snapshot.
+
+    ``vp`` lives in the working frame ``frame`` (None: the internal
+    coordinates), and ``moments`` are its mean and covariance mapped to
+    the transform's internal coordinates, so records compare across frame
+    changes.
+    """
 
     t: int
     n_train: int
@@ -149,6 +219,7 @@ class IterationRecord:
     pruned: int
     between_sample_sd: float
     vp: VariationalPosterior
+    frame: Frame | None
     moments: tuple
 
     def to_json(self):
@@ -165,14 +236,23 @@ class IterationRecord:
             "warmup": self.warmup,
             "stop_sampling": self.stop_sampling,
             "pruned": self.pruned,
+            "whitened": self.frame is not None,
         }
 
 
 @dataclass
 class InferenceResult:
-    """Final variational posterior with evidence estimates and diagnostics."""
+    """Final variational posterior with evidence estimates and diagnostics.
+
+    ``vp`` lives in the working frame ``frame`` of the iterate it was taken
+    from: None when the run never whitened, so ``vp`` is in the
+    transform's internal coordinates; otherwise a :class:`Frame` whose map
+    of ``vp`` is the posterior in those coordinates. ``sample_original``
+    and ``moments_original`` map through it.
+    """
 
     vp: VariationalPosterior
+    frame: Frame | None
     transform: ParameterTransform
     elbo_mean: float
     elbo_sd: float
@@ -183,7 +263,8 @@ class InferenceResult:
 
     def sample_original(self, n, rng):
         """Posterior draws mapped back to original coordinates."""
-        return self.transform.to_original(self.vp.sample(n, rng))
+        u = self.vp.sample(n, rng)
+        return self.transform.to_original(u if self.frame is None else self.frame.to_internal(u))
 
     def moments_original(self):
         """Posterior mean/covariance in original coordinates.
@@ -193,7 +274,10 @@ class InferenceResult:
         with ``MOMENT_SEED``.
         """
         if not np.any(self.transform.bounded):
-            return self.transform.moments_to_original(*self.vp.moments())
+            moments = self.vp.moments()
+            if self.frame is not None:
+                moments = self.frame.moments_to_internal(*moments)
+            return self.transform.moments_to_original(*moments)
         xs = self.sample_original(N_MOMENT_SAMPLES, np.random.default_rng(MOMENT_SEED))
         return xs.mean(axis=0), np.cov(xs.T).reshape(self.vp.D, self.vp.D)
 
@@ -259,8 +343,9 @@ def k_schedule(history, K_current, n_train):
 
 
 class VBMC:
-    """Single-run inference engine over one :class:`ProblemSpec`, in the internal
-    coordinates of its transform: ``VBMC(problem, options).run(seed, diagnostics)``."""
+    """Single-run inference engine over one :class:`ProblemSpec`, in the working
+    frame over the internal coordinates of its transform:
+    ``VBMC(problem, options).run(seed, diagnostics)``."""
 
     def __init__(self, problem, options=None):
         self.problem = problem
@@ -288,17 +373,20 @@ class VBMC:
         self.fevals = 0
         self._consecutive_failures = 0
         self._history = []
+        self._frame = None
 
     # -- evaluation ----------------------------------------------------
 
     def _evaluate(self, u):
-        """Evaluate the log joint at internal coordinates ``u``.
+        """Evaluate the log joint at working coordinates ``u``.
 
-        Returns (y_internal, ok); non-finite values are counted as failures
-        and excluded from the GP training data. An exception raised by the log
-        joint ends the run with a :class:`VBMCError` carrying the history.
+        Returns (y_working, ok): the value less the transform's log Jacobian,
+        plus the frame's log determinant. Non-finite values are counted as
+        failures and excluded from the GP training data. An exception raised
+        by the log joint ends the run with a :class:`VBMCError` carrying the
+        history.
         """
-        x = self.transform.to_original(u)
+        x = self.transform.to_original(u if self._frame is None else self._frame.to_internal(u))
         try:
             y_orig = float(self.problem.log_joint(x))
         except Exception as err:
@@ -310,6 +398,8 @@ class VBMC:
         self.fevals += 1
         if np.isfinite(y_orig):
             y = y_orig - float(self.transform.log_jacobian(x))
+            if self._frame is not None:
+                y += self._frame.log_det
             if np.isfinite(y):
                 self._consecutive_failures = 0
                 return y, True
@@ -434,6 +524,7 @@ class VBMC:
         self.fevals = 0
         self._consecutive_failures = 0
         self._history = []
+        self._frame = None
 
         train, u0 = self._initial_design(rng)
         self._last_hyp = default_hyperparams(train)
@@ -442,17 +533,18 @@ class VBMC:
         warmup = True
         stop_sampling = False
         stop_strikes = 0
-        # None on the first iteration and after warm-up's trim: no active
-        # sampling, and N_FAST_FIRST starting candidates
+        # None on the first iteration, after warm-up's trim and after a frame
+        # change: no active sampling, and N_FAST_FIRST starting candidates
         samples = None
         t = 0
 
         while True:
             t += 1
-            n_fast = N_FAST_FIRST if samples is None else N_FAST
-            if samples is not None:
-                # warm-up's trim replaces train and clears samples, so here
-                # train is always samples.train
+            sampled = samples is not None
+            n_fast = N_FAST if sampled else N_FAST_FIRST
+            if sampled:
+                # warm-up's trim and a frame change replace train and clear
+                # samples, so here train is always samples.train
                 samples = self._active_sample_batch(samples, vp, rng)
                 train = samples.train
 
@@ -473,6 +565,7 @@ class VBMC:
             if not warmup:
                 vp, est, pruned = self._prune(vp, est, samples, rng)
 
+            moments = vp.moments()
             record = IterationRecord(
                 t=t,
                 n_train=train.n,
@@ -488,7 +581,9 @@ class VBMC:
                 pruned=pruned,
                 between_sample_sd=math.sqrt(max(est.between_sample_var, 0.0)),
                 vp=vp,
-                moments=vp.moments(),
+                frame=self._frame,
+                moments=moments if self._frame is None
+                else self._frame.moments_to_internal(*moments),
             )
             self._history.append(record)
             record.rho, record.rho_features = reliability_features(self._history, self.D)
@@ -518,6 +613,16 @@ class VBMC:
             if done:
                 return self._assemble_result(stable)
 
+            # the rule runs once warm-up is over: at its end, and then after
+            # each iteration that did active sampling, so every frame change
+            # is followed by at least one batch of evaluations
+            step = whitening(moments) if not warmup and (record.warmup or sampled) else None
+            if step is not None:
+                train, vp = self._whiten(train, vp, step)
+                samples = None
+                stop_sampling, stop_strikes = False, 0
+                logger.info("whitened the working frame at iteration %d", t)
+
     def _trim(self, train):
         cutoff = train.y.max() - TRIM_MULTIPLIER * self.D
         keep = train.y >= cutoff
@@ -527,6 +632,23 @@ class VBMC:
             keep = np.zeros(train.n, dtype=bool)
             keep[order] = True
         return train.subset(keep)
+
+    def _whiten(self, train, vp, step):
+        """Compose the frame with ``step``, u = m + L u'; the training set and the mixture in u'.
+
+        The inputs map to L^-1 (u - m) and every value gains log det L. The
+        mixture keeps its weights and its mapped means; its shared scales
+        become ones and each sigma_k is scaled so that the component keeps
+        its volume. The GP hyperparameters restart from the defaults of the
+        mapped set.
+        """
+        self._frame = step if self._frame is None else self._frame.then(step)
+        train = TrainingSet(step.to_working(train.X), train.y + step.log_det)
+        self._last_hyp = default_hyperparams(train)
+        scale = math.exp((float(np.sum(np.log(vp.lam))) - step.log_det) / self.D)
+        return train, VariationalPosterior(
+            vp.w, step.to_working(vp.mu), vp.sigma * scale, np.ones(self.D)
+        )
 
     def _assemble_result(self, stable):
         if stable:
@@ -543,6 +665,7 @@ class VBMC:
             final = self._history[int(np.argmax(scores))]
         return InferenceResult(
             vp=final.vp,
+            frame=final.frame,
             transform=self.transform,
             elbo_mean=final.elbo_mean,
             elbo_sd=final.elbo_sd,

@@ -8,7 +8,7 @@ A hyperparameter draw is a row ``theta`` of 3D+3 numbers, and draws stack
 as rows (S, 3D+3). :func:`_layout` alone says which slice holds which block:
 ``log_ell``, ``log_sf``, ``log_sobs`` (the covariance block), then ``m0``,
 ``x_m``, ``log_omega`` (the mean block). :func:`_unpack` is the one checked
-unpacking.
+unpacking, and :func:`_unpack_covariance` its covariance half.
 
 The GP posterior has one type, :class:`HyperparamSampleSet`: S
 hyperparameter draws on one :class:`TrainingSet`, with their Cholesky
@@ -20,8 +20,9 @@ factor with one new observation in one batched pass, and the set fits its
 own draws from those factors. :func:`marginal_predict` and
 ``vbmc.quadrature`` read it.
 :func:`log_marginal_likelihood` is the slice sampler's view of one draw: it
-builds no set, and it factors the Gram matrix only when the covariance block
-of the draw changes (see :func:`sample_hyperparameters`).
+builds no set, it factors the Gram matrix only when the covariance block
+of the draw changes, and it computes the residual only when the mean block
+changes (see :func:`sample_hyperparameters`).
 :func:`_weights_and_lml` writes the weights and the log marginal likelihood
 once for the set, the slice target and the MAP gradient.
 
@@ -88,7 +89,7 @@ def _layout(D):
         _LAYOUTS[D] = {
             "log_ell": slice(0, D), "log_sf": D, "log_sobs": D + 1, "m0": D + 2,
             "x_m": slice(D + 3, 2 * D + 3), "log_omega": slice(2 * D + 3, 3 * D + 3),
-            "covariance": slice(0, D + 2),
+            "covariance": slice(0, D + 2), "mean": slice(D + 2, 3 * D + 3),
         }
     return _LAYOUTS[D]
 
@@ -97,19 +98,31 @@ def _unpack(theta, D):
     """``(ell, sf2, sobs, m0, x_m, omega)`` of a stack of rows (S, 3D+3), checked.
 
     Every scale is ``np.exp`` of its block: ``sf2`` = exp(2 log_sf), ``sobs``
-    = exp(log_sobs), ``ell`` and ``omega``. They are checked before the noise
-    is floored at ``SIGMA_OBS_FLOOR``.
+    = exp(log_sobs), ``ell`` and ``omega``. The covariance block is
+    :func:`_unpack_covariance`; ``omega`` gets the same check.
+    """
+    ell, sf2, sobs = _unpack_covariance(theta, D)
+    sl = _layout(D)
+    omega = np.exp(theta[:, sl["log_omega"]])
+    _check_scales(omega.ravel())
+    m0, x_m = theta[:, sl["m0"]].copy(), theta[:, sl["x_m"]].copy()  # contiguous, as read
+    return ell, sf2, sobs, m0, x_m, omega
+
+
+def _unpack_covariance(theta, D):
+    """``(ell, sf2, sobs)`` of a stack of rows (S, 3D+3), checked.
+
+    The scales are checked before the noise is floored at
+    ``SIGMA_OBS_FLOOR``.
     """
     if theta.ndim != 2 or theta.shape[1] != 3 * D + 3:
         raise ValueError(f"expected rows of {3 * D + 3} hyperparameters, got {theta.shape}")
     sl = _layout(D)
-    ell, omega = np.exp(theta[:, sl["log_ell"]]), np.exp(theta[:, sl["log_omega"]])
+    ell = np.exp(theta[:, sl["log_ell"]])
     sf2 = np.exp(2.0 * theta[:, sl["log_sf"]])
     sobs = np.exp(theta[:, sl["log_sobs"]])
-    _check_scales(ell.ravel(), sf2, sobs, omega.ravel())
-    sobs = np.maximum(sobs, SIGMA_OBS_FLOOR)
-    m0, x_m = theta[:, sl["m0"]].copy(), theta[:, sl["x_m"]].copy()  # contiguous, as read
-    return ell, sf2, sobs, m0, x_m, omega
+    _check_scales(ell.ravel(), sf2, sobs)
+    return ell, sf2, np.maximum(sobs, SIGMA_OBS_FLOOR)
 
 
 def _unpack_row(theta, D):
@@ -241,8 +254,13 @@ def nq_mean(X, m0, x_m, omega):
 
 
 def _factor_gram(train, theta):
-    """:func:`_factor_kernel` of the row ``theta`` on ``train``."""
-    ell, sf2, sobs, *_ = _unpack_row(theta, train.D)
+    """:func:`_factor_kernel` of the row ``theta`` on ``train``; only its covariance block is read.
+
+    :func:`se_kernel_matrix` scales the inputs into two separate arrays. One
+    array times its own transpose would take NumPy's SYRK path, which rounds
+    the Gram matrix differently.
+    """
+    ell, sf2, sobs = [block[0] for block in _unpack_covariance(theta[None], train.D)]
     return _factor_kernel(se_kernel_matrix(train.X, train.X, ell, sf2), sobs)
 
 
@@ -338,26 +356,37 @@ def log_marginal_likelihood(train, theta, memo):
     """GP log marginal likelihood of the training data at the 3D+3 vector ``theta``.
 
     ``memo`` is a dict that one slice chain on ``train`` owns (an empty dict
-    for a single call). It holds one entry, keyed by the exact bytes of the
-    last covariance block (``log_ell``, ``log_sf``, ``log_sobs``) seen: the
-    block's factor as ``(L, sum log diag L)``, or the
-    :class:`GPTrainingError` it raised, which is raised again. Only a new
-    block is unpacked, with its scale check, and factors the Gram matrix.
-    Otherwise the mean block (``m0``, ``x_m``, ``log_omega``) costs one
-    residual and one ``dpotrs``; exp(``log_omega``) gets the same check.
+    for a single call). It holds two entries, each a pair of a block's exact
+    bytes and what was computed from it:
+    - ``"covariance"``: the last covariance block (``log_ell``, ``log_sf``,
+      ``log_sobs``) seen, and its factor as ``(L, sum log diag L)``, or the
+      :class:`GPTrainingError` it raised, which is raised again. Only a new
+      block is unpacked, with its scale check, and factors the Gram matrix
+      (:func:`_factor_gram`).
+    - ``"mean"``: the last mean block (``m0``, ``x_m``, ``log_omega``) seen,
+      and its residual y - m(X). Only a new block computes it, with the
+      scale check of exp(``log_omega``); a block that fails the check is
+      not kept.
+    A call that finds both costs one ``dpotrs``.
     """
-    key = theta[_layout(train.D)["covariance"]].tobytes()
-    factor = memo.get(key)
-    if factor is None:
-        memo.clear()
+    sl = _layout(train.D)
+    key = theta[sl["covariance"]].tobytes()
+    entry = memo.get("covariance")
+    if entry is None or entry[0] != key:
         try:
             L, _ = _factor_gram(train, theta)
-            factor = memo[key] = (L, np.log(np.diag(L)).sum())
+            factor = (L, np.log(np.diag(L)).sum())
         except GPTrainingError as err:
-            factor = memo[key] = err
+            factor = err
+        entry = memo["covariance"] = (key, factor)
+    factor = entry[1]
     if isinstance(factor, GPTrainingError):
         raise factor.with_traceback(None)
-    return _weights_and_lml(_residual(train, theta), *factor)[1]
+    key = theta[sl["mean"]].tobytes()
+    entry = memo.get("mean")
+    if entry is None or entry[0] != key:
+        entry = memo["mean"] = (key, _residual(train, theta))
+    return _weights_and_lml(entry[1], *factor)[1]
 
 
 def log_marginal_likelihood_grad(train, theta):
@@ -603,14 +632,16 @@ def sample_hyperparameters(train, n_gp, init, rng):
     a draw every ``THIN_SWEEPS`` sweeps, starting from the row ``init``.
     The draws are fitted as one set.
 
-    The chain moves one coordinate at a time, and most moves leave the
-    covariance block ``theta[:D+2]`` alone. So the target keeps a memo: the
-    factor of the last covariance block, keyed by the block's exact bytes,
-    or the :class:`GPTrainingError` that block raised (see
-    :func:`log_marginal_likelihood`). Equal bytes give the same factor, so
-    the draws are those of a target that factors on every evaluation, bit
-    for bit. Raises :class:`GPTrainingError` when neither start, ``init``
-    nor the default hyperparameters, has a finite target.
+    The chain moves one coordinate at a time, so each move leaves either
+    the covariance block ``theta[:D+2]`` or the mean block alone. So the
+    target keeps a memo: the factor of the last covariance block, or the
+    :class:`GPTrainingError` that block raised, and the residual of the
+    last mean block, each keyed by its block's exact bytes (see
+    :func:`log_marginal_likelihood`). Equal bytes give the same factor and
+    residual, so the draws are those of a target that computes both on
+    every evaluation, bit for bit. Raises :class:`GPTrainingError` when
+    neither start, ``init`` nor the default hyperparameters, has a finite
+    target.
     """
     if train.n < 2:
         raise ValueError("hyperparameter sampling requires at least 2 points")

@@ -6,6 +6,8 @@ import pytest
 from vbmc import benchmark, cli
 from vbmc.cli import main
 from vbmc.core import VBMC
+from vbmc.transforms import ParameterTransform
+from vbmc.variational import VariationalPosterior
 
 
 def test_generate_writes_problems(tmp_path, capsys):
@@ -248,6 +250,60 @@ def test_infer_with_bounds_override(tmp_path):
     assert code == 0
     result = json.loads(out.read_text())
     assert result["transform"]["plb"] == [-0.5, -0.5]
+    # no finite hard bound: the target is the problem's, and so is the truth
+    assert result["lml_true"] == benchmark.make_problem("lumpy", 2, 0).lml_true
+
+
+def test_infer_with_a_hard_box_writes_no_truth(tmp_path):
+    config = {
+        "problem": {"family": "lumpy", "D": 2, "seed": 0},
+        "options": {"max_fevals": 20},
+        "bounds": {"lb": [-0.25, -0.25], "ub": [1.25, 1.25], "plb": [0, 0], "pub": [1, 1]},
+        "x0": [0.5, 0.5],
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "result.json"
+    assert main(["infer", str(cfg_path), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    # the hard box truncates the target, so the unbounded problem's truth is wrong
+    assert result["lml_true"] is None
+    assert result["transform"]["lb"] == [-0.25, -0.25]
+
+
+def test_infer_writes_the_frame_and_the_whitened_lines(tmp_path):
+    config = {"problem": {"family": "cigar", "D": 2, "seed": 0}, "options": {"max_fevals": 40}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "result.json"
+    diag = tmp_path / "diag.jsonl"
+    assert main(["infer", str(cfg_path), "--out", str(out), "--diagnostics", str(diag)]) == 0
+    result = json.loads(out.read_text())
+    lines = [json.loads(line) for line in diag.read_text().splitlines()]
+    assert all(type(line["whitened"]) is bool for line in lines)
+    assert not lines[0]["whitened"] and lines[-1]["whitened"]
+    frame = result["frame"]
+    assert len(frame["center"]) == 2 and np.shape(frame["matrix"]) == (2, 2)
+    # the written mixture, mapped through the frame and the transform, is the posterior
+    post = result["posterior"]
+    vp = VariationalPosterior(post["w"], np.reshape(post["mu"], (post["K"], post["D"])),
+                              post["sigma"], post["lambda"])
+    W, c = np.array(frame["matrix"]), np.array(frame["center"])
+    mean, cov = vp.moments()
+    transform = ParameterTransform.from_config(result["transform"])
+    mean, cov = transform.moments_to_original(c + W @ mean, W @ cov @ W.T)
+    problem = benchmark.make_problem("cigar", 2, 0)
+    assert benchmark.metric_gskl(mean, cov, problem) < 0.05
+    assert abs(result["elbo_mean"] - result["lml_true"]) < 0.05
+
+
+def test_infer_without_whitening_writes_a_null_frame(tmp_path):
+    config = {"problem": {"family": "lumpy", "D": 2, "seed": 0}, "options": {"max_fevals": 30}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "result.json"
+    assert main(["infer", str(cfg_path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["frame"] is None
 
 
 def test_infer_rejects_unknown_option(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -15,6 +16,8 @@ from vbmc.core import (
     N_INIT,
     WARMUP_NGP_CAP,
     N_MOMENT_SAMPLES,
+    WHITEN_SKL,
+    Frame,
     InferenceResult,
     IterationRecord,
     ProblemSpec,
@@ -25,11 +28,12 @@ from vbmc.core import (
     reliability_features,
     termination_status,
     warmup_should_end,
+    whitening,
 )
 from vbmc.gp import TrainingSet, default_hyperparams, gp_fit, n_gp_schedule
 from vbmc.slice_sampler import SliceSamplingError
 from vbmc.transforms import ParameterTransform
-from vbmc.variational import VariationalPosterior
+from vbmc.variational import VariationalPosterior, gaussian_skl
 
 
 def conjugate_problem(y0=0.5, s=0.8, x0=0.3):
@@ -47,6 +51,31 @@ def conjugate_problem(y0=0.5, s=0.8, x0=0.3):
     return spec, lml, post_mean, post_var
 
 
+def gaussian_spec(cov, shift=0.0):
+    """A 2-D Gaussian log joint with covariance ``cov`` plus ``shift``: the evidence is exp(shift)."""
+    mean = np.array([0.3, -0.2])
+    L = np.linalg.cholesky(cov)
+    log_norm = -math.log(2 * math.pi) - np.log(np.diag(L)).sum()
+
+    def log_joint(x):
+        z = np.linalg.solve(L, np.asarray(x) - mean)
+        return log_norm - 0.5 * z @ z + shift
+
+    transform = ParameterTransform([-np.inf] * 2, [np.inf] * 2, [-2.5, -2.5], [2.5, 2.5])
+    return ProblemSpec(log_joint, transform, x0=[0.0, 0.0])
+
+
+RHO = 0.95
+CORRELATED = np.array([[1.0, RHO], [RHO, 1.0]])
+ALIGNED = np.diag([1.0 + RHO, 1.0 - RHO])  # the same Gaussian rotated onto the axes
+WHITEN_BUDGET = 40
+
+
+def frame_changes(history):
+    """The records that start a new frame: each one's frame is not its predecessor's."""
+    return [b for a, b in zip(history, history[1:]) if b.frame is not a.frame]
+
+
 def fake_record(t, elbo_mean=0.0, elbo_sd=0.01, elcbo=None, rho=0.5,
                 feats=(0.2, 0.3, 0.1), pruned=0, moments=None):
     if elcbo is None:
@@ -59,6 +88,7 @@ def fake_record(t, elbo_mean=0.0, elbo_sd=0.01, elcbo=None, rho=0.5,
         rho=rho, rho_features=feats, warmup=False, stop_sampling=False,
         pruned=pruned, between_sample_sd=0.0,
         vp=VariationalPosterior([1.0], [[0.0]], [1.0], [1.0]),
+        frame=None,
         moments=moments,
     )
 
@@ -520,7 +550,7 @@ class TestMomentsOriginal:
     def test_bounded_moments_match_quadrature(self):
         transform = ParameterTransform([0.0], [1.0], [0.2], [0.8])
         vp = VariationalPosterior([0.3, 0.7], [[-0.2], [0.4]], [0.3, 0.5], [1.0])
-        res = InferenceResult(vp, transform, 0.0, 0.0, False, 0, 0)
+        res = InferenceResult(vp, None, transform, 0.0, 0.0, False, 0, 0)
 
         def moment(f):
             return quad(lambda u: f(transform.to_original([u])[0]) * math.exp(vp.logpdf([u])),
@@ -664,3 +694,192 @@ class TestFullRun:
         for line in lines:
             assert {"t", "n", "K", "elbo_mean", "elbo_sd", "elcbo", "rho",
                     "warmup", "stop_sampling"} <= set(line)
+
+
+class TestFrame:
+    def frames(self):
+        first = Frame(np.array([0.4, -1.0]), np.array([[2.0, 0.0], [-0.7, 0.3]]))
+        step = Frame(np.array([0.1, 0.2]), np.array([[0.5, 0.0], [0.4, 1.5]]))
+        return first, step, first.then(step)
+
+    def test_points_round_trip(self):
+        first, step, frame = self.frames()
+        U = np.random.default_rng(0).standard_normal((6, 2))
+        V = frame.to_internal(U)
+        assert np.allclose(V, first.to_internal(step.to_internal(U)), rtol=0, atol=1e-14)
+        assert np.allclose(frame.to_working(V), U, rtol=0, atol=1e-13)
+        assert np.allclose(frame.to_working(frame.to_internal(U[0])), U[0], rtol=0, atol=1e-13)
+        assert frame.log_det == pytest.approx(first.log_det + step.log_det, abs=1e-14)
+        assert frame.log_det == pytest.approx(np.log(np.linalg.det(frame.matrix)), abs=1e-14)
+
+    def test_points_round_trip_through_the_transform(self):
+        *_, frame = self.frames()
+        transform = ParameterTransform([-np.inf, 0.0], [np.inf, 5.0], [-1.0, 1.0], [1.0, 4.0])
+        U = np.random.default_rng(1).uniform(-0.5, 0.5, size=(6, 2))
+        x = transform.to_original(frame.to_internal(U))
+        assert np.allclose(frame.to_working(transform.to_internal(x)), U, rtol=0, atol=1e-12)
+
+    def whitened_result(self):
+        *_, frame = self.frames()
+        transform = ParameterTransform([-np.inf] * 2, [np.inf] * 2, [2.0, -1.0], [6.0, 0.0])
+        vp = VariationalPosterior(
+            [0.2, 0.5, 0.3], [[0.1, -0.3], [0.6, 0.2], [-0.4, 0.5]], [0.3, 0.5, 0.2], [1.0, 0.7]
+        )
+        return InferenceResult(vp, frame, transform, 0.0, 0.0, False, 0, 0, [])
+
+    def test_moments_original_is_the_affine_map(self):
+        res = self.whitened_result()
+        mean_u, cov_u = res.vp.moments()
+        W, c = res.frame.matrix, res.frame.center
+        expected = res.transform.moments_to_original(c + W @ mean_u, W @ cov_u @ W.T)
+        mean, cov = res.moments_original()
+        assert np.allclose(mean, expected[0], rtol=1e-14, atol=0)
+        assert np.allclose(cov, expected[1], rtol=1e-14, atol=1e-15)
+
+    def test_moments_original_match_samples(self):
+        res = self.whitened_result()
+        mean, cov = res.moments_original()
+        n = 200_000
+        xs = res.sample_original(n, np.random.default_rng(2))
+        d = xs - mean
+        # each coordinate's mean and variance within 5 standard errors
+        assert np.all(np.abs(d.mean(axis=0)) < 5 * np.sqrt(np.diag(cov) / n))
+        var = (d**2).mean(axis=0)
+        se_var = np.sqrt(((d**4).mean(axis=0) - var**2) / n)
+        assert np.all(np.abs(var - np.diag(cov)) < 5 * se_var)
+        cross = d[:, 0] * d[:, 1]
+        assert abs(cross.mean() - cov[0, 1]) < 5 * cross.std() / math.sqrt(n)
+
+    def test_rule_fires_above_its_threshold(self):
+        m = np.array([0.2, -0.1])
+        sd = np.array([0.3, 2.0])
+        # at D = 2 the sKL to the diagonal is rho^2 / (2 (1 - rho^2))
+        for rho, fires in ((0.0, False), (0.55, False), (0.6, True), (-0.95, True)):
+            C = np.outer(sd, sd) * np.array([[1.0, rho], [rho, 1.0]])
+            assert (0.5 * rho**2 / (1 - rho**2) > WHITEN_SKL) == fires
+            step = whitening((m, C))
+            if not fires:
+                assert step is None
+                continue
+            assert np.array_equal(step.center, m)
+            assert np.array_equal(step.matrix, np.linalg.cholesky(C))
+
+    def test_whiten_maps_the_training_set_and_the_mixture(self):
+        eng = VBMC(gaussian_spec(CORRELATED))
+        eng._frame = None
+        rng = np.random.default_rng(3)
+        train = TrainingSet(rng.uniform(-0.5, 0.5, size=(12, 2)), rng.standard_normal(12))
+        vp = VariationalPosterior([0.4, 0.6], [[0.1, 0.0], [-0.2, 0.3]], [0.2, 0.5], [0.5, 1.5])
+        steps = [Frame(np.array([0.1, -0.1]), np.array([[0.3, 0.0], [0.25, 0.1]])),
+                 Frame(np.array([0.5, 0.0]), np.array([[2.0, 0.0], [-0.5, 1.0]]))]
+        for step in steps:
+            new_train, new_vp = eng._whiten(train, vp, step)
+            assert np.array_equal(new_train.X, step.to_working(train.X))
+            assert np.array_equal(new_train.y, train.y + step.log_det)
+            assert np.array_equal(eng._last_hyp, default_hyperparams(new_train))
+            assert np.array_equal(new_vp.w, vp.w)
+            assert np.array_equal(new_vp.mu, step.to_working(vp.mu))
+            assert np.array_equal(new_vp.lam, np.ones(2))
+            # each component keeps its volume: det(sigma^2 diag(lam^2)) / det(L)^2
+            volume = 2 * np.log(vp.sigma) + np.sum(np.log(vp.lam)) - step.log_det
+            assert np.allclose(2 * np.log(new_vp.sigma), volume, rtol=0, atol=1e-14)
+            train, vp = new_train, new_vp
+        assert np.allclose(eng._frame.matrix, steps[0].matrix @ steps[1].matrix, rtol=1e-15)
+        assert np.allclose(eng._frame.center, steps[0].to_internal(steps[1].center), rtol=1e-15)
+
+
+class TestWhitening:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        out = {}
+        for name, cov in (("correlated", CORRELATED), ("aligned", ALIGNED)):
+            diag = io.StringIO()
+            engine = VBMC(gaussian_spec(cov), VBMCOptions(max_fevals=WHITEN_BUDGET))
+            out[name] = engine.run(seed=0, diagnostics=diag), diag.getvalue()
+        return out
+
+    def test_both_reach_the_evidence(self, runs):
+        for res, _ in runs.values():
+            assert res.fevals <= WHITEN_BUDGET
+            assert abs(res.elbo_mean) < 0.05  # the evidence is 1
+
+    def test_only_the_correlated_target_changes_frame(self, runs):
+        res, _ = runs["correlated"]
+        assert frame_changes(res.history)
+        assert res.frame is not None
+        assert res.history[0].frame is None
+        res, _ = runs["aligned"]
+        assert all(r.frame is None for r in res.history)
+        assert res.frame is None
+
+    def test_frame_change_starts_fresh(self, runs):
+        res, _ = runs["correlated"]
+        for record in frame_changes(res.history):
+            before = res.history[record.t - 2]
+            assert record.fevals == before.fevals  # no active sampling after a change
+            assert not record.warmup and not record.stop_sampling
+
+    def test_records_keep_internal_moments(self, runs):
+        res, _ = runs["correlated"]
+        for record in res.history:
+            moments = record.vp.moments()
+            if record.frame is not None:
+                moments = record.frame.moments_to_internal(*moments)
+            assert np.array_equal(record.moments[0], moments[0])
+            assert np.array_equal(record.moments[1], moments[1])
+
+    def test_diagnostic_lines_say_whitened(self, runs):
+        import json
+
+        for res, text in runs.values():
+            lines = [json.loads(line) for line in text.splitlines()]
+            assert [line["whitened"] for line in lines] == [r.frame is not None for r in res.history]
+
+    def test_result_moments_match_the_truth(self, runs):
+        for name, cov in (("correlated", CORRELATED), ("aligned", ALIGNED)):
+            res, _ = runs[name]
+            mean, sample_cov = res.moments_original()
+            assert gaussian_skl(mean, sample_cov, np.array([0.3, -0.2]), cov) < 0.05
+
+    def test_a_constant_offset_moves_the_evidence_by_itself(self, runs):
+        base, _ = runs["correlated"]
+        for shift in (100.0, -50.0):
+            res = VBMC(gaussian_spec(CORRELATED, shift), VBMCOptions(max_fevals=WHITEN_BUDGET)).run(seed=0)
+            assert frame_changes(res.history)
+            # the offset redraws the trajectory, so the two estimates differ
+            # by about the run's own accuracy, not by any part of the offset
+            assert abs(res.elbo_mean - shift - base.elbo_mean) < 1e-2
+
+    @pytest.fixture(scope="class")
+    def always_whitening(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core_mod, "WHITEN_SKL", -1.0)
+            engine = VBMC(gaussian_spec(CORRELATED), VBMCOptions(max_fevals=WHITEN_BUDGET))
+            return engine, engine.run(seed=0)
+
+    def test_a_rule_that_always_fires_still_spends_its_budget(self, always_whitening):
+        _, res = always_whitening
+        changes = frame_changes(res.history)
+        assert len(changes) >= 2
+        assert res.fevals <= WHITEN_BUDGET
+        assert res.history[-1].fevals + N_ACTIVE > WHITEN_BUDGET  # it ended on its budget
+        fevals = [record.fevals for record in changes]
+        assert all(a < b for a, b in zip(fevals, fevals[1:]))
+
+    def test_fallback_returns_its_own_record_across_frame_changes(self, always_whitening):
+        engine, res = always_whitening
+        history = res.history
+        last = history[-1].frame
+        # the newest iterate whose frame a later change replaced
+        pick = max(i for i, r in enumerate(history) if r.frame is not last and not r.warmup)
+        engine._history = [
+            r if i == pick else dataclasses.replace(r, elbo_mean=r.elbo_mean - 1e3)
+            for i, r in enumerate(history)
+        ]
+        out = engine._assemble_result(stable=False)
+        chosen = history[pick]
+        assert out.vp is chosen.vp and out.frame is chosen.frame
+        assert out.frame is not engine._frame
+        mean, cov = out.moments_original()
+        expected = engine.transform.moments_to_original(*chosen.moments)
+        assert np.array_equal(mean, expected[0]) and np.array_equal(cov, expected[1])

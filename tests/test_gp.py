@@ -698,7 +698,8 @@ def count_factorizations(monkeypatch, fail=lambda theta: False):
 
 
 class TestSliceTargetMemo:
-    """The slice target factors only when the covariance block changes."""
+    """The slice target factors only when the covariance block changes, and
+    computes the residual only when the mean block changes."""
 
     def fixture(self, D, n, seed):
         rng = np.random.default_rng(seed)
@@ -755,6 +756,30 @@ class TestSliceTargetMemo:
             assert target(theta) == expected(theta)  # the same block again
             assert target(theta0) == expected(theta0)
             assert len(calls) - before == (2 if i < D + 2 else 0), i
+
+    def test_residual_only_for_a_new_mean_block(self, monkeypatch):
+        D = 2
+        train, init = self.fixture(D, 25, 42)
+        target, theta0 = capture_target(monkeypatch, train, init)
+        residual = gpm._residual
+        calls = []
+        monkeypatch.setattr(gpm, "_residual", lambda tr, theta: calls.append(1) or residual(tr, theta))
+        prior = GPHyperprior(train)
+
+        def expected(theta):
+            return per_draw_lml(train, theta) + prior.logpdf(theta)
+
+        assert target(theta0) == expected(theta0)
+        assert calls == []  # the start's mean block was seen before the chain
+        for i in range(3 * D + 3):
+            theta = theta0.copy()
+            theta[i] += 0.01
+            before = len(calls)
+            assert target(theta) == expected(theta)
+            assert target(theta) == expected(theta)  # the same blocks again
+            assert len(calls) - before == (0 if i < D + 2 else 1), i
+            assert target(theta0) == expected(theta0)
+            assert len(calls) - before == (0 if i < D + 2 else 2), i
 
     def test_failed_block_is_not_retried(self, monkeypatch):
         D = 2

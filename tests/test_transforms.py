@@ -170,7 +170,7 @@ def unbounded_posterior():
         [0.3, 0.5, 0.2],
         [1.0, 0.7],
     )
-    return InferenceResult(vp, tr, 0.0, 0.0, False, 0, 0, [])
+    return InferenceResult(vp, None, tr, 0.0, 0.0, False, 0, 0, [])
 
 
 def test_moments_to_original_is_the_affine_map():
